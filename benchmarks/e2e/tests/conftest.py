@@ -1,0 +1,10 @@
+"""Tests of the benchmark itself: ``python -m pytest benchmarks/e2e/tests``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(HERE)))
+for path in (os.path.join(ROOT, "benchmarks"), os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
