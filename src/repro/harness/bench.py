@@ -21,10 +21,8 @@ regression, which is what lets CI gate on it (see docs/benchmarking.md).
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import re
 import subprocess
 import time
 from dataclasses import dataclass
@@ -64,7 +62,7 @@ SCHEMA_VERSION = 6
 RECORD_KIND = "npb-bench-record"
 
 #: Trajectory file naming: BENCH_0001.json, BENCH_0002.json, ...
-RECORD_PATTERN = re.compile(r"^BENCH_(\d{4})\.json$")
+RECORD_PREFIX = "BENCH"
 
 #: Relative slowdown tolerated before the noise term kicks in (10%).
 DEFAULT_TOLERANCE = 0.10
@@ -349,11 +347,6 @@ def run_suite(
 # ===================================================================== #
 
 
-def next_sequence(directory: str = ".") -> int:
-    """1 + the highest BENCH_<seq>.json already in ``directory``."""
-    return records.next_sequence(directory, "BENCH")
-
-
 def write_record(record: dict, directory: str = ".", path: str | None = None) -> str:
     """Write ``record``; default name continues the trajectory sequence.
 
@@ -362,7 +355,7 @@ def write_record(record: dict, directory: str = ".", path: str | None = None) ->
     directory concurrently never overwrite each other's record.
     """
     if path is None:
-        return records.append_record(record, directory, "BENCH")
+        return records.append_record(record, directory, RECORD_PREFIX)
     return records.write_json_record(record, path)
 
 
@@ -417,17 +410,9 @@ def load_record(path: str) -> dict:
     (missing fault fields default to zero); records from a *newer*
     schema are rejected.
     """
-    with open(path) as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict) or record.get("kind") != RECORD_KIND:
-        raise ValueError(f"{path}: not an {RECORD_KIND} file")
-    version = record.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} (this tool reads "
-            f"<= {SCHEMA_VERSION}); refresh the record with 'npb bench'"
-        )
-    return _migrate_record(record, version)
+    return records.load_record(
+        path, RECORD_KIND, SCHEMA_VERSION, "npb bench", _migrate_record
+    )
 
 
 # ===================================================================== #
@@ -557,15 +542,4 @@ def compare_records(
 
 def latest_record_path(directory: str = ".") -> str | None:
     """Path of the highest-sequence BENCH_<seq>.json, if any."""
-    best = None
-    best_seq = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return None
-    for name in names:
-        match = RECORD_PATTERN.match(name)
-        if match and int(match.group(1)) >= best_seq:
-            best_seq = int(match.group(1))
-            best = os.path.join(directory, name)
-    return best
+    return records.latest_record_path(directory, RECORD_PREFIX)

@@ -264,11 +264,51 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import signal
-    import threading
+def _serve_until_signal(app, args, announce, draining: str, on_stop):
+    """Serve ``app`` until SIGTERM/SIGINT, then drain (serve, shard-serve).
 
-    from repro.service import BenchService, make_server
+    ``on_stop`` is the drain: a coroutine function run after the
+    listener closes, while open connections still get their answers;
+    its result is returned.
+    """
+    import asyncio
+    import signal
+
+    from repro.service.http import serve
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+
+        def _handle() -> None:
+            if not stop.is_set():
+                print(draining, flush=True)
+            stop.set()
+
+        loop.add_signal_handler(signal.SIGTERM, _handle)
+        loop.add_signal_handler(signal.SIGINT, _handle)
+        return await serve(app, args.host, args.port, announce, stop,
+                           on_stop=on_stop, verbose=args.verbose)
+
+    return asyncio.run(main())
+
+
+def _cmd_serve(args) -> int:
+    from repro.service import AsyncFrontEnd, BenchService
+
+    weights = {}
+    for spec in args.tenant_weight or []:
+        name, sep, value = spec.partition("=")
+        if not sep:
+            print(f"npb serve: --tenant-weight {spec!r} is not NAME=WEIGHT",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            weights[name] = float(value)
+        except ValueError:
+            print(f"npb serve: --tenant-weight {spec!r} has a non-numeric "
+                  f"weight", file=sys.stderr)
+            return EXIT_USAGE
 
     _warn_tier_fallback(args.kernel_backend)
     chaos = None
@@ -286,102 +326,26 @@ def _cmd_serve(args) -> int:
         kernel_backend=args.kernel_backend,
         chaos=chaos,
         trace_sample=getattr(args, "trace_sample", 0.0))
-    if getattr(args, "async_frontend", False):
-        return _serve_async(args, service, chaos)
-    httpd = make_server(service, host=args.host, port=args.port,
-                        verbose=args.verbose)
-    host, port = httpd.server_address[:2]
-    print(f"npb service listening on http://{host}:{port} "
-          f"(pool {args.pool}x {args.backend} x{args.workers}, "
-          f"queue depth {args.queue_depth}, cache {args.cache_dir})",
-          flush=True)
-    if chaos is not None:
-        print(f"npb service chaos enabled (seed {args.chaos_seed}, "
-              f"preset {args.chaos_preset}, "
-              f"{len(chaos.plan.faults())} planned faults)", flush=True)
-
-    stop = threading.Event()
-
-    def _handle(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _handle)
-    signal.signal(signal.SIGINT, _handle)
-    server_thread = threading.Thread(target=httpd.serve_forever,
-                                     kwargs={"poll_interval": 0.2},
-                                     daemon=True)
-    server_thread.start()
-    stop.wait()
-    # Graceful drain: stop accepting connections, finish every admitted
-    # job, close all teams, then exit 0 so supervisors see a clean stop.
-    print("npb service draining (finishing admitted jobs, rejecting new "
-          "submissions)...", flush=True)
-    httpd.shutdown()
-    server_thread.join(5.0)
-    httpd.server_close()
-    clean = service.drain(timeout=args.drain_timeout)
-    print(f"npb service drained "
-          f"{'cleanly' if clean else 'with stuck dispatchers'}", flush=True)
-    return EXIT_OK if clean else EXIT_FAILURE
-
-
-def _serve_async(args, service, chaos) -> int:
-    """The ``npb serve --async`` path: one event loop, same service."""
-    import asyncio
-    import signal
-
-    from repro.service.async_api import serve_async
-
-    weights = {}
-    for spec in getattr(args, "tenant_weight", None) or []:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            print(f"npb serve: --tenant-weight {spec!r} is not NAME=WEIGHT",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            weights[name] = float(value)
-        except ValueError:
-            print(f"npb serve: --tenant-weight {spec!r} has a non-numeric "
-                  f"weight", file=sys.stderr)
-            return EXIT_USAGE
+    frontend = AsyncFrontEnd(service, window=args.admission_window,
+                             quota=args.tenant_quota, weights=weights or None)
 
     def announce(url: str) -> None:
         print(f"npb service listening on {url} "
-              f"(async front end, pool {args.pool}x {args.backend} "
-              f"x{args.workers}, queue depth {args.queue_depth}, "
-              f"cache {args.cache_dir})", flush=True)
+              f"(pool {args.pool}x {args.backend} x{args.workers}, "
+              f"queue depth {args.queue_depth}, cache {args.cache_dir})",
+              flush=True)
         if chaos is not None:
             print(f"npb service chaos enabled (seed {args.chaos_seed}, "
                   f"preset {args.chaos_preset}, "
                   f"{len(chaos.plan.faults())} planned faults)", flush=True)
 
-    async def main() -> bool:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-
-        def _handle() -> None:
-            if not stop.is_set():
-                print("npb service draining (finishing admitted jobs, "
-                      "rejecting new submissions)...", flush=True)
-            stop.set()
-
-        loop.add_signal_handler(signal.SIGTERM, _handle)
-        loop.add_signal_handler(signal.SIGINT, _handle)
-        return await serve_async(
-            service,
-            host=args.host,
-            port=args.port,
-            window=args.admission_window,
-            quota=args.tenant_quota,
-            weights=weights or None,
-            verbose=args.verbose,
-            announce=announce,
-            stop_event=stop,
-            drain_timeout=args.drain_timeout,
-        )
-
-    clean = asyncio.run(main())
+    # Graceful drain: stop accepting connections, finish every admitted
+    # job, close all teams, then exit 0 so supervisors see a clean stop.
+    clean = _serve_until_signal(
+        frontend, args, announce,
+        "npb service draining (finishing admitted jobs, rejecting new "
+        "submissions)...",
+        on_stop=lambda: frontend.drain(args.drain_timeout))
     print(f"npb service drained "
           f"{'cleanly' if clean else 'with stuck dispatchers'}", flush=True)
     return EXIT_OK if clean else EXIT_FAILURE
@@ -409,8 +373,6 @@ def _spawn_shard(name: str, args, chaos_seed: int | None = None,
            "--cache-dir", os.path.join(args.cache_dir, name),
            "--kernel-backend", args.kernel_backend,
            "--drain-timeout", str(args.drain_timeout)]
-    if getattr(args, "async_frontend", False):
-        cmd.append("--async")
     if getattr(args, "trace_sample", 0.0):
         cmd += ["--trace-sample", str(args.trace_sample)]
     if chaos_seed is not None:
@@ -427,12 +389,32 @@ def _spawn_shard(name: str, args, chaos_seed: int | None = None,
     return child, url
 
 
-def _cmd_shard_serve(args) -> int:
+def _drain_children(children, timeout: float) -> bool:
+    """SIGTERM spawned shard daemons so they run their own graceful
+    drain, wait for each, SIGKILL stragglers; True when none was killed."""
     import signal
     import subprocess
-    import threading
 
-    from repro.service.shard import ShardCoordinator, make_shard_server
+    for child in children:
+        if child.poll() is None:
+            child.send_signal(signal.SIGTERM)
+    clean = True
+    for child in children:
+        try:
+            child.wait(timeout=max(timeout, 1.0))
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+            clean = False
+        if child.stdout is not None:
+            child.stdout.close()
+    return clean
+
+
+def _cmd_shard_serve(args) -> int:
+    import asyncio
+
+    from repro.service.shard import ShardCoordinator
 
     shards = {}
     for i, spec in enumerate(args.shard or []):
@@ -446,12 +428,6 @@ def _cmd_shard_serve(args) -> int:
         shards[name] = url
 
     children = []
-
-    def _stop_children(sig=signal.SIGTERM):
-        for child in children:
-            if child.poll() is None:
-                child.send_signal(sig)
-
     if args.spawn:
         _warn_tier_fallback(args.kernel_backend)
     for i in range(args.spawn):
@@ -461,7 +437,7 @@ def _cmd_shard_serve(args) -> int:
         if url is None:
             print(f"npb shard-serve: spawned shard {name} exited before "
                   f"announcing its address", file=sys.stderr)
-            _stop_children()
+            _drain_children(children, args.drain_timeout)
             return EXIT_USAGE
         shards[name] = url
     if not shards:
@@ -474,59 +450,31 @@ def _cmd_shard_serve(args) -> int:
         health_interval=args.health_interval,
         trace_sample=getattr(args, "trace_sample", 0.0))
     coordinator.start()
-    httpd = make_shard_server(coordinator, host=args.host, port=args.port,
-                              verbose=args.verbose)
-    host, port = httpd.server_address[:2]
     roster = ", ".join(f"{name}={url}" for name, url in shards.items())
-    print(f"npb coordinator listening on http://{host}:{port} "
-          f"(shards: {roster})", flush=True)
 
-    stop = threading.Event()
-
-    def _handle(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _handle)
-    signal.signal(signal.SIGINT, _handle)
-    server_thread = threading.Thread(target=httpd.serve_forever,
-                                     kwargs={"poll_interval": 0.2},
-                                     daemon=True)
-    server_thread.start()
-    stop.wait()
-    # Drain: stop routing first, then SIGTERM the spawned shards so they
-    # run their own graceful drain (external --shard daemons are not
-    # ours to stop and stay up).
-    print("npb coordinator draining (stopping routing, signaling "
-          "spawned shards)...", flush=True)
-    httpd.shutdown()
-    server_thread.join(5.0)
-    httpd.server_close()
+    clean = _serve_until_signal(
+        coordinator, args,
+        lambda url: print(f"npb coordinator listening on {url} "
+                          f"(shards: {roster})", flush=True),
+        "npb coordinator draining (stopping routing, signaling spawned "
+        "shards)...",
+        # the spawned shards' own drains answer the submissions still
+        # parked on them (external --shard daemons are not ours to stop)
+        on_stop=lambda: asyncio.to_thread(
+            _drain_children, children, args.drain_timeout))
     coordinator.close()
-    _stop_children()
-    clean = True
-    deadline = args.drain_timeout
-    for child in children:
-        try:
-            child.wait(timeout=max(deadline, 1.0))
-        except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
-            clean = False
-        if child.stdout is not None:
-            child.stdout.close()
     print(f"npb coordinator drained "
           f"{'cleanly' if clean else 'with killed shards'}", flush=True)
     return EXIT_OK if clean else EXIT_FAILURE
 
 
 def _cmd_chaos(args) -> int:
-    import signal
     import threading
     import time
 
     from repro.service import loadgen
     from repro.service import chaos as chaos_mod
-    from repro.service.api import ServiceClient, ServiceUnavailable
+    from repro.service.client import ServiceClient, ServiceUnavailable
     from repro.service.shard import ShardCoordinator
 
     _warn_tier_fallback(args.kernel_backend)
@@ -539,12 +487,6 @@ def _cmd_chaos(args) -> int:
     shards: dict[str, str] = {}
     shard_plans: dict[str, chaos_mod.ChaosPlan] = {}
     service_spec = chaos_mod.PRESETS["service"]()
-
-    def _stop_children(sig=signal.SIGTERM):
-        for child in children:
-            if child.poll() is None:
-                child.send_signal(sig)
-
     for i in range(args.shards):
         name = f"shard{i}"
         sub_seed = chaos_mod.derive_seed(args.seed, name)
@@ -556,7 +498,7 @@ def _cmd_chaos(args) -> int:
         if url is None:
             print(f"npb chaos: spawned shard {name} exited before "
                   f"announcing its address", file=sys.stderr)
-            _stop_children()
+            _drain_children(children, args.drain_timeout)
             return EXIT_USAGE
         shards[name] = url
         say(f"npb chaos: {name} at {url} (seed {sub_seed}, "
@@ -659,15 +601,7 @@ def _cmd_chaos(args) -> int:
     path = chaos_mod.write_record(record, directory=args.dir, path=args.out)
 
     coordinator.close()
-    _stop_children()
-    for child in children:
-        try:
-            child.wait(timeout=max(args.drain_timeout, 1.0))
-        except Exception:
-            child.kill()
-            child.wait()
-        if child.stdout is not None:
-            child.stdout.close()
+    _drain_children(children, args.drain_timeout)
 
     if args.json:
         print(json.dumps(chaos_mod.load_record(path), indent=2))
@@ -947,7 +881,7 @@ def _cmd_loadgen(args) -> int:
     import dataclasses as dc
 
     from repro.service import loadgen
-    from repro.service.api import ServiceUnavailable
+    from repro.service.client import ServiceUnavailable
 
     if args.compare:
         baseline = loadgen.load_record(args.compare)
@@ -1255,26 +1189,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout", type=float, default=60.0,
                        help="seconds to wait for running jobs on "
                             "SIGTERM/SIGINT before giving up (default 60)")
-    serve.add_argument("--async", dest="async_frontend",
-                       action="store_true",
-                       help="serve with the asyncio front end: in-flight "
-                            "request coalescing, Idempotency-Key replays, "
-                            "and deficit-round-robin fair admission "
-                            "across tenants (same HTTP API, same "
-                            "execution core)")
     serve.add_argument("--admission-window", type=int, default=None,
                        metavar="N",
-                       help="async only: jobs admitted but not yet "
-                            "terminal before fair queueing holds new "
-                            "work back (default: the pool size)")
+                       help="jobs admitted but not yet terminal before "
+                            "fair queueing holds new work back "
+                            "(default: the pool size)")
     serve.add_argument("--tenant-quota", type=int, default=64,
                        metavar="Q",
-                       help="async only: per-tenant queued-request bound "
-                            "before structured 429s (default 64)")
+                       help="per-tenant queued-request bound before "
+                            "structured 429s (default 64)")
     serve.add_argument("--tenant-weight", action="append",
                        metavar="NAME=W",
-                       help="async only: DRR weight for one tenant "
-                            "(repeatable; unlisted tenants weigh 1)")
+                       help="DRR weight for one tenant (repeatable; "
+                            "unlisted tenants weigh 1)")
     serve.add_argument("--chaos-seed", type=int, default=None,
                        metavar="SEED",
                        help="enable deterministic fault injection inside "
@@ -1380,12 +1307,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_serve.add_argument("--kernel-backend", default=DEFAULT_TIER,
                              choices=list(TIERS),
                              help="kernel tier of spawned shards")
-    shard_serve.add_argument("--async", dest="async_frontend",
-                             action="store_true",
-                             help="spawn shards with the asyncio front "
-                                  "end (--async on each child): in-flight "
-                                  "coalescing per shard, end-to-end "
-                                  "through the ring")
     shard_serve.add_argument("--drain-timeout", type=float, default=60.0,
                              help="seconds to wait for spawned shards to "
                                   "drain on SIGTERM/SIGINT (default 60)")

@@ -1,4 +1,5 @@
-"""Shared trajectory-record IO: race-free sequence allocation.
+"""Shared trajectory-record IO: race-free sequence allocation and the
+one load/validate/migrate path.
 
 ``npb bench``, ``npb loadgen``, and ``npb chaos`` all append
 schema-versioned JSON records to a trajectory directory as
@@ -12,6 +13,11 @@ creating the file *is* the allocation, the kernel arbitrates ties, and
 the loser retries at the next sequence number.  The record body is then
 written to a temp file and :func:`os.replace` d onto the reserved name,
 so readers never observe a half-written record either.
+
+:func:`load_record` is the read side for every record family (BENCH,
+LOADGEN, CHAOS, TRACE): the file must be a JSON object of the expected
+``kind`` whose ``schema_version`` is an int no newer than the reader;
+older versions go through the family's in-memory ``migrate``.
 """
 
 from __future__ import annotations
@@ -32,36 +38,30 @@ def sequence_pattern(prefix: str) -> re.Pattern:
     )
 
 
-def next_sequence(directory: str, prefix: str) -> int:
-    """1 + the highest ``<prefix>_<seq>.json`` already in ``directory``."""
+def _highest(directory: str, prefix: str) -> tuple[int, str | None]:
+    """``(sequence, file name)`` of the highest ``<prefix>_<seq>.json``
+    in ``directory``; ``(0, None)`` when there is none."""
     pattern = sequence_pattern(prefix)
-    highest = 0
     try:
         names = os.listdir(directory)
     except OSError:
         names = []
-    for name in names:
-        match = pattern.match(name)
-        if match:
-            highest = max(highest, int(match.group(1)))
-    return highest + 1
+    matches = ((pattern.match(name), name) for name in names)
+    return max(
+        ((int(match.group(1)), name) for match, name in matches if match),
+        default=(0, None),
+    )
+
+
+def next_sequence(directory: str, prefix: str) -> int:
+    """1 + the highest ``<prefix>_<seq>.json`` already in ``directory``."""
+    return _highest(directory, prefix)[0] + 1
 
 
 def latest_record_path(directory: str, prefix: str) -> str | None:
     """Path of the highest-sequence ``<prefix>_<seq>.json``, if any."""
-    pattern = sequence_pattern(prefix)
-    best = None
-    best_seq = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return None
-    for name in names:
-        match = pattern.match(name)
-        if match and int(match.group(1)) >= best_seq:
-            best_seq = int(match.group(1))
-            best = os.path.join(directory, name)
-    return best
+    name = _highest(directory, prefix)[1]
+    return None if name is None else os.path.join(directory, name)
 
 
 def reserve_record_path(
@@ -108,3 +108,26 @@ def append_record(record: dict, directory: str, prefix: str) -> str:
     """
     sequence, path = reserve_record_path(directory, prefix)
     return write_json_record(dict(record, sequence=sequence), path)
+
+
+def load_record(
+    path: str, kind: str, max_version: int, tool: str, migrate=None
+) -> dict:
+    """Load and sanity-check one trajectory record of ``kind``.
+
+    Records from a *newer* schema than ``max_version`` are rejected
+    (``tool`` names the command that refreshes them); older ones are
+    upgraded in memory by ``migrate(record, version)`` -- never
+    rewritten on disk.
+    """
+    with open(path) as fh:
+        record = json.load(fh)
+    if not isinstance(record, dict) or record.get("kind") != kind:
+        raise ValueError(f"{path}: not an {kind} file")
+    version = record.get("schema_version")
+    if not isinstance(version, int) or version > max_version:
+        raise ValueError(
+            f"{path}: schema_version {version!r} (this tool reads "
+            f"<= {max_version}); refresh the record with '{tool}'"
+        )
+    return record if migrate is None else migrate(record, version)

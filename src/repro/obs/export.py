@@ -97,14 +97,9 @@ def write_trace_record(
 
 
 def load_trace_record(path: str) -> dict:
-    with open(path) as fh:
-        record = json.load(fh)
-    version = record.get("schema_version")
-    if version != TRACE_RECORD_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace record schema {version!r} in {path!r}"
-        )
-    return record
+    from repro.harness import records
+
+    return records.load_record(path, "trace", TRACE_RECORD_SCHEMA_VERSION, "npb trace")
 
 
 def latest_trace_record_path(directory: str) -> str | None:

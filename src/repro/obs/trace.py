@@ -9,8 +9,9 @@ A trace is identified by a 128-bit id; every span within it by a
   chaos seams) finds it without plumbing arguments through ten layers;
 * **across processes** through a W3C-``traceparent``-style header
   (``00-<32 hex trace id>-<16 hex parent span id>-<2 hex flags>``),
-  injected by :class:`~repro.service.api.ServiceClient` and the shard
-  coordinator's forwarding client, extracted by both front ends.
+  injected by :class:`~repro.service.client.ServiceClient` and the
+  shard coordinator's forwarding client, extracted by the daemon's and
+  the coordinator's routes.
 
 Flag ``01`` means *sampled*: a continued trace keeps its parent's
 sampling decision, so one decision at the edge governs the whole

@@ -19,17 +19,23 @@ state across them:
 :mod:`~repro.service.scheduler`
     dispatcher threads joining the three, with graceful drain.
 :mod:`~repro.service.api`
-    the in-process :class:`BenchService` facade, the ``npb serve`` HTTP
-    daemon, and the ``npb submit``/``npb jobs`` client.
+    the in-process :class:`BenchService` facade joining the four.
+:mod:`~repro.service.http`
+    the one asyncio HTTP/1.1 server (request parser, response writer,
+    keep-alive, access log, serve-until-stopped-then-drain loop) behind
+    both ``npb serve`` and ``npb shard-serve``.
 :mod:`~repro.service.async_api`
-    the asyncio front end (``npb serve --async``): in-flight request
-    coalescing keyed by routing key, idempotency-key replays, and
-    deficit-round-robin fair admission across tenants -- same execution
-    core, event-driven waiting.
+    the daemon's routes on that server (``npb serve``): in-flight
+    request coalescing keyed by routing key, idempotency-key replays,
+    and deficit-round-robin fair admission across tenants, with
+    event-driven waiting over the unchanged execution core.
+:mod:`~repro.service.client`
+    the ``npb submit``/``npb jobs``/``npb loadgen`` HTTP client.
 :mod:`~repro.service.shard`
     consistent-hash :class:`ShardCoordinator` scaling the service *out*
-    across N worker daemons (``npb shard-serve``), with health probes,
-    route-around failover, and aggregated status.
+    across N worker daemons (``npb shard-serve``, the same server with
+    the coordinator's routes), with health probes, route-around
+    failover, and aggregated status.
 :mod:`~repro.service.loadgen`
     closed/open-loop traffic harness (``npb loadgen``) appending
     schema-versioned ``LOADGEN_<seq>.json`` records with an SLO verdict
@@ -42,18 +48,11 @@ state across them:
     (every admitted job terminal, zero lost, completions bit-identical).
 """
 
-from repro.service.api import (
-    BenchService,
-    ServiceClient,
-    ServiceUnavailable,
-    make_server,
-)
+from repro.service.api import BenchService
 from repro.service.async_api import (
     AsyncFrontEnd,
-    AsyncServerThread,
     FairAdmission,
     TenantQuotaExceeded,
-    serve_async,
 )
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
@@ -63,6 +62,8 @@ from repro.service.chaos import (
     FaultRule,
     InvariantChecker,
 )
+from repro.service.client import ServiceClient, ServiceUnavailable
+from repro.service.http import ServerThread, serve
 from repro.service.jobs import (
     JOB_STATES,
     PRIORITIES,
@@ -74,18 +75,17 @@ from repro.service.jobs import (
 )
 from repro.service.pool import PoolClosed, TeamPool
 from repro.service.scheduler import Scheduler
-from repro.service.shard import HashRing, ShardCoordinator, make_shard_server
+from repro.service.shard import HashRing, ShardCoordinator
 
 __all__ = [
     "BenchService",
     "ServiceClient",
     "ServiceUnavailable",
-    "make_server",
     "AsyncFrontEnd",
-    "AsyncServerThread",
     "FairAdmission",
     "TenantQuotaExceeded",
-    "serve_async",
+    "ServerThread",
+    "serve",
     "ResultCache",
     "ChaosInjector",
     "ChaosPlan",
@@ -104,5 +104,4 @@ __all__ = [
     "Scheduler",
     "HashRing",
     "ShardCoordinator",
-    "make_shard_server",
 ]

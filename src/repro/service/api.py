@@ -1,57 +1,21 @@
-"""Service front end: in-process facade, HTTP daemon, and client.
+"""The benchmark job service as one in-process object.
 
-:class:`BenchService` is the whole job service as one in-process object
--- queue, pool, cache, scheduler, and a job registry -- which is how
-tests exercise every concurrency path without opening a socket.  The
-HTTP layer (:func:`make_server`, serving ``npb serve``) is a thin JSON
-shim over it on a stdlib ``ThreadingHTTPServer``:
-
-``POST /jobs``
-    Submit a job.  Body: ``{"benchmark": "CG", "problem_class": "S",
-    "backend": "serial", "workers": 1, "priority": "normal",
-    "no_cache": false, "dispatch_timeout": null, "max_retries": null,
-    "kernel_backend": "fused", "job_key": null, "tenant": null,
-    "wait": false}``.
-    Returns 202 with the job dict (or 200 with the terminal job when
-    ``wait`` is true); 429 when admission is rejected (queue full or
-    draining); 400 on a malformed spec.  A repeated ``job_key``
-    (idempotency key) returns the already-admitted job instead of a
-    duplicate.  An ``Idempotency-Key`` request header is shorthand for
-    ``job_key``, and ``X-NPB-Tenant`` for ``tenant``; an explicit body
-    field wins over its header.
-``GET /jobs`` / ``GET /jobs/<id>``
-    Job listing / one job (404 when unknown).
-``GET /status``
-    Queue depth, pool occupancy, cache hit rate, scheduler counters
-    (including aggregated fault counts), jobs by state, and the
-    ``dedup`` counters (``coalesced`` / ``idempotent_replays`` /
-    ``duplicate_executions``).
-
-:class:`ServiceClient` is the stdlib client used by ``npb submit`` /
-``npb jobs`` and the load generator (:mod:`repro.service.loadgen`).  It
-keeps one ``http.client.HTTPConnection`` alive per thread (both service
-front ends speak HTTP/1.1 keep-alive), so a closed-loop worker pays
-connection setup once, not per request -- reconnecting per call was
-polluting the latency percentiles the loadgen SLO gate reads.
-``submit(..., retries=N)`` honors the ``Retry-After`` header on 429 with
-bounded retries, so a briefly-full queue reads as backpressure instead
-of a hard failure.
+:class:`BenchService` is the whole job service -- queue, pool, cache,
+scheduler, and a job registry -- behind ``submit`` / ``wait`` /
+``status`` / ``drain``, which is how tests exercise every concurrency
+path without opening a socket.  The HTTP surface of ``npb serve`` is
+:class:`repro.service.async_api.AsyncFrontEnd` on the one server in
+:mod:`repro.service.http`; the client is :mod:`repro.service.client`.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import threading
 import time
-import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs.metrics import (CONTENT_TYPE as METRICS_CONTENT_TYPE,
-                               MetricsRegistry, process_rss_bytes)
-from repro.obs.spans import TraceSampler, get_span_store
-from repro.obs.trace import (TRACEPARENT_HEADER, TraceContext, current_trace,
-                             format_traceparent, parse_traceparent)
+from repro.obs.metrics import MetricsRegistry, process_rss_bytes
+from repro.obs.spans import TraceSampler
+from repro.obs.trace import TraceContext
 from repro.runtime.dispatch import FaultPolicy
 from repro.service.cache import ResultCache
 from repro.service.jobs import AdmissionRejected, Job, JobQueue, JobSpec
@@ -60,13 +24,6 @@ from repro.service.scheduler import Scheduler
 
 #: Default on-disk location of the content-addressed result cache.
 DEFAULT_CACHE_DIR = ".npb-service-cache"
-
-#: Seconds a 429 tells the client to wait before resubmitting.
-RETRY_AFTER_SECONDS = 1.0
-
-#: Longest single backoff ``ServiceClient.submit`` will sleep, however
-#: large a Retry-After the server (or a proxy) sends.
-MAX_RETRY_AFTER_SECONDS = 10.0
 
 
 class BenchService:
@@ -114,11 +71,11 @@ class BenchService:
         self._counter = 0
         self._draining = False
         #: dedup counters (schema v6 status block): replays of an
-        #: idempotency key, and waiters the async front end attached to
-        #: an in-flight job instead of re-queueing
+        #: idempotency key, and waiters the front end attached to an
+        #: in-flight job instead of re-queueing
         self.idempotent_replays = 0
         self.coalesced = 0
-        #: external observers of job state changes (the async front end
+        #: external observers of job state changes (the front end
         #: registers one to resolve waiter futures); called outside the
         #: service lock from dispatcher threads, must be cheap
         self._listeners: list = []
@@ -194,7 +151,7 @@ class BenchService:
             )
 
     def note_http_response(self, code: int) -> None:
-        """Count one front-end response (both front ends call this)."""
+        """Count one HTTP response (the server calls this per reply)."""
         self._http_responses.inc(code=str(code))
 
     def _on_update(self, job: Job) -> None:
@@ -253,7 +210,7 @@ class BenchService:
         without double-running the work.  ``tenant`` is provenance for
         fair admission (and the v6 record); it does not affect the run.
 
-        ``trace`` is the request's trace context (the front ends pass
+        ``trace`` is the request's trace context (the front end passes
         the continued/minted one); when None the service's own sampler
         decides, so ``--trace-sample`` also covers in-process submits.
         """
@@ -382,8 +339,8 @@ class BenchService:
             "jobs": by_state,
             # duplicate-work ledger: requests absorbed without executing
             # (coalesced waiters, idempotent replays) vs duplicate work
-            # that actually ran (in-flight twins the threaded front end
-            # cannot deduplicate)
+            # that actually ran (in-flight twins submitted in process,
+            # past the front end's coalescing)
             "dedup": {
                 "coalesced": coalesced,
                 "idempotent_replays": idempotent_replays,
@@ -408,381 +365,3 @@ class BenchService:
 
     def __exit__(self, *exc) -> None:
         self.drain()
-
-
-# ===================================================================== #
-# HTTP layer
-# ===================================================================== #
-
-
-def begin_submit_trace(
-    service: BenchService, payload: dict, header_value: str | None,
-    front_end: str,
-):
-    """Edge tracing for one submit request (both front ends).
-
-    Pops the explicit ``trace`` flag from the payload, continues an
-    incoming ``traceparent`` (or lets the sampler decide), and -- when
-    sampled -- opens the front end's ``http.submit`` span.  Returns
-    ``(span_or_None, context_to_submit_with)``; the caller ends the
-    span when the response goes out and passes the context to
-    ``service.submit(trace=...)`` so the scheduler's spans nest under
-    the HTTP one.
-    """
-    forced = bool(payload.pop("trace", False))
-    incoming = parse_traceparent(header_value)
-    ctx = service.sampler.decide(incoming, forced=forced)
-    if not ctx.sampled:
-        return None, ctx
-    span, child = get_span_store().start_span(
-        "http.submit", ctx=ctx, attrs={"front_end": front_end}
-    )
-    return span, child
-
-
-def job_trace_response(service: BenchService, job_id: str) -> tuple[int, dict]:
-    """``GET /jobs/<id>/trace`` body: this process's spans of the job's
-    trace (the coordinator merges its own on top when proxying)."""
-    job = service.job(job_id)
-    if job is None:
-        return 404, {"error": "unknown job"}
-    trace_id = job.trace_id
-    if trace_id is None:
-        return 404, {"error": f"job {job_id!r} was not traced"}
-    spans = get_span_store().trace(trace_id)
-    return 200, {
-        "trace_id": trace_id,
-        "job_id": job_id,
-        "spans": [span.to_dict() for span in spans],
-    }
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """JSON shim: translates HTTP verbs onto the BenchService facade."""
-
-    server: "ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-    #: the handler writes headers and body as separate small segments;
-    #: with Nagle on, a keep-alive client stalls ~40ms per response in
-    #: the delayed-ACK window, which would swamp every latency record
-    disable_nagle_algorithm = True
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_bytes(
-        self,
-        code: int,
-        body: bytes,
-        content_type: str,
-        headers: dict | None = None,
-    ) -> None:
-        self.server.service.note_http_response(code)
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send(
-        self, code: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode()
-        self._send_bytes(code, body, "application/json", headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        service = self.server.service
-        path = self.path.rstrip("/") or "/"
-        if path == "/status":
-            self._send(200, service.status())
-        elif path == "/metrics":
-            self._send_bytes(
-                200, service.metrics.render().encode(), METRICS_CONTENT_TYPE
-            )
-        elif path == "/jobs":
-            self._send(200, {"jobs": [j.as_dict() for j in service.jobs()]})
-        elif path.startswith("/jobs/") and path.endswith("/trace"):
-            job_id = path[len("/jobs/") : -len("/trace")]
-            self._send(*job_trace_response(service, job_id))
-        elif path.startswith("/jobs/"):
-            job = service.job(path[len("/jobs/") :])
-            if job is None:
-                self._send(404, {"error": "unknown job"})
-            else:
-                self._send(200, job.as_dict())
-        else:
-            self._send(404, {"error": f"no such resource {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        service = self.server.service
-        if self.path.rstrip("/") != "/jobs":
-            self._send(404, {"error": f"no such resource {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
-            wait = bool(payload.pop("wait", False))
-            wait_timeout = payload.pop("wait_timeout", None)
-            # Header shorthands (body fields win): same contract as the
-            # async front end, so clients can switch front ends freely.
-            idem = self.headers.get("Idempotency-Key")
-            if idem is not None and payload.get("job_key") is None:
-                payload["job_key"] = idem
-            tenant = self.headers.get("X-NPB-Tenant")
-            if tenant is not None and payload.get("tenant") is None:
-                payload["tenant"] = tenant
-            span, ctx = begin_submit_trace(
-                service, payload,
-                self.headers.get(TRACEPARENT_HEADER), "threaded",
-            )
-            try:
-                job = service.submit(**payload, trace=ctx)
-            except BaseException:
-                if span is not None:
-                    span.end("error")
-                raise
-        except AdmissionRejected as exc:
-            self._send(
-                429,
-                {"error": str(exc), "depth": exc.depth, "capacity": exc.capacity},
-                headers={"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
-            )
-            return
-        except (TypeError, ValueError, json.JSONDecodeError) as exc:
-            self._send(400, {"error": f"bad job spec: {exc}"})
-            return
-        if span is not None:
-            span.attrs["job_id"] = job.job_id
-        if wait:
-            try:
-                job = service.wait(job.job_id, timeout=wait_timeout)
-            except TimeoutError as exc:
-                if span is not None:
-                    span.end("error")
-                self._send(504, {"error": str(exc), "job": job.as_dict()})
-                return
-            finally:
-                if span is not None:
-                    span.end()
-            self._send(200, job.as_dict())
-        else:
-            if span is not None:
-                span.end()
-            self._send(202, job.as_dict())
-
-
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the BenchService for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        service: BenchService,
-        verbose: bool = False,
-    ):
-        super().__init__(address, _ServiceHandler)
-        self.service = service
-        self.verbose = verbose
-
-
-def make_server(
-    service: BenchService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    verbose: bool = False,
-) -> ServiceHTTPServer:
-    """Bind the service to a socket (``port=0`` picks a free one)."""
-    return ServiceHTTPServer((host, port), service, verbose=verbose)
-
-
-# ===================================================================== #
-# client (used by ``npb submit`` / ``npb jobs`` / ``npb loadgen``)
-# ===================================================================== #
-
-
-class ServiceUnavailable(RuntimeError):
-    """The daemon could not be reached at the given URL."""
-
-
-def _retry_after_seconds(headers) -> float:
-    """Parse a Retry-After header (seconds form) with a safe default."""
-    value = headers.get("Retry-After") if headers is not None else None
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        return RETRY_AFTER_SECONDS
-    return min(max(seconds, 0.0), MAX_RETRY_AFTER_SECONDS)
-
-
-class ServiceClient:
-    """Stdlib HTTP client with one keep-alive connection per thread.
-
-    Both front ends speak HTTP/1.1 with persistent connections, so the
-    client holds one ``http.client.HTTPConnection`` per thread (clients
-    are shared across loadgen workers) and reuses it across requests.
-    A reused connection can go stale -- the server may have closed it
-    between requests -- so exactly one transparent retry on a fresh
-    connection covers that case; a failure on a *fresh* connection is a
-    real :class:`ServiceUnavailable`.
-
-    ``keep_alive=False`` opens a fresh connection per request instead.
-    Health probes need this: a kept-alive connection outlives its
-    server's *listener* (the handler thread keeps serving it), so a
-    probe over one would report a shard healthy when no new client can
-    connect.  Liveness means connectability, not an old socket's luck.
-    """
-
-    def __init__(
-        self, url: str, timeout: float = 600.0, keep_alive: bool = True
-    ):
-        self.url = url.rstrip("/")
-        self.timeout = timeout
-        self.keep_alive = keep_alive
-        parsed = urllib.parse.urlsplit(self.url)
-        if parsed.scheme not in ("http", ""):
-            raise ValueError(f"only http:// URLs are supported, got {url!r}")
-        self._host = parsed.hostname or "127.0.0.1"
-        self._port = parsed.port or 80
-        self._local = threading.local()
-
-    def _connection(self) -> tuple[http.client.HTTPConnection, bool]:
-        """This thread's connection and whether it is being reused."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            return conn, True
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout
-        )
-        if self.keep_alive:
-            self._local.conn = conn
-        return conn, False
-
-    def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            self._local.conn = None
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        """Close this thread's kept-alive connection (if any)."""
-        self._drop_connection()
-
-    def _request_full(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        headers: dict | None = None,
-        parse_json: bool = True,
-    ) -> tuple[int, dict | str, dict]:
-        """One request: ``(status, body, headers)``.
-
-        Every method (GET included) shares the same stale-keep-alive
-        retry: a failure on a *reused* connection gets exactly one
-        transparent retry on a fresh one.  With ``parse_json=False``
-        the body is returned as decoded text (the /metrics exposition
-        is not JSON).
-        """
-        data = None if payload is None else json.dumps(payload).encode()
-        send_headers = {"Content-Type": "application/json"}
-        send_headers.update(headers or {})
-        if TRACEPARENT_HEADER not in send_headers:
-            # propagate an ambient trace context (npb submit --trace,
-            # traced loadgen) on every request automatically
-            ctx = current_trace()
-            if ctx is not None:
-                send_headers[TRACEPARENT_HEADER] = format_traceparent(ctx)
-        for _ in range(2):
-            conn, reused = self._connection()
-            try:
-                conn.request(method, path, body=data, headers=send_headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except (
-                http.client.HTTPException,
-                ConnectionError,
-                OSError,
-                TimeoutError,
-            ) as exc:
-                self._drop_connection()
-                conn.close()
-                if reused:
-                    # Stale keep-alive connection; retry once fresh.
-                    continue
-                raise ServiceUnavailable(
-                    f"cannot reach {self.url}: {exc}"
-                ) from exc
-            if not self.keep_alive:
-                conn.close()
-            elif response.will_close:
-                self._drop_connection()
-            if not parse_json:
-                return (
-                    response.status,
-                    raw.decode(errors="replace"),
-                    dict(response.headers),
-                )
-            try:
-                body = json.loads(raw or b"{}")
-            except json.JSONDecodeError:
-                body = {"error": raw.decode(errors="replace")}
-            return response.status, body, dict(response.headers)
-        raise ServiceUnavailable(f"cannot reach {self.url}")  # unreachable
-
-    def _request(
-        self, method: str, path: str, payload: dict | None = None
-    ) -> tuple[int, dict]:
-        code, body, _ = self._request_full(method, path, payload)
-        return code, body
-
-    def submit(
-        self, payload: dict, retries: int = 0, headers: dict | None = None
-    ) -> tuple[int, dict]:
-        """POST the job, honoring Retry-After on 429 up to ``retries``
-        resubmissions.
-
-        A 429 is backpressure, not failure: the server names its own
-        backoff in the Retry-After header, and a client that sleeps it
-        off usually gets admitted on the next attempt.  With the default
-        ``retries=0`` the first response is returned as-is.
-        """
-        attempts = max(0, int(retries)) + 1
-        code, body, response_headers = 429, {}, {}
-        for attempt in range(attempts):
-            code, body, response_headers = self._request_full(
-                "POST", "/jobs", payload, headers=headers
-            )
-            if code != 429 or attempt == attempts - 1:
-                return code, body
-            time.sleep(_retry_after_seconds(response_headers))
-        return code, body
-
-    def job(self, job_id: str) -> tuple[int, dict]:
-        return self._request("GET", f"/jobs/{job_id}")
-
-    def jobs(self) -> tuple[int, dict]:
-        return self._request("GET", "/jobs")
-
-    def status(self) -> tuple[int, dict]:
-        return self._request("GET", "/status")
-
-    def trace(self, job_id: str) -> tuple[int, dict]:
-        """``GET /jobs/<id>/trace``: the server-side span tree."""
-        return self._request("GET", f"/jobs/{job_id}/trace")
-
-    def metrics(self) -> tuple[int, str]:
-        """``GET /metrics``: the raw Prometheus exposition text."""
-        code, body, _ = self._request_full(
-            "GET", "/metrics", parse_json=False
-        )
-        return code, body

@@ -1,18 +1,36 @@
-"""Asyncio front end: in-flight coalescing and weighted-fair admission.
+"""The daemon's front end: in-flight coalescing and weighted-fair admission.
 
-The threaded front end (:mod:`repro.service.api`) holds one OS thread per
-in-flight connection and executes every admitted job, even when an
-identical one is already running.  This module replaces the *front* of
-the service with a single-threaded asyncio server while keeping the
-execution core -- ``BenchService``/``Scheduler``/``TeamPool`` -- exactly
-as it is, bridged through the event loop's default thread pool for the
-few short blocking calls (``submit``, ``status``, ``drain``).  Waiting,
-which is what clients mostly do, is fully event-driven: a dispatcher
-thread finishing a job wakes the loop once
-(``call_soon_threadsafe``), and the loop fans the result out to every
-connection that was parked on an ``asyncio.Future``.
+:class:`AsyncFrontEnd` is the app ``npb serve`` hands to the one HTTP
+server (:mod:`repro.service.http`): it owns the daemon's routes and
+everything that happens between a parsed request and
+``BenchService.submit``.  It runs single-threaded on the server's event
+loop while the execution core -- ``BenchService``/``Scheduler``/
+``TeamPool`` -- stays exactly as it is, bridged through the loop's
+default thread pool for the few short blocking calls (``status``,
+``jobs``, ``drain``).  Waiting, which is what clients mostly do, is
+fully event-driven: a dispatcher thread finishing a job wakes the loop
+once (``call_soon_threadsafe``), and the loop fans the result out to
+every connection that was parked on an ``asyncio.Future``.
 
-Three capabilities ride on the async front:
+``POST /jobs``
+    Submit a job.  Body: ``{"benchmark": "CG", "problem_class": "S",
+    "backend": "serial", "workers": 1, "priority": "normal",
+    "no_cache": false, "dispatch_timeout": null, "max_retries": null,
+    "kernel_backend": "fused", "job_key": null, "tenant": null,
+    "wait": false}``.
+    Returns 202 with the job dict (or 200 with the terminal job when
+    ``wait`` is true; 504 when ``wait_timeout`` expires first); 429 with
+    ``Retry-After`` when admission is rejected (queue full, tenant over
+    quota, or draining); 400 on a malformed spec.
+``GET /jobs`` / ``GET /jobs/<id>`` / ``GET /jobs/<id>/trace``
+    Job listing / one job / its span tree (404 when unknown).
+``GET /status`` / ``GET /metrics``
+    Queue depth, pool occupancy, cache hit rate, scheduler counters,
+    jobs by state, the ``dedup`` counters and the ``frontend`` block
+    (in-flight registry size, admission window and queues) / the
+    Prometheus exposition.
+
+Three capabilities ride on it:
 
 **In-flight coalescing.**  A registry keyed by the spec's routing key
 (:func:`repro.service.jobs.routing_key` -- within one daemon the
@@ -52,33 +70,55 @@ bounded-queue/429 backpressure stays the outermost layer underneath.
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
-import time
 from collections import deque
 
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.service.api import (
+from repro.obs.spans import get_span_store
+from repro.obs.trace import parse_traceparent
+from repro.service.api import BenchService
+from repro.service.jobs import (
     RETRY_AFTER_SECONDS,
-    BenchService,
-    begin_submit_trace,
-    job_trace_response,
+    AdmissionRejected,
+    Job,
+    routing_key,
+    submission_payload,
 )
-from repro.service.jobs import AdmissionRejected, Job, routing_key
 
-#: Hard cap on one HTTP request's header section + body (1 MiB): a job
-#: submission is a small JSON object; anything bigger is abuse.
-MAX_BODY_BYTES = 1 << 20
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    504: "Gateway Timeout",
-}
+def begin_submit_trace(service: BenchService, payload: dict, header_value: str | None):
+    """Edge tracing for one submit request.
+
+    Pops the explicit ``trace`` flag from the payload, continues an
+    incoming ``traceparent`` (or lets the sampler decide), and -- when
+    sampled -- opens the ``http.submit`` span.  Returns
+    ``(span_or_None, context_to_submit_with)``; the caller ends the
+    span when the response goes out and passes the context to
+    ``service.submit(trace=...)`` so the scheduler's spans nest under
+    the HTTP one.
+    """
+    forced = bool(payload.pop("trace", False))
+    incoming = parse_traceparent(header_value)
+    ctx = service.sampler.decide(incoming, forced=forced)
+    if not ctx.sampled:
+        return None, ctx
+    return get_span_store().start_span("http.submit", ctx=ctx)
+
+
+def job_trace_response(service: BenchService, job_id: str) -> tuple[int, dict]:
+    """``GET /jobs/<id>/trace`` body: this process's spans of the job's
+    trace (the coordinator merges its own on top when proxying)."""
+    job = service.job(job_id)
+    if job is None:
+        return 404, {"error": "unknown job"}
+    trace_id = job.trace_id
+    if trace_id is None:
+        return 404, {"error": f"job {job_id!r} was not traced"}
+    spans = get_span_store().trace(trace_id)
+    return 200, {
+        "trace_id": trace_id,
+        "job_id": job_id,
+        "spans": [span.to_dict() for span in spans],
+    }
 
 
 class TenantQuotaExceeded(AdmissionRejected):
@@ -291,7 +331,6 @@ class _InflightEntry:
         # mark them observed so a waiterless failure does not warn.
         self.admitted.add_done_callback(_observe)
         self.done.add_done_callback(_observe)
-        self.waiters = 0
 
     def fail(self, exc: BaseException) -> None:
         if not self.admitted.done():
@@ -306,7 +345,9 @@ def _observe(fut: asyncio.Future) -> None:
 
 
 class AsyncFrontEnd:
-    """The asyncio HTTP front end over one :class:`BenchService`.
+    """The daemon's routes, admission and coalescing over one
+    :class:`BenchService` -- the app :func:`repro.service.http.serve`
+    serves for ``npb serve``.
 
     All mutable state (registry, watches, admission) is touched only on
     the event-loop thread; dispatcher threads reach it exclusively via
@@ -319,7 +360,6 @@ class AsyncFrontEnd:
         window: int | None = None,
         quota: int = 64,
         weights: dict[str, float] | None = None,
-        verbose: bool = False,
     ):
         self.service = service
         self.admission = FairAdmission(
@@ -327,35 +367,31 @@ class AsyncFrontEnd:
             quota=quota,
             weights=weights,
         )
-        self.verbose = verbose
         self.draining = False
+        #: the serving loop, learned when the first watch is parked on it
         self._loop: asyncio.AbstractEventLoop | None = None
         #: routing_key -> in-flight entry (cache-eligible jobs only)
         self._registry: dict[str, _InflightEntry] = {}
         #: job_id -> futures parked until that job is terminal
         self._watches: dict[str, list[asyncio.Future]] = {}
-        self._listener_installed = False
+        service.add_listener(self._on_job_update)
 
     # ------------------------------------------------------------------ #
     # service bridge
     # ------------------------------------------------------------------ #
 
-    def install(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Bind to the loop and start observing job state changes."""
-        self._loop = loop
-        if not self._listener_installed:
-            self.service.add_listener(self._on_job_update)
-            self._listener_installed = True
-
     def uninstall(self) -> None:
-        if self._listener_installed:
-            self.service.remove_listener(self._on_job_update)
-            self._listener_installed = False
+        """Stop observing job state changes (idempotent; drain does it)."""
+        self.service.remove_listener(self._on_job_update)
+
+    def note_http_response(self, code: int) -> None:
+        self.service.note_http_response(code)
 
     def _on_job_update(self, job: Job) -> None:
         """Service listener -- runs on a dispatcher thread."""
-        if job.terminal and self._loop is not None and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._resolve_job, job)
+        loop = self._loop
+        if job.terminal and loop is not None and not loop.is_closed():
+            loop.call_soon_threadsafe(self._resolve_job, job)
 
     def _resolve_job(self, job: Job) -> None:
         """Loop thread: fan a terminal job out to every parked future."""
@@ -365,23 +401,13 @@ class AsyncFrontEnd:
 
     def _watch_job(self, job: Job) -> asyncio.Future:
         """Future resolving to ``job`` once terminal (loop thread only)."""
-        fut = asyncio.get_running_loop().create_future()
+        self._loop = asyncio.get_running_loop()
+        fut = self._loop.create_future()
         self._watches.setdefault(job.job_id, []).append(fut)
         if job.terminal:
             # The listener may have fired before this watch registered.
             self._resolve_job(job)
         return fut
-
-    async def _submit(self, payload: dict, trace=None) -> Job:
-        """Admit one job on the loop thread.
-
-        ``service.submit`` never blocks: it validates the spec, hashes
-        the fingerprint, and enqueues under a briefly-held lock (a full
-        queue *raises* rather than waiting).  Calling it inline saves
-        two executor handoffs on the hottest path in the server; keep
-        the coroutine shape so call sites read the same either way.
-        """
-        return self.service.submit(**payload, trace=trace)
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -390,21 +416,13 @@ class AsyncFrontEnd:
     async def handle_post_jobs(self, headers: dict, body: bytes) -> tuple:
         """POST /jobs: replay -> coalesce -> fair-admit -> submit."""
         try:
-            payload = json.loads(body or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
+            payload = submission_payload(headers, body)
+        except ValueError as exc:
             return 400, {"error": f"bad job spec: {exc}"}, {}
         wait = bool(payload.pop("wait", False))
         wait_timeout = payload.pop("wait_timeout", None)
-        idem = headers.get("idempotency-key")
-        if idem is not None and payload.get("job_key") is None:
-            payload["job_key"] = idem
-        header_tenant = headers.get("x-npb-tenant")
-        if header_tenant is not None and payload.get("tenant") is None:
-            payload["tenant"] = header_tenant
         span, ctx = begin_submit_trace(
-            self.service, payload, headers.get("traceparent"), "async"
+            self.service, payload, headers.get("traceparent")
         )
         try:
             result = await self._admit(payload, wait, wait_timeout, ctx)
@@ -433,7 +451,7 @@ class AsyncFrontEnd:
                 return await self._respond_job(existing, wait, wait_timeout)
 
         if self.draining:
-            return self._rejected(
+            return self._refused(
                 AdmissionRejected("service is draining; not accepting new jobs")
             )
 
@@ -455,38 +473,21 @@ class AsyncFrontEnd:
             self._registry[key] = entry
 
         # Layer 3: weighted-fair admission, then real submission.
+        # ``service.submit`` runs inline: it never blocks (it validates
+        # the spec, hashes the fingerprint and enqueues under a briefly
+        # held lock; a full queue *raises* rather than waiting), and an
+        # executor handoff here would be two loop round-trips on the
+        # hottest path in the server.
+        granted = False
         try:
             await self.admission.acquire(tenant)
-        except TenantQuotaExceeded as exc:
-            self._abort_entry(key, entry, exc)
-            return (
-                429,
-                {
-                    "error": str(exc),
-                    "tenant": exc.tenant,
-                    "pending": exc.pending,
-                    "quota": exc.quota,
-                },
-                {"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
-            )
-        except AdmissionRejected as exc:
-            self._abort_entry(key, entry, exc)
-            return self._rejected(exc)
-
-        try:
-            job = await self._submit(payload, trace)
-        except AdmissionRejected as exc:
-            self._abort_entry(key, entry, exc)
-            self.admission.release()
-            return self._rejected(exc)
-        except (TypeError, ValueError) as exc:
-            self._abort_entry(key, entry, exc)
-            self.admission.release()
-            return 400, {"error": f"bad job spec: {exc}"}, {}
+            granted = True
+            job = self.service.submit(**payload, trace=trace)
         except Exception as exc:
             self._abort_entry(key, entry, exc)
-            self.admission.release()
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+            if granted:
+                self.admission.release()
+            return self._refused(exc)
 
         done = self._watch_job(job)
         done.add_done_callback(lambda _f: self._retire(key, entry))
@@ -518,16 +519,19 @@ class AsyncFrontEnd:
             del self._registry[key]
         entry.fail(exc)
 
-    def _rejected(self, exc: AdmissionRejected) -> tuple:
-        return (
-            429,
-            {
-                "error": str(exc),
-                "depth": getattr(exc, "depth", 0),
-                "capacity": getattr(exc, "capacity", 0),
-            },
-            {"Retry-After": f"{RETRY_AFTER_SECONDS:g}"},
-        )
+    @staticmethod
+    def _refused(exc: Exception) -> tuple:
+        """The response for a submission that was not admitted."""
+        if isinstance(exc, TenantQuotaExceeded):
+            detail = {"tenant": exc.tenant, "pending": exc.pending, "quota": exc.quota}
+        elif isinstance(exc, AdmissionRejected):
+            detail = {"depth": exc.depth, "capacity": exc.capacity}
+        elif isinstance(exc, (TypeError, ValueError)):
+            return 400, {"error": f"bad job spec: {exc}"}, {}
+        else:
+            return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
+        retry = {"Retry-After": f"{RETRY_AFTER_SECONDS:g}"}
+        return 429, {"error": str(exc), **detail}, retry
 
     async def _attach(
         self,
@@ -542,14 +546,11 @@ class AsyncFrontEnd:
         cancelling the shared job: cancellation kills this coroutine,
         never the entry's futures.
         """
-        entry.waiters += 1
         self.service.note_coalesced()
         try:
             primary: Job = await asyncio.shield(entry.admitted)
-        except AdmissionRejected as exc:
-            return self._rejected(exc)
-        except Exception as exc:
-            return 400, {"error": f"bad job spec: {exc}"}, {}
+        except Exception as exc:  # whatever refused the primary
+            return self._refused(exc)
         if not wait:
             body = primary.as_dict()
             body["coalesced_with"] = primary.job_id
@@ -559,7 +560,7 @@ class AsyncFrontEnd:
         except TimeoutError as exc:
             return 504, {"error": str(exc), "job": primary.as_dict()}, {}
         except AdmissionRejected as exc:
-            return self._rejected(exc)
+            return self._refused(exc)
         body = terminal.as_dict()
         body["coalesced_with"] = primary.job_id
         if body.get("result") is not None:
@@ -600,95 +601,17 @@ class AsyncFrontEnd:
         return await self._await_terminal(job, done, wait_timeout)
 
     # ------------------------------------------------------------------ #
-    # HTTP plumbing
+    # routes
     # ------------------------------------------------------------------ #
 
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, version, headers, body = request
-                keep_alive = self._keep_alive(version, headers)
-                try:
-                    code, payload, extra = await self._route(
-                        method, target, headers, body
-                    )
-                except Exception as exc:  # defensive: never drop silently
-                    code, payload, extra = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        {},
-                    )
-                self.service.note_http_response(code)
-                self._write_response(writer, code, payload, extra, keep_alive)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-            ValueError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels idle keep-alive readers; close the
-            # socket quietly rather than logging a phantom error.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise ValueError(f"malformed request line: {line!r}")
-        method, target, version = parts
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-            if len(headers) > 256:
-                raise ValueError("too many headers")
-        length = int(headers.get("content-length") or 0)
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ValueError(f"unreasonable content length {length}")
-        body = await reader.readexactly(length) if length else b""
-        return method, target, version, headers, body
-
-    @staticmethod
-    def _keep_alive(version: str, headers: dict) -> bool:
-        connection = headers.get("connection", "").lower()
-        if version == "HTTP/1.0":
-            return connection == "keep-alive"
-        return connection != "close"
-
-    async def _route(
-        self, method: str, target: str, headers: dict, body: bytes
-    ) -> tuple:
+    async def route(self, method: str, path: str, headers: dict, body: bytes) -> tuple:
         service = self.service
         loop = asyncio.get_running_loop()
-        path = target.split("?", 1)[0].rstrip("/") or "/"
         if method == "POST" and path == "/jobs":
             return await self.handle_post_jobs(headers, body)
         if method == "GET" and path == "/status":
             status = await loop.run_in_executor(None, service.status)
             status["frontend"] = {
-                "mode": "async",
                 "inflight": len(self._registry),
                 "admission": self.admission.stats(),
             }
@@ -715,34 +638,7 @@ class AsyncFrontEnd:
             if job is None:
                 return 404, {"error": "unknown job"}, {}
             return 200, job.as_dict(), {}
-        return 404, {"error": f"no such resource {target!r}"}, {}
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter,
-        code: int,
-        payload: dict | str,
-        extra_headers: dict | None,
-        keep_alive: bool,
-    ) -> None:
-        headers = dict(extra_headers or {})
-        if isinstance(payload, str):
-            # preformatted body (the /metrics exposition text)
-            body = payload.encode()
-            content_type = headers.pop("Content-Type", "text/plain")
-        else:
-            body = (json.dumps(payload, indent=2) + "\n").encode()
-            content_type = "application/json"
-        lines = [
-            f"HTTP/1.1 {code} {_REASONS.get(code, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-        ]
-        for name, value in headers.items():
-            lines.append(f"{name}: {value}")
-        if not keep_alive:
-            lines.append("Connection: close")
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)
+        return 404, {"error": f"no such resource {path!r}"}, {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -774,118 +670,5 @@ class AsyncFrontEnd:
         for key, entry in list(self._registry.items()):
             entry.fail(AdmissionRejected("service drained before completion"))
             self._registry.pop(key, None)
+        self.uninstall()
         return clean
-
-
-async def serve_async(
-    service: BenchService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    window: int | None = None,
-    quota: int = 64,
-    weights: dict[str, float] | None = None,
-    verbose: bool = False,
-    announce=None,
-    stop_event: asyncio.Event | None = None,
-    drain_timeout: float | None = 30.0,
-) -> bool:
-    """Run the async front end until ``stop_event`` (or forever).
-
-    ``announce(url)`` is called once the socket is bound -- the CLI
-    prints the same ``listening on http://...`` line the threaded path
-    does, so ``_spawn_shard`` scrapes async shards identically.
-    Returns True when the drain was clean.
-    """
-    frontend = AsyncFrontEnd(
-        service, window=window, quota=quota, weights=weights, verbose=verbose
-    )
-    loop = asyncio.get_running_loop()
-    frontend.install(loop)
-    server = await asyncio.start_server(
-        frontend.handle_connection, host, port
-    )
-    bound_host, bound_port = server.sockets[0].getsockname()[:2]
-    if announce is not None:
-        announce(f"http://{bound_host}:{bound_port}")
-    if stop_event is None:
-        stop_event = asyncio.Event()
-    try:
-        await stop_event.wait()
-    finally:
-        server.close()
-        await server.wait_closed()
-        clean = await frontend.drain(drain_timeout)
-        frontend.uninstall()
-    return clean
-
-
-class AsyncServerThread:
-    """The async front end on a dedicated loop thread (tests, embedding).
-
-    Mirrors the ergonomics of ``make_server`` + ``serve_forever`` for
-    the threaded path: ``start()`` returns the bound URL, ``stop()``
-    triggers the drain and joins the loop thread.
-    """
-
-    def __init__(self, service: BenchService, host: str = "127.0.0.1", **kwargs):
-        self.service = service
-        self.host = host
-        self.kwargs = kwargs
-        self.url: str | None = None
-        self.clean: bool | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-
-            def _announce(url: str) -> None:
-                self.url = url
-                self._ready.set()
-
-            try:
-                self.clean = await serve_async(
-                    self.service,
-                    host=self.host,
-                    announce=_announce,
-                    stop_event=self._stop,
-                    **self.kwargs,
-                )
-            finally:
-                self._ready.set()
-
-        asyncio.run(main())
-
-    def start(self, timeout: float = 10.0) -> str:
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout) or self.url is None:
-            raise RuntimeError("async front end failed to start")
-        return self.url
-
-    def stop(self, timeout: float = 30.0) -> bool:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-        return bool(self.clean)
-
-
-def wait_for_port(url: str, timeout: float = 5.0) -> bool:
-    """Poll until the daemon at ``url`` answers /status (tests, CI)."""
-    from repro.service.api import ServiceClient, ServiceUnavailable
-
-    client = ServiceClient(url, timeout=2.0)
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            code, _ = client.status()
-            if code == 200:
-                return True
-        except ServiceUnavailable:
-            time.sleep(0.05)
-    return False

@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass
 
 from repro.harness import records
-from repro.service.api import ServiceUnavailable
+from repro.service.client import ServiceUnavailable
 
 #: Version of the CHAOS_*.json record layout.
 SCHEMA_VERSION = 1
@@ -880,20 +880,6 @@ def write_record(
     return records.write_json_record(record, path)
 
 
-def latest_record_path(directory: str = ".") -> str | None:
-    return records.latest_record_path(directory, RECORD_PREFIX)
-
-
 def load_record(path: str) -> dict:
     """Load and sanity-check one chaos record."""
-    with open(path) as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict) or record.get("kind") != RECORD_KIND:
-        raise ValueError(f"{path}: not an {RECORD_KIND} file")
-    version = record.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} (this tool reads "
-            f"<= {SCHEMA_VERSION}); refresh the record with 'npb chaos'"
-        )
-    return record
+    return records.load_record(path, RECORD_KIND, SCHEMA_VERSION, "npb chaos")

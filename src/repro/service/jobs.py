@@ -95,13 +95,18 @@ class AdmissionRejected(RuntimeError):
         self.capacity = capacity
 
 
+#: Seconds a 429 tells the client to wait before resubmitting (the
+#: ``Retry-After`` header; also the client's fallback when it is absent).
+RETRY_AFTER_SECONDS = 1.0
+
+
 @functools.lru_cache(maxsize=1)
 def _git_sha() -> str:
     # Reuse the bench fingerprint helper; import here so the service can
     # be used without the harness package fully importable.  Cached per
     # process: the tree cannot change under a running daemon, and paying
     # a `git rev-parse` subprocess on every submission would dominate
-    # the async front end's admission latency.
+    # the front end's admission latency.
     from repro.harness.bench import _git_sha as sha
 
     return sha()
@@ -114,7 +119,7 @@ def routing_key(payload: Mapping, default_kernel_backend: str = "fused") -> str:
     so a payload routes to the same shard its resulting spec would --
     without validating the payload or touching the environment.  Unknown
     payload keys (``wait``, ``priority``, ``no_cache``, ``job_key``,
-    ``tenant``) are ignored: they do not change what runs.  The async
+    ``tenant``) are ignored: they do not change what runs.  The daemon's
     front end (:mod:`repro.service.async_api`) reuses this key for its
     in-flight coalescing registry -- within one daemon the environment
     is fixed, so equal routing keys partition jobs exactly like equal
@@ -135,6 +140,27 @@ def routing_key(payload: Mapping, default_kernel_backend: str = "fused") -> str:
     }
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def submission_payload(headers: Mapping, body: bytes) -> dict:
+    """The ``POST /jobs`` payload of one request (daemon and coordinator).
+
+    Parses the JSON body (``ValueError`` unless it is an object) and
+    applies the header shorthands: ``Idempotency-Key`` for ``job_key``
+    and ``X-NPB-Tenant`` for ``tenant``; an explicit body field wins
+    over its header.  ``headers`` has lower-cased names.
+    """
+    payload = json.loads(body or b"{}")
+    if not isinstance(payload, dict):
+        raise ValueError("body must be a JSON object")
+    for header, field in (
+        ("idempotency-key", "job_key"),
+        ("x-npb-tenant", "tenant"),
+    ):
+        value = headers.get(header)
+        if value is not None and payload.get(field) is None:
+            payload[field] = value
+    return payload
 
 
 @dataclass(frozen=True)

@@ -31,17 +31,14 @@ philosophy as the bench comparator, reusing
 
 from __future__ import annotations
 
-import json
-import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass, field
 
 from repro.harness import records
 from repro.harness.stats import mad, median, percentile
-from repro.service.api import ServiceClient, ServiceUnavailable
+from repro.service.client import ServiceClient, ServiceUnavailable
 
 #: Version of the LOADGEN_*.json record layout.
 #: v2: step ``requests`` blocks carry ``coalesced`` (ok responses that
@@ -58,7 +55,7 @@ SCHEMA_VERSION = 2
 RECORD_KIND = "npb-loadgen-record"
 
 #: Trajectory file naming: LOADGEN_0001.json, LOADGEN_0002.json, ...
-RECORD_PATTERN = re.compile(r"^LOADGEN_(\d{4})\.json$")
+RECORD_PREFIX = "LOADGEN"
 
 #: Relative change tolerated before the noise term kicks in.  Service
 #: latency is far noisier than best-of-k kernel timing (queueing, GC,
@@ -255,7 +252,7 @@ class RequestOutcome:
     #: True when the coordinator routed around a dead shard
     degraded: bool = False
     #: True when the response was coalesced onto an in-flight job
-    #: (``coalesced_with`` present -- async front end only)
+    #: (``coalesced_with`` present)
     coalesced: bool = False
     #: job id of the admitted job (None for 429/unreachable)
     job_id: str | None = None
@@ -491,7 +488,7 @@ class SLOPolicy:
     #: minimum cache-hit ratio (None: not checked)
     min_cache_hit_ratio: float | None = None
     #: minimum dedup ratio -- cached + coalesced over ok (None: not
-    #: checked); the async-front-end CI gate pins this
+    #: checked); the loadgen-smoke CI gate pins this
     min_dedup_ratio: float | None = None
     #: at least this many requests must complete ok
     min_ok: int = 1
@@ -705,7 +702,7 @@ def run_loadgen(
 
 def next_sequence(directory: str = ".") -> int:
     """1 + the highest LOADGEN_<seq>.json already in ``directory``."""
-    return records.next_sequence(directory, "LOADGEN")
+    return records.next_sequence(directory, RECORD_PREFIX)
 
 
 def write_record(
@@ -718,39 +715,20 @@ def write_record(
     directory concurrently never overwrite each other's record.
     """
     if path is None:
-        return records.append_record(record, directory, "LOADGEN")
+        return records.append_record(record, directory, RECORD_PREFIX)
     return records.write_json_record(record, path)
 
 
 def latest_record_path(directory: str = ".") -> str | None:
     """Path of the highest-sequence LOADGEN_<seq>.json, if any."""
-    best = None
-    best_seq = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return None
-    for name in names:
-        match = RECORD_PATTERN.match(name)
-        if match and int(match.group(1)) >= best_seq:
-            best_seq = int(match.group(1))
-            best = os.path.join(directory, name)
-    return best
+    return records.latest_record_path(directory, RECORD_PREFIX)
 
 
 def load_record(path: str) -> dict:
     """Load and sanity-check one loadgen record."""
-    with open(path) as fh:
-        record = json.load(fh)
-    if not isinstance(record, dict) or record.get("kind") != RECORD_KIND:
-        raise ValueError(f"{path}: not an {RECORD_KIND} file")
-    version = record.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} (this tool reads "
-            f"<= {SCHEMA_VERSION}); refresh the record with 'npb loadgen'"
-        )
-    return _migrate_record(record, version)
+    return records.load_record(
+        path, RECORD_KIND, SCHEMA_VERSION, "npb loadgen", _migrate_record
+    )
 
 
 def _migrate_record(record: dict, version: int) -> dict:

@@ -67,8 +67,8 @@ class Scheduler:
         #: cache-eligible executions that started while the same
         #: fingerprint was already executing cache-eligibly -- exactly
         #: the duplicate work in-flight coalescing exists to remove.
-        #: The threaded front end accrues these under concurrent twin
-        #: submissions; the async front end must keep this at zero.
+        #: In-process twin submissions accrue these; over HTTP the
+        #: front end coalesces twins, so a daemon must keep this at zero.
         self.duplicate_executions = 0
         self._executing: dict[str, int] = {}
         self.fault_counts: dict[str, int] = {}

@@ -27,35 +27,33 @@ and routes every submission by consistent hashing on the job's
   ambiguous transport failure attaches to the already-admitted job
   rather than double-running it.
 
-The coordinator's own HTTP front end (:func:`make_shard_server`, served
-by ``npb shard-serve``) mirrors the single-daemon API -- ``POST /jobs``,
-``GET /jobs[/<id>]``, ``GET /status`` -- so every existing client
-(``npb submit``, ``npb loadgen``) points at a coordinator unchanged.
-Job ids are namespaced ``<shard>:<job_id>`` on the way out and parsed
-back on lookup, which is the only thing a client can observe.
+The coordinator's HTTP surface (:meth:`ShardCoordinator.route`, the app
+``npb shard-serve`` hands to the one server in :mod:`repro.service.http`)
+mirrors the single-daemon API -- ``POST /jobs``, ``GET /jobs[/<id>]``,
+``GET /status`` -- so every existing client (``npb submit``,
+``npb loadgen``) points at a coordinator unchanged.  Job ids are
+namespaced ``<shard>:<job_id>`` on the way out and parsed back on
+lookup, which is the only thing a client can observe.
 """
 
 from __future__ import annotations
 
+import asyncio
 import bisect
+import functools
 import hashlib
-import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.metrics import (CONTENT_TYPE as METRICS_CONTENT_TYPE,
                                MetricsRegistry, process_rss_bytes)
 from repro.obs.spans import TraceSampler, get_span_store
 from repro.obs.trace import (TRACEPARENT_HEADER, TraceContext,
                              format_traceparent, parse_traceparent)
-from repro.service.api import (
-    RETRY_AFTER_SECONDS,
-    ServiceClient,
-    ServiceUnavailable,
-)
-from repro.service.jobs import routing_key
+from repro.service.client import ServiceClient, ServiceUnavailable
+from repro.service.jobs import RETRY_AFTER_SECONDS, routing_key, submission_payload
 
 #: Virtual points per shard on the hash ring.  More replicas smooth the
 #: arc lengths: at 128 the per-shard load over random keys stays within
@@ -72,6 +70,37 @@ DEFAULT_HEALTH_INTERVAL = 2.0
 
 #: Per-probe HTTP timeout -- a hung shard must not wedge the prober.
 DEFAULT_PROBE_TIMEOUT = 5.0
+
+#: Threads forwarding ``POST /jobs`` to shards.  A ``wait: true``
+#: submission parks its thread until the shard finishes the job, so
+#: submissions get an executor of their own: however many are parked,
+#: the short calls (``/status``, job lookups) run on the loop's default
+#: executor and are never queued behind them.  Submissions beyond this
+#: many wait for a thread; they cannot deadlock, because a shard's
+#: progress never depends on the coordinator.
+SUBMIT_THREADS = 64
+
+
+#: Fleet total -> where each shard's ``/status`` reports it.  Read with
+#: ``.get`` throughout: pre-v6 shards lack the ``dedup`` block (and
+#: pre-obs ones ``rss_bytes``), and a mixed-version fleet must keep
+#: aggregating.
+_TOTALS = {
+    "queue_depth": ("queue", "depth"),
+    "queue_capacity": ("queue", "capacity"),
+    "pool_size": ("pool", "size"),
+    "pool_in_use": ("pool", "in_use"),
+    "cache_entries": ("cache", "entries"),
+    "cache_hits": ("cache", "hits"),
+    "cache_misses": ("cache", "misses"),
+    "cache_corruption_healed": ("cache", "corruption_healed"),
+    "executed": ("scheduler", "executed"),
+    "cached": ("scheduler", "cached"),
+    "failed": ("scheduler", "failed"),
+    "coalesced": ("dedup", "coalesced"),
+    "idempotent_replays": ("dedup", "idempotent_replays"),
+    "duplicate_executions": ("scheduler", "duplicate_executions"),
+}
 
 
 def _hash_point(key: str) -> int:
@@ -218,8 +247,8 @@ class ShardCoordinator:
             for name, url in shards.items()
         }
         # Probes measure connectability, so no keep-alive: a persistent
-        # connection outlives a dead listener (its handler thread keeps
-        # answering) and would report the shard healthy forever.
+        # connection outlives a dead listener (the server keeps
+        # answering it) and would report the shard healthy forever.
         self._probers = {
             name: ServiceClient(url, timeout=probe_timeout, keep_alive=False)
             for name, url in shards.items()
@@ -227,6 +256,10 @@ class ShardCoordinator:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._health_thread: threading.Thread | None = None
+        #: forwards submissions for :meth:`route` (threads start lazily)
+        self._submit_pool = ThreadPoolExecutor(
+            max_workers=SUBMIT_THREADS, thread_name_prefix="npb-shard-submit"
+        )
         #: optional ChaosInjector (fault-injection tests); None = off
         self.chaos = None
         self._seq = 0
@@ -306,11 +339,7 @@ class ShardCoordinator:
                 self.chaos.on_probe(name)
             code, status = self._probers[name].status()
         except ServiceUnavailable as exc:
-            with self._lock:
-                state.healthy = False
-                state.consecutive_failures += 1
-                state.last_error = str(exc)
-                state.last_checked = time.time()
+            self._mark_unreachable(name, str(exc))
             return False
         with self._lock:
             state.healthy = code == 200
@@ -336,7 +365,7 @@ class ShardCoordinator:
     # routing
     # ------------------------------------------------------------------ #
 
-    def route(self, payload: dict) -> str:
+    def owner(self, payload: dict) -> str:
         """Owning shard of a submission payload (ignoring health)."""
         return self._ring.route(
             routing_key(payload, self.default_kernel_backend)
@@ -367,8 +396,8 @@ class ShardCoordinator:
         structured verdict, not a guess, so callers (and the loadgen
         SLO) can tell a clean run from a survived outage.
 
-        ``trace`` is the edge sampling decision (made by the HTTP
-        handler from the incoming ``traceparent``); when sampled, the
+        ``trace`` is the edge sampling decision (made by :meth:`route`
+        from the incoming ``traceparent``); when sampled, the
         route is recorded as a ``coordinator.route`` span whose child
         context is forwarded to the chosen shard, so a failover keeps
         the same trace id and shows up as a ``failover`` span event
@@ -401,6 +430,17 @@ class ShardCoordinator:
             )
             fwd_headers = {TRACEPARENT_HEADER: format_traceparent(child_ctx)}
         attempts: list[dict] = []
+
+        def routing(served_by, degraded, reason) -> dict:
+            return {
+                "key": key,
+                "intended": intended,
+                "served_by": served_by,
+                "degraded": degraded,
+                "reason": reason,
+                "attempts": attempts,
+            }
+
         for name in self._attempt_order(key):
             try:
                 # A chaos injector may drop the attempt (raising what a
@@ -432,19 +472,12 @@ class ShardCoordinator:
                     self.failovers += 1
             degraded = name != intended
             body = self._namespace_job(name, body)
-            body["routing"] = {
-                "key": key,
-                "intended": intended,
-                "served_by": name,
-                "degraded": degraded,
-                "reason": (
-                    f"shard {intended!r} unreachable; "
-                    f"routed around to {name!r}"
-                    if degraded
-                    else None
-                ),
-                "attempts": attempts,
-            }
+            reason = (
+                f"shard {intended!r} unreachable; routed around to {name!r}"
+                if degraded
+                else None
+            )
+            body["routing"] = routing(name, degraded, reason)
             if route_span is not None:
                 route_span.attrs["served_by"] = name
                 route_span.attrs["degraded"] = degraded
@@ -457,14 +490,7 @@ class ShardCoordinator:
             route_span.end("error")
         return 503, {
             "error": "no shard reachable",
-            "routing": {
-                "key": key,
-                "intended": intended,
-                "served_by": None,
-                "degraded": True,
-                "reason": "every shard unreachable",
-                "attempts": attempts,
-            },
+            "routing": routing(None, True, "every shard unreachable"),
         }
 
     @staticmethod
@@ -473,8 +499,9 @@ class ShardCoordinator:
         if isinstance(body.get("job_id"), str):
             body["shard"] = shard
             body["job_id"] = f"{shard}:{body['job_id']}"
-        # coalesced_with names a shard-local job id (async front end);
-        # namespace it the same way so clients can GET it back.
+        # coalesced_with names a shard-local job id (the twin this
+        # response was attached to); namespace it the same way so
+        # clients can GET it back.
         if isinstance(body.get("coalesced_with"), str):
             body["coalesced_with"] = f"{shard}:{body['coalesced_with']}"
         result = body.get("result")
@@ -486,18 +513,23 @@ class ShardCoordinator:
             body["result"] = result
         return body
 
-    def job(self, namespaced_id: str) -> tuple[int, dict]:
-        """Look one job up by its ``<shard>:<job_id>`` id."""
+    def _on_owning_shard(self, namespaced_id: str, call) -> tuple[str, int, dict]:
+        """``call(client, job_id)`` on the shard a ``<shard>:<job_id>``
+        id names: ``(shard, code, body)``, 404/503 when it cannot."""
         shard, _, job_id = namespaced_id.partition(":")
         if not job_id or shard not in self._clients:
-            return 404, {
+            return shard, 404, {
                 "error": f"malformed or unknown shard job id {namespaced_id!r}"
             }
         try:
-            code, body = self._clients[shard].job(job_id)
+            return shard, *call(self._clients[shard], job_id)
         except ServiceUnavailable as exc:
             self._mark_unreachable(shard, str(exc))
-            return 503, {"error": f"shard {shard!r} unreachable: {exc}"}
+            return shard, 503, {"error": f"shard {shard!r} unreachable: {exc}"}
+
+    def job(self, namespaced_id: str) -> tuple[int, dict]:
+        """Look one job up by its ``<shard>:<job_id>`` id."""
+        shard, code, body = self._on_owning_shard(namespaced_id, ServiceClient.job)
         if code == 200:
             body = self._namespace_job(shard, body)
         return code, body
@@ -507,16 +539,7 @@ class ShardCoordinator:
         shard's spans merged with the coordinator's own (the
         ``coordinator.route`` span and its ``failover`` events live in
         this process, not the shard's)."""
-        shard, _, job_id = namespaced_id.partition(":")
-        if not job_id or shard not in self._clients:
-            return 404, {
-                "error": f"malformed or unknown shard job id {namespaced_id!r}"
-            }
-        try:
-            code, body = self._clients[shard].trace(job_id)
-        except ServiceUnavailable as exc:
-            self._mark_unreachable(shard, str(exc))
-            return 503, {"error": f"shard {shard!r} unreachable: {exc}"}
+        _, code, body = self._on_owning_shard(namespaced_id, ServiceClient.trace)
         if code != 200:
             return code, body
         body = dict(body)
@@ -569,50 +592,13 @@ class ShardCoordinator:
             routed = self.routed
             failovers = self.failovers
             unroutable = self.unroutable
-        totals = {
-            "queue_depth": 0,
-            "queue_capacity": 0,
-            "pool_size": 0,
-            "pool_in_use": 0,
-            "cache_entries": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_corruption_healed": 0,
-            "executed": 0,
-            "cached": 0,
-            "failed": 0,
-            "coalesced": 0,
-            "idempotent_replays": 0,
-            "duplicate_executions": 0,
-            "rss_bytes": 0,
-        }
+        totals = dict.fromkeys([*_TOTALS, "rss_bytes"], 0)
         for shard in shards.values():
             status = shard["status"]
             if not shard["healthy"] or not status:
                 continue
-            totals["queue_depth"] += status["queue"]["depth"]
-            totals["queue_capacity"] += status["queue"]["capacity"]
-            totals["pool_size"] += status["pool"]["size"]
-            totals["pool_in_use"] += status["pool"]["in_use"]
-            totals["cache_entries"] += status["cache"]["entries"]
-            totals["cache_hits"] += status["cache"]["hits"]
-            totals["cache_misses"] += status["cache"]["misses"]
-            totals["cache_corruption_healed"] += status["cache"].get(
-                "corruption_healed", 0
-            )
-            totals["executed"] += status["scheduler"]["executed"]
-            totals["cached"] += status["scheduler"]["cached"]
-            totals["failed"] += status["scheduler"]["failed"]
-            # dedup counters (absent from pre-v6 shards: .get keeps a
-            # mixed-version fleet aggregating)
-            dedup = status.get("dedup", {})
-            totals["coalesced"] += dedup.get("coalesced", 0)
-            totals["idempotent_replays"] += dedup.get("idempotent_replays", 0)
-            totals["duplicate_executions"] += status["scheduler"].get(
-                "duplicate_executions", 0
-            )
-            # pre-obs shards do not report rss_bytes; .get keeps a
-            # mixed-version fleet aggregating
+            for total, (block, field) in _TOTALS.items():
+                totals[total] += status.get(block, {}).get(field, 0)
             totals["rss_bytes"] += status.get("rss_bytes", 0)
         healthy = sum(1 for shard in shards.values() if shard["healthy"])
         return {
@@ -636,141 +622,66 @@ class ShardCoordinator:
             "shards": shards,
         }
 
+    # ------------------------------------------------------------------ #
+    # HTTP surface (``npb shard-serve``)
+    # ------------------------------------------------------------------ #
+
+    async def route(self, method: str, path: str, headers: dict, body: bytes) -> tuple:
+        """The app :func:`repro.service.http.serve` serves: the daemon
+        API mapped onto the coordinator.  Every call below blocks on a
+        shard, so none runs on the loop (see :data:`SUBMIT_THREADS`)."""
+        loop = asyncio.get_running_loop()
+        if method == "POST" and path == "/jobs":
+            try:
+                payload = submission_payload(headers, body)
+            except ValueError as exc:
+                return 400, {"error": f"bad job payload: {exc}"}, {}
+            # Edge sampling decision: a sampled incoming traceparent (or
+            # an explicit "trace": true) makes this submission traced
+            # through routing, shard, scheduler, and kernel regions alike.
+            trace = self.sampler.decide(
+                incoming=parse_traceparent(headers.get(TRACEPARENT_HEADER)),
+                forced=bool(payload.get("trace", False)),
+            )
+            code, reply = await loop.run_in_executor(
+                self._submit_pool, self.submit, payload, trace
+            )
+            extra = {}
+            if code == 429:
+                # The shard's Retry-After does not survive the client hop;
+                # re-issue the standard backoff hint at the coordinator edge.
+                extra["Retry-After"] = f"{RETRY_AFTER_SECONDS:g}"
+            return code, reply, extra
+        lookup = None
+        if method == "GET":
+            if path == "/metrics":
+                content_type = {"Content-Type": METRICS_CONTENT_TYPE}
+                return 200, self.metrics.render(), content_type
+            if path == "/status":
+                return 200, await loop.run_in_executor(None, self.status), {}
+            if path == "/jobs":
+                lookup = self.jobs
+            elif path.startswith("/jobs/") and path.endswith("/trace"):
+                job_id = path[len("/jobs/") : -len("/trace")]
+                lookup = functools.partial(self.trace, job_id)
+            elif path.startswith("/jobs/"):
+                lookup = functools.partial(self.job, path[len("/jobs/") :])
+        if lookup is None:
+            return 404, {"error": f"no such resource {path!r}"}, {}
+        code, reply = await loop.run_in_executor(None, lookup)
+        return code, reply, {}
+
     def close(self) -> None:
-        """Stop the health prober (shards are not owned and stay up)."""
+        """Stop the health prober and the submission threads (shards
+        are not owned and stay up)."""
         self._stop.set()
         if self._health_thread is not None:
             self._health_thread.join(self.health_interval + 5.0)
             self._health_thread = None
+        self._submit_pool.shutdown(wait=False)
 
     def __enter__(self) -> "ShardCoordinator":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# ===================================================================== #
-# HTTP front end (``npb shard-serve``)
-# ===================================================================== #
-
-
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """JSON shim mirroring the single-daemon API onto the coordinator."""
-
-    server: "CoordinatorHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send_bytes(
-        self,
-        code: int,
-        body: bytes,
-        content_type: str,
-        headers: dict | None = None,
-    ) -> None:
-        self.server.coordinator.note_http_response(code)
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send(
-        self, code: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode()
-        self._send_bytes(code, body, "application/json", headers=headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        coordinator = self.server.coordinator
-        path = self.path.rstrip("/") or "/"
-        if path == "/status":
-            self._send(200, coordinator.status())
-        elif path == "/metrics":
-            self._send_bytes(
-                200,
-                coordinator.metrics.render().encode(),
-                METRICS_CONTENT_TYPE,
-            )
-        elif path == "/jobs":
-            code, body = coordinator.jobs()
-            self._send(code, body)
-        elif path.startswith("/jobs/") and path.endswith("/trace"):
-            job_id = path[len("/jobs/") : -len("/trace")]
-            code, body = coordinator.trace(job_id)
-            self._send(code, body)
-        elif path.startswith("/jobs/"):
-            code, body = coordinator.job(path[len("/jobs/") :])
-            self._send(code, body)
-        else:
-            self._send(404, {"error": f"no such resource {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        coordinator = self.server.coordinator
-        if self.path.rstrip("/") != "/jobs":
-            self._send(404, {"error": f"no such resource {self.path!r}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send(400, {"error": f"bad job payload: {exc}"})
-            return
-        # Header shorthands (body fields win), forwarded into the
-        # payload so shards see them regardless of front-end mode.
-        idem = self.headers.get("Idempotency-Key")
-        if idem is not None and payload.get("job_key") is None:
-            payload["job_key"] = idem
-        tenant = self.headers.get("X-NPB-Tenant")
-        if tenant is not None and payload.get("tenant") is None:
-            payload["tenant"] = tenant
-        # Edge sampling decision: a sampled incoming traceparent (or an
-        # explicit "trace": true) makes this submission traced through
-        # routing, shard, scheduler, and kernel regions alike.
-        trace = coordinator.sampler.decide(
-            incoming=parse_traceparent(
-                self.headers.get(TRACEPARENT_HEADER)
-            ),
-            forced=bool(payload.get("trace", False)),
-        )
-        code, body = coordinator.submit(payload, trace=trace)
-        headers = None
-        if code == 429:
-            # The shard's Retry-After does not survive the client hop;
-            # re-issue the standard backoff hint at the coordinator edge.
-            headers = {"Retry-After": f"{RETRY_AFTER_SECONDS:g}"}
-        self._send(code, body, headers=headers)
-
-
-class CoordinatorHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the coordinator for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        coordinator: ShardCoordinator,
-        verbose: bool = False,
-    ):
-        super().__init__(address, _CoordinatorHandler)
-        self.coordinator = coordinator
-        self.verbose = verbose
-
-
-def make_shard_server(
-    coordinator: ShardCoordinator,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    verbose: bool = False,
-) -> CoordinatorHTTPServer:
-    """Bind the coordinator to a socket (``port=0`` picks a free one)."""
-    return CoordinatorHTTPServer((host, port), coordinator, verbose=verbose)

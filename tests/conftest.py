@@ -6,6 +6,10 @@ import pytest
 
 from repro.team import ProcessTeam, SerialTeam, ThreadTeam
 
+#: daemon_url / coordinator_url (tests/service/conftest.py) for every
+#: suite, not only tests/service -- harness and obs tests serve too.
+pytest_plugins = ["service.conftest"]
+
 
 @pytest.fixture
 def serial_team():

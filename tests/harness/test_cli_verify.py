@@ -1,7 +1,5 @@
 """End-to-end CLI tests (verify command, report, exit-code table)."""
 
-import threading
-
 from repro.harness import cli
 from repro.harness.cli import main
 
@@ -56,30 +54,22 @@ class TestExitCodeTable:
         assert code == cli.EXIT_USAGE
         assert "cannot reach" in capsys.readouterr().err
 
-    def test_admission_rejection_is_exit_rejected(self, capsys, tmp_path):
-        from repro.service import BenchService, make_server
+    def test_admission_rejection_is_exit_rejected(self, capsys, tmp_path,
+                                                  daemon_url):
+        from repro.service import BenchService
 
         # queue of depth 1 and no scheduler: the second submission must
-        # be rejected with HTTP 429 -> CLI exit 4
+        # be rejected with HTTP 429 -> CLI exit 4 (window 2, so it is
+        # the full queue that answers, not fair admission parking it)
         service = BenchService(pool_size=1, queue_depth=1,
                                cache_dir=str(tmp_path / "cache"),
                                autostart=False)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        url = f"http://{host}:{port}"
-        try:
-            assert main(["submit", "CG", "-c", "S", "--url", url,
-                         "--no-wait"]) == cli.EXIT_OK
-            assert main(["submit", "MG", "-c", "S", "--url", url,
-                         "--no-wait"]) == cli.EXIT_REJECTED
-            assert "admission rejected" in capsys.readouterr().err
-        finally:
-            httpd.shutdown()
-            thread.join(5)
-            httpd.server_close()
-            service.drain(timeout=5)
+        url = daemon_url(service, window=2, drain_timeout=5)
+        assert main(["submit", "CG", "-c", "S", "--url", url,
+                     "--no-wait"]) == cli.EXIT_OK
+        assert main(["submit", "MG", "-c", "S", "--url", url,
+                     "--no-wait"]) == cli.EXIT_REJECTED
+        assert "admission rejected" in capsys.readouterr().err
 
 
 class TestReportCommand:

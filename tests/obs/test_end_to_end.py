@@ -8,42 +8,27 @@ two-shard coordinator.
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.obs.spans import get_span_store
 from repro.obs.trace import TraceContext, new_trace_id
-from repro.service import BenchService, ServiceClient, make_server
+from repro.service import BenchService, ServiceClient
 from repro.service.shard import ShardCoordinator
 
 
-def _serve(service):
-    httpd = make_server(service, port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    host, port = httpd.server_address[:2]
-    return httpd, f"http://{host}:{port}"
-
-
 class TestTracedDaemon:
-    def test_one_trace_id_from_http_submit_to_kernel_region(self, tmp_path):
+    def test_one_trace_id_from_http_submit_to_kernel_region(
+            self, tmp_path, daemon_url):
         service = BenchService(backend="serial",
                                cache_dir=str(tmp_path / "cache"))
-        httpd, url = _serve(service)
-        try:
-            client = ServiceClient(url)
-            code, body = client.submit({
-                "benchmark": "CG", "problem_class": "S",
-                "trace": True, "wait": True, "no_cache": True})
-            assert code == 200
-            assert body["trace_id"] is not None
-            assert body["result"]["trace_id"] == body["trace_id"]
-            code, trace = client.trace(body["job_id"])
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            service.drain(timeout=60.0)
+        client = ServiceClient(daemon_url(service))
+        code, body = client.submit({
+            "benchmark": "CG", "problem_class": "S",
+            "trace": True, "wait": True, "no_cache": True})
+        assert code == 200
+        assert body["trace_id"] is not None
+        assert body["result"]["trace_id"] == body["trace_id"]
+        code, trace = client.trace(body["job_id"])
         assert code == 200
         assert trace["trace_id"] == body["trace_id"]
         spans = trace["spans"]
@@ -66,44 +51,34 @@ class TestTracedDaemon:
         roots = [s for s in spans if s["parent_span_id"] not in ids]
         assert len(roots) == 1 and roots[0]["name"] == "http.submit"
 
-    def test_untraced_submit_stays_span_free(self, tmp_path):
+    def test_untraced_submit_stays_span_free(self, tmp_path, daemon_url):
         service = BenchService(backend="serial",
                                cache_dir=str(tmp_path / "cache"))
-        httpd, url = _serve(service)
-        try:
-            client = ServiceClient(url)
-            code, body = client.submit({
-                "benchmark": "CG", "problem_class": "S",
-                "wait": True, "no_cache": True})
-            assert code == 200
-            assert body["trace_id"] is None
-            assert "trace_id" not in body["result"]
-            code, _ = client.trace(body["job_id"])
-            assert code == 404
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            service.drain(timeout=60.0)
+        url = daemon_url(service)
+        client = ServiceClient(url)
+        code, body = client.submit({
+            "benchmark": "CG", "problem_class": "S",
+            "wait": True, "no_cache": True})
+        assert code == 200
+        assert body["trace_id"] is None
+        assert "trace_id" not in body["result"]
+        code, _ = client.trace(body["job_id"])
+        assert code == 404
+        daemon_url.stop(url)
         assert len(get_span_store()) == 0
 
-    def test_status_and_metrics_exposition(self, tmp_path):
+    def test_status_and_metrics_exposition(self, tmp_path, daemon_url):
         service = BenchService(backend="serial",
                                cache_dir=str(tmp_path / "cache"))
-        httpd, url = _serve(service)
-        try:
-            client = ServiceClient(url)
-            client.submit({"benchmark": "CG", "problem_class": "S",
-                           "wait": True})
-            code, status = client.status()
-            assert code == 200
-            assert status["rss_bytes"] > 0
-            assert status["uptime_seconds"] >= 0
-            assert status["trace_sample"] == 0.0
-            code, text = client.metrics()
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            service.drain(timeout=60.0)
+        client = ServiceClient(daemon_url(service))
+        client.submit({"benchmark": "CG", "problem_class": "S",
+                       "wait": True})
+        code, status = client.status()
+        assert code == 200
+        assert status["rss_bytes"] > 0
+        assert status["uptime_seconds"] >= 0
+        assert status["trace_sample"] == 0.0
+        code, text = client.metrics()
         assert code == 200
         assert '# TYPE npb_jobs_total counter' in text
         assert 'npb_jobs_total{benchmark="CG",state="done"} 1' in text
@@ -196,24 +171,19 @@ class TestTracedFailover:
     preferred shard is dead keeps one trace id end-to-end and records
     the route-around as a ``failover`` span event."""
 
-    def test_failover_continues_the_trace(self, tmp_path):
-        services, httpds = [], []
-        shards = {}
-        for i in range(2):
-            service = BenchService(backend="serial", pool_size=1,
-                                   cache_dir=str(tmp_path / f"cache{i}"))
-            httpd, url = _serve(service)
-            services.append(service)
-            httpds.append(httpd)
-            shards[f"s{i}"] = url
+    def test_failover_continues_the_trace(self, tmp_path, daemon_url):
+        shards = {
+            f"s{i}": daemon_url(BenchService(
+                backend="serial", pool_size=1,
+                cache_dir=str(tmp_path / f"cache{i}")))
+            for i in range(2)
+        }
         coordinator = ShardCoordinator(shards, health_interval=60.0)
         try:
             payload = {"benchmark": "CG", "problem_class": "S",
                        "trace": True, "wait": True, "no_cache": True}
-            owner = coordinator.route(payload)
-            index = int(owner[1:])
-            httpds[index].shutdown()
-            httpds[index].server_close()
+            owner = coordinator.owner(payload)
+            daemon_url.stop(shards[owner])
             code, body = coordinator.submit(dict(payload))
             assert code == 200, body
             assert body["routing"]["degraded"] is True
@@ -222,12 +192,6 @@ class TestTracedFailover:
             assert code == 200
         finally:
             coordinator.close()
-            for i, httpd in enumerate(httpds):
-                if i != index:
-                    httpd.shutdown()
-                    httpd.server_close()
-            for service in services:
-                service.drain(timeout=60.0)
 
         spans = trace["spans"]
         # one trace id across coordinator, shard, scheduler, and regions

@@ -59,7 +59,8 @@ class TestRecords:
 
     def test_unsupported_schema_version_is_refused(self, tmp_path):
         path = tmp_path / "TRACE_0001.json"
-        path.write_text(json.dumps({"schema_version": 999, "spans": []}))
+        path.write_text(json.dumps(
+            {"kind": "trace", "schema_version": 999, "spans": []}))
         with pytest.raises(ValueError, match="schema"):
             load_trace_record(str(path))
 

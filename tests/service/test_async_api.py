@@ -1,8 +1,8 @@
 """Async front end tests: in-flight coalescing, idempotency replays,
 deficit-round-robin fair admission, drain, and client keep-alive.
 
-Everything runs in-process.  The HTTP cases use :class:`AsyncServerThread`
-(a real asyncio server on a loopback port); the coalescing-race and
+Everything runs in-process.  The HTTP cases use the ``daemon_url``
+fixture (the real server on a loopback port); the coalescing-race and
 fairness cases drive :class:`AsyncFrontEnd`/:class:`FairAdmission`
 directly under ``asyncio.run`` so their interleavings are deterministic
 -- a gated fake benchmark holds the primary job running until the test
@@ -20,7 +20,6 @@ import pytest
 
 from repro.service import (
     AsyncFrontEnd,
-    AsyncServerThread,
     BenchService,
     FairAdmission,
     ServiceClient,
@@ -183,7 +182,6 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            frontend.install(asyncio.get_running_loop())
             try:
                 waiters = [
                     asyncio.create_task(
@@ -224,7 +222,6 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            frontend.install(asyncio.get_running_loop())
             try:
                 waiters = [
                     asyncio.create_task(
@@ -257,7 +254,6 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            frontend.install(asyncio.get_running_loop())
             try:
                 code, body, _ = await _post(frontend, dict(PAYLOAD))
                 assert code == 202
@@ -290,7 +286,6 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service, window=2)
-            frontend.install(asyncio.get_running_loop())
             try:
                 waiters = [
                     asyncio.create_task(
@@ -316,10 +311,9 @@ class TestCoalescing:
 
 
 class TestIdempotency:
-    def test_replay_returns_the_original_job(self, tmp_path):
+    def test_replay_returns_the_original_job(self, tmp_path, daemon_url):
         with _service(tmp_path) as service:
-            server = AsyncServerThread(service, host="127.0.0.1", port=0)
-            url = server.start()
+            url = daemon_url(service)
             try:
                 client = ServiceClient(url)
                 headers = {"Idempotency-Key": "order-66"}
@@ -333,7 +327,7 @@ class TestIdempotency:
                      "wait": True, "job_key": "order-66"})
                 _, status = client._request("GET", "/status")
             finally:
-                assert server.stop()
+                assert daemon_url.stop(url)
         assert code == 200
         assert second["job_id"] == first["job_id"]
         assert third["job_id"] == first["job_id"]
@@ -343,12 +337,13 @@ class TestIdempotency:
 
 
 class TestDrain:
-    def test_drain_resolves_inflight_waiters(self, tmp_path, monkeypatch):
+    def test_drain_resolves_inflight_waiters(
+        self, tmp_path, monkeypatch, daemon_url
+    ):
         gate = threading.Event()
         _gate_benchmark(monkeypatch, gate)
         service = _service(tmp_path)
-        server = AsyncServerThread(service, host="127.0.0.1", port=0)
-        url = server.start()
+        url = daemon_url(service)
         results: list[tuple[int, dict]] = []
 
         def waiter():
@@ -363,7 +358,7 @@ class TestDrain:
         # open the gate only after the drain has begun: the drain
         # contract is that admitted jobs finish and their waiters see it
         threading.Timer(0.5, gate.set).start()
-        assert server.stop()
+        assert daemon_url.stop(url)
         thread.join(timeout=30)
         assert not thread.is_alive(), "drain left a waiter hanging"
         code, body = results[0]
@@ -376,7 +371,6 @@ class TestDrain:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            frontend.install(asyncio.get_running_loop())
             frontend.draining = True
             try:
                 return await _post(frontend, dict(PAYLOAD))
@@ -400,7 +394,6 @@ class TestTenantQuotaHTTP:
 
         async def main():
             frontend = AsyncFrontEnd(service, window=1, quota=1)
-            frontend.install(asyncio.get_running_loop())
             try:
                 # distinct no_cache specs so nothing coalesces: the
                 # first occupies the window, the second parks (quota 1),
@@ -433,10 +426,9 @@ class TestTenantQuotaHTTP:
 
 
 class TestServiceClientKeepAlive:
-    def test_connection_is_reused_across_requests(self, tmp_path):
+    def test_connection_is_reused_across_requests(self, tmp_path, daemon_url):
         with _service(tmp_path) as service:
-            server = AsyncServerThread(service, host="127.0.0.1", port=0)
-            url = server.start()
+            url = daemon_url(service)
             try:
                 client = ServiceClient(url)
                 client._request("GET", "/status")
@@ -447,12 +439,13 @@ class TestServiceClientKeepAlive:
                 assert client._local.conn is conn  # same socket, 3 requests
             finally:
                 client.close()
-                assert server.stop()
+                assert daemon_url.stop(url)
 
-    def test_stale_connection_is_retried_once_on_a_fresh_one(self, tmp_path):
+    def test_stale_connection_is_retried_once_on_a_fresh_one(
+        self, tmp_path, daemon_url
+    ):
         with _service(tmp_path) as service:
-            server = AsyncServerThread(service, host="127.0.0.1", port=0)
-            url = server.start()
+            url = daemon_url(service)
             try:
                 client = ServiceClient(url)
                 client._request("GET", "/status")
@@ -463,48 +456,44 @@ class TestServiceClientKeepAlive:
                 assert client._local.conn is not stale
             finally:
                 client.close()
-                assert server.stop()
+                assert daemon_url.stop(url)
 
-    def test_fresh_connection_failure_is_service_unavailable(self, tmp_path):
+    def test_fresh_connection_failure_is_service_unavailable(
+        self, tmp_path, daemon_url
+    ):
         with _service(tmp_path) as service:
-            server = AsyncServerThread(service, host="127.0.0.1", port=0)
-            url = server.start()
-            assert server.stop()
+            url = daemon_url(service)
+            assert daemon_url.stop(url)
         client = ServiceClient(url)  # nothing listens here any more
         with pytest.raises(ServiceUnavailable):
             client._request("GET", "/status")
 
-    def test_keep_alive_false_never_caches_a_connection(self, tmp_path):
+    def test_keep_alive_false_never_caches_a_connection(self, tmp_path, daemon_url):
         # The probe mode: liveness is connectability, so each request
         # must dial fresh rather than ride a surviving old socket.
         with _service(tmp_path) as service:
-            server = AsyncServerThread(service, host="127.0.0.1", port=0)
-            url = server.start()
+            url = daemon_url(service)
             try:
                 client = ServiceClient(url, keep_alive=False)
                 code, _ = client._request("GET", "/status")
                 assert code == 200
                 assert getattr(client._local, "conn", None) is None
             finally:
-                assert server.stop()
+                assert daemon_url.stop(url)
 
 
 class TestStatusSurface:
-    def test_status_reports_frontend_and_dedup_counters(self, tmp_path):
+    def test_status_reports_frontend_and_dedup_counters(self, tmp_path, daemon_url):
         with _service(tmp_path) as service:
-            server = AsyncServerThread(
-                service, host="127.0.0.1", port=0,
-                weights={"gold": 2.0})
-            url = server.start()
+            url = daemon_url(service, weights={"gold": 2.0})
             try:
                 client = ServiceClient(url)
                 client.submit(dict(PAYLOAD, wait=True),
                               headers={"X-NPB-Tenant": "gold"})
                 _, status = client._request("GET", "/status")
             finally:
-                assert server.stop()
+                assert daemon_url.stop(url)
         frontend = status["frontend"]
-        assert frontend["mode"] == "async"
         assert frontend["admission"]["weights"] == {"gold": 2.0}
         assert frontend["admission"]["granted"] == {"gold": 1}
         assert status["dedup"] == {

@@ -26,8 +26,7 @@ import pytest
 
 from repro import run_benchmark
 from repro.harness.cli import CHAOS_PRESETS
-from repro.service import BenchService, make_server
-from repro.service.api import ServiceUnavailable
+from repro.service import BenchService, ServiceUnavailable
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
     FAULT_KINDS,
@@ -488,44 +487,32 @@ class TestServiceUnderChaos:
 
 
 @contextlib.contextmanager
-def _chaos_fleet(tmp_path, injector, count=2):
+def _chaos_fleet(tmp_path, daemon_url, injector, count=2):
     """In-process shard fleet with a chaos-injecting coordinator."""
-    services, httpds = [], []
-    coordinator = None
+    services = [
+        BenchService(backend="serial", pool_size=1,
+                     cache_dir=str(tmp_path / f"cache{i}"))
+        for i in range(count)
+    ]
+    shards = {
+        f"s{i}": daemon_url(service, drain_timeout=10.0)
+        for i, service in enumerate(services)
+    }
+    coordinator = ShardCoordinator(shards, health_interval=60.0)
+    injector.install_coordinator(coordinator)
+    coordinator.start()
     try:
-        shards = {}
-        for i in range(count):
-            service = BenchService(
-                backend="serial",
-                pool_size=1,
-                cache_dir=str(tmp_path / f"cache{i}"),
-            )
-            httpd = make_server(service, port=0)
-            threading.Thread(target=httpd.serve_forever, daemon=True).start()
-            services.append(service)
-            httpds.append(httpd)
-            host, port = httpd.server_address[:2]
-            shards[f"s{i}"] = f"http://{host}:{port}"
-        coordinator = ShardCoordinator(shards, health_interval=60.0)
-        injector.install_coordinator(coordinator)
-        coordinator.start()
         yield coordinator, services
     finally:
-        if coordinator is not None:
-            coordinator.close()
-        for httpd in httpds:
-            httpd.shutdown()
-            httpd.server_close()
-        for service in services:
-            service.drain(timeout=10.0)
+        coordinator.close()
 
 
 class TestCoordinatorUnderChaos:
-    def test_dropped_submission_fails_over_with_verdict(self, tmp_path):
+    def test_dropped_submission_fails_over_with_verdict(self, tmp_path, daemon_url):
         injector = ChaosInjector(
             _plan(FaultRule("shard.submit", "drop_response", rate=1.0))
         )
-        with _chaos_fleet(tmp_path, injector) as (coordinator, _):
+        with _chaos_fleet(tmp_path, daemon_url, injector) as (coordinator, _):
             code, body = coordinator.submit(
                 {"benchmark": "CG", "problem_class": "S", "wait": True}
             )
@@ -536,11 +523,11 @@ class TestCoordinatorUnderChaos:
             assert len(routing["attempts"]) == 1
             assert "chaos" in routing["attempts"][0]["error"]
 
-    def test_storm_429_passes_through_as_backpressure(self, tmp_path):
+    def test_storm_429_passes_through_as_backpressure(self, tmp_path, daemon_url):
         injector = ChaosInjector(
             _plan(FaultRule("shard.submit", "storm_429", rate=1.0))
         )
-        with _chaos_fleet(tmp_path, injector) as (coordinator, _):
+        with _chaos_fleet(tmp_path, daemon_url, injector) as (coordinator, _):
             code, body = coordinator.submit(
                 {"benchmark": "CG", "problem_class": "S", "wait": True}
             )
@@ -552,11 +539,11 @@ class TestCoordinatorUnderChaos:
             )
             assert code == 200
 
-    def test_probe_drop_marks_shard_unhealthy_then_recovers(self, tmp_path):
+    def test_probe_drop_marks_shard_unhealthy_then_recovers(self, tmp_path, daemon_url):
         injector = ChaosInjector(
             _plan(FaultRule("shard.probe", "drop_response", rate=1.0))
         )
-        with _chaos_fleet(tmp_path, injector) as (coordinator, _):
+        with _chaos_fleet(tmp_path, daemon_url, injector) as (coordinator, _):
             # start() already probed: index 0 dropped -> s0 condemned
             assert not coordinator._states["s0"].healthy
             coordinator.check_shard("s0")  # next probe is clean

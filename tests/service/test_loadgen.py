@@ -10,7 +10,7 @@ import threading
 import pytest
 
 from repro.harness.stats import percentile
-from repro.service import BenchService, make_server
+from repro.service import BenchService
 from repro.service.loadgen import (LoadgenConfig, MixEntry, PROFILES,
                                    RequestOutcome, RequestSampler, SLOPolicy,
                                    TrafficProfile, compare_records,
@@ -383,25 +383,17 @@ class TestCompare:
 
 
 class TestEndToEnd:
-    def test_closed_loop_run_against_a_real_service(self, tmp_path):
+    def test_closed_loop_run_against_a_real_service(self, tmp_path,
+                                                    daemon_url):
         """Small full-path smoke: HTTP service, duplicate-heavy traffic,
         record with a passing SLO and at least one cache hit."""
         service = BenchService(backend="serial", pool_size=2,
                                cache_dir=str(tmp_path / "cache"))
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        try:
-            config = LoadgenConfig(
-                profile=PROFILES["cache-heavy"], mode="closed",
-                levels=(2,), requests_per_step=8, seed=5,
-                slo=SLOPolicy(min_cache_hit_ratio=0.1))
-            record = run_loadgen(f"http://{host}:{port}", config)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            service.drain(timeout=60.0)
+        config = LoadgenConfig(
+            profile=PROFILES["cache-heavy"], mode="closed",
+            levels=(2,), requests_per_step=8, seed=5,
+            slo=SLOPolicy(min_cache_hit_ratio=0.1))
+        record = run_loadgen(daemon_url(service), config)
         assert record["slo_pass"] is True
         step = record["curve"][0]
         assert step["requests"]["total"] == 8

@@ -54,8 +54,10 @@ class TestTeamPool:
     def test_serial_pool_ignores_worker_count(self):
         with TeamPool("serial", 1, size=1) as pool:
             # serial is always one master; any worker count is warm
-            _, pooled = pool.lease(backend="serial", workers=4)
+            team, pooled = pool.lease(backend="serial", workers=4)
             assert pooled
+            # release: close() would wait its whole timeout on the lease
+            pool.release(team, pooled)
 
     def test_degraded_team_is_replaced_not_recycled(self):
         with TeamPool("serial", 1, size=1) as pool:

@@ -1,17 +1,14 @@
 """BenchService integration tests: concurrency, caching, backpressure,
-drain, and the HTTP front end -- all in-process (``port=0`` loopback for
-the HTTP cases, no daemon)."""
+drain, and the HTTP front end -- all in-process (the ``daemon_url``
+loopback server for the HTTP cases, no daemon)."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro import run_benchmark
 from repro.core.benchmark import RUN_RECORD_SCHEMA_VERSION
-from repro.service import (AdmissionRejected, BenchService, ServiceClient,
-                           make_server)
+from repro.service import AdmissionRejected, BenchService, ServiceClient
 
 
 def _service(tmp_path, **kwargs) -> BenchService:
@@ -128,19 +125,9 @@ class TestGracefulDrain:
 
 class TestHTTPFrontEnd:
     @pytest.fixture
-    def served(self, tmp_path):
+    def served(self, tmp_path, daemon_url):
         service = _service(tmp_path)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        try:
-            yield service, ServiceClient(f"http://{host}:{port}")
-        finally:
-            httpd.shutdown()
-            thread.join(5)
-            httpd.server_close()
-            service.drain(timeout=30)
+        return service, ServiceClient(daemon_url(service, drain_timeout=30))
 
     def test_submit_wait_and_cached_resubmit(self, served):
         _, client = served
@@ -185,23 +172,12 @@ class TestHTTPFrontEnd:
         assert code == 400
         assert "bad job spec" in body["error"]
 
-    def test_full_queue_is_429(self, tmp_path):
+    def test_full_queue_is_429(self, tmp_path, daemon_url):
         service = _service(tmp_path, queue_depth=1, autostart=False)
-        httpd = make_server(service, port=0)
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        host, port = httpd.server_address[:2]
-        client = ServiceClient(f"http://{host}:{port}")
-        try:
-            code, _ = client.submit({"benchmark": "CG",
-                                     "problem_class": "S"})
-            assert code == 202
-            code, body = client.submit({"benchmark": "MG",
-                                        "problem_class": "S"})
-            assert code == 429
-            assert "queue full" in body["error"]
-        finally:
-            httpd.shutdown()
-            thread.join(5)
-            httpd.server_close()
-            service.drain(timeout=5)
+        client = ServiceClient(daemon_url(service, drain_timeout=5))
+        code, _ = client.submit({"benchmark": "CG", "problem_class": "S"})
+        assert code == 202
+        code, body = client.submit({"benchmark": "MG",
+                                    "problem_class": "S"})
+        assert code == 429
+        assert "queue full" in body["error"]

@@ -1,10 +1,13 @@
 """Shard coordinator tests: ring properties, routing, failover, and the
-coordinator HTTP front end -- all in-process (``port=0`` loopback shards,
-no daemons)."""
+coordinator's HTTP surface -- all in-process (``daemon_url`` /
+``coordinator_url`` loopback servers, no daemons)."""
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
+import os
+import statistics
 import threading
 import time
 from collections import Counter
@@ -13,10 +16,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro import run_benchmark
-from repro.service import BenchService, ServiceClient, make_server
+from repro.service import BenchService, ServiceClient
 from repro.service.jobs import JobSpec, routing_key
-from repro.service.shard import (BALANCE_BOUND, HashRing, ShardCoordinator,
-                                 make_shard_server)
+from repro.service.shard import BALANCE_BOUND, HashRing, ShardCoordinator
 
 
 class TestHashRing:
@@ -92,35 +94,25 @@ class TestRoutingKey:
 
 
 @contextlib.contextmanager
-def _shard_fleet(tmp_path, count=2, pool_size=1):
-    """``count`` in-process shard daemons fronted by a coordinator."""
-    services, httpds, threads = [], [], []
-    coordinator = None
+def _shard_fleet(tmp_path, daemon_url, count=2, pool_size=1):
+    """``count`` in-process shard daemons fronted by a coordinator.
+
+    Yields ``(coordinator, services, urls)``; ``daemon_url.stop(url)``
+    kills one shard's server, the fixture stops (and drains) the rest.
+    """
+    services = [
+        BenchService(backend="serial", pool_size=pool_size,
+                     cache_dir=str(tmp_path / f"cache{i}"))
+        for i in range(count)
+    ]
+    urls = [daemon_url(service) for service in services]
+    coordinator = ShardCoordinator(
+        {f"s{i}": url for i, url in enumerate(urls)}, health_interval=60.0)
+    coordinator.start()
     try:
-        shards = {}
-        for i in range(count):
-            service = BenchService(backend="serial", pool_size=pool_size,
-                                   cache_dir=str(tmp_path / f"cache{i}"))
-            httpd = make_server(service, port=0)
-            thread = threading.Thread(target=httpd.serve_forever,
-                                      daemon=True)
-            thread.start()
-            services.append(service)
-            httpds.append(httpd)
-            threads.append(thread)
-            host, port = httpd.server_address[:2]
-            shards[f"s{i}"] = f"http://{host}:{port}"
-        coordinator = ShardCoordinator(shards, health_interval=60.0)
-        coordinator.start()
-        yield coordinator, services, httpds
+        yield coordinator, services, urls
     finally:
-        if coordinator is not None:
-            coordinator.close()
-        for httpd in httpds:
-            httpd.shutdown()
-            httpd.server_close()
-        for service in services:
-            service.drain(timeout=60.0)
+        coordinator.close()
 
 
 def _verification_values(record: dict):
@@ -129,10 +121,10 @@ def _verification_values(record: dict):
 
 class TestShardCoordinator:
     def test_routing_is_deterministic_and_resubmission_hits_cache(
-            self, tmp_path):
+            self, tmp_path, daemon_url):
         """The acceptance path: an identical spec resubmitted through
         the coordinator lands on the same shard and is a cache hit."""
-        with _shard_fleet(tmp_path) as (coordinator, services, _):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, services, _):
             payload = {"benchmark": "CG", "problem_class": "S",
                        "wait": True}
             code1, first = coordinator.submit(dict(payload))
@@ -148,8 +140,8 @@ class TestShardCoordinator:
         assert sorted(executed) == [0, 1]
 
     def test_jobs_namespaced_and_looked_up_through_coordinator(
-            self, tmp_path):
-        with _shard_fleet(tmp_path) as (coordinator, _, __):
+            self, tmp_path, daemon_url):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, _, __):
             _, body = coordinator.submit({"benchmark": "MG",
                                           "problem_class": "S",
                                           "wait": True})
@@ -165,16 +157,12 @@ class TestShardCoordinator:
             assert body["job_id"] in {j["job_id"] for j in listing["jobs"]}
 
     def test_eight_concurrent_jobs_bit_identical_through_http(
-            self, tmp_path):
+            self, tmp_path, daemon_url, coordinator_url):
         """8 concurrent submissions through the coordinator's own HTTP
-        front end complete and match direct one-shot runs bit for bit."""
-        with _shard_fleet(tmp_path, pool_size=2) as (coordinator, _, __):
-            httpd = make_shard_server(coordinator, port=0)
-            thread = threading.Thread(target=httpd.serve_forever,
-                                      daemon=True)
-            thread.start()
-            host, port = httpd.server_address[:2]
-            client = ServiceClient(f"http://{host}:{port}")
+        surface complete and match direct one-shot runs bit for bit."""
+        with _shard_fleet(tmp_path, daemon_url,
+                          pool_size=2) as (coordinator, _, __):
+            client = ServiceClient(coordinator_url(coordinator))
             results = [None] * 8
 
             def submit(i):
@@ -188,8 +176,6 @@ class TestShardCoordinator:
                 w.start()
             for w in workers:
                 w.join()
-            httpd.shutdown()
-            httpd.server_close()
         direct = {name: run_benchmark(name, "S").to_dict()
                   for name in ("CG", "MG")}
         for i, outcome in enumerate(results):
@@ -200,25 +186,17 @@ class TestShardCoordinator:
             assert (_verification_values(body["result"])
                     == _verification_values(direct[name]))
 
-    def test_npb_jobs_cli_renders_coordinator_status(self, tmp_path,
-                                                     capsys):
+    def test_npb_jobs_cli_renders_coordinator_status(
+            self, tmp_path, capsys, daemon_url, coordinator_url):
         """``npb jobs`` pointed at a coordinator renders the fleet
         rollup (the aggregated /status has no top-level queue/pool)."""
         from repro.harness import cli
 
-        with _shard_fleet(tmp_path) as (coordinator, _, __):
-            httpd = make_shard_server(coordinator, port=0)
-            thread = threading.Thread(target=httpd.serve_forever,
-                                      daemon=True)
-            thread.start()
-            try:
-                host, port = httpd.server_address[:2]
-                coordinator.submit({"benchmark": "CG",
-                                    "problem_class": "S", "wait": True})
-                rc = cli.main(["jobs", "--url", f"http://{host}:{port}"])
-            finally:
-                httpd.shutdown()
-                httpd.server_close()
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, _, __):
+            url = coordinator_url(coordinator)
+            coordinator.submit({"benchmark": "CG",
+                                "problem_class": "S", "wait": True})
+            rc = cli.main(["jobs", "--url", url])
         out = capsys.readouterr().out
         assert rc == 0
         assert "coordinator up" in out
@@ -227,8 +205,9 @@ class TestShardCoordinator:
         # the namespaced job line rides along
         assert "job s" in out and "verified=True" in out
 
-    def test_aggregated_status_fans_in_both_shards(self, tmp_path):
-        with _shard_fleet(tmp_path) as (coordinator, _, __):
+    def test_aggregated_status_fans_in_both_shards(self, tmp_path,
+                                                   daemon_url):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, _, __):
             coordinator.submit({"benchmark": "CG", "problem_class": "S",
                                 "wait": True})
             coordinator.submit({"benchmark": "CG", "problem_class": "S",
@@ -245,15 +224,15 @@ class TestShardCoordinator:
         assert set(status["shards"]) == {"s0", "s1"}
 
     def test_routes_around_a_dead_shard_with_degraded_verdict(
-            self, tmp_path):
-        with _shard_fleet(tmp_path) as (coordinator, services, httpds):
+            self, tmp_path, daemon_url):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, services,
+                                                    urls):
             payload = {"benchmark": "FT", "problem_class": "S",
                        "wait": True}
-            owner = coordinator.route(payload)
+            owner = coordinator.owner(payload)
             index = int(owner[1:])  # "s0" -> 0
-            # kill the owning shard's HTTP front end
-            httpds[index].shutdown()
-            httpds[index].server_close()
+            # kill the owning shard's server
+            daemon_url.stop(urls[index])
             code, body = coordinator.submit(dict(payload))
             assert code == 200, body
             routing = body["routing"]
@@ -272,16 +251,12 @@ class TestShardCoordinator:
             assert survivor.scheduler.executed == 1
             # restart-free lookup of the failed-over job still works
             assert coordinator.job(body["job_id"])[0] == 200
-            # avoid double-shutdown in the fixture finally block
-            httpds.pop(index)
-            services.pop(index).drain(timeout=60.0)
 
-    def test_all_shards_dead_is_a_structured_503(self, tmp_path):
-        with _shard_fleet(tmp_path) as (coordinator, services, httpds):
-            while httpds:
-                httpd = httpds.pop()
-                httpd.shutdown()
-                httpd.server_close()
+    def test_all_shards_dead_is_a_structured_503(self, tmp_path,
+                                                 daemon_url):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, _, urls):
+            for url in urls:
+                daemon_url.stop(url)
             code, body = coordinator.submit({"benchmark": "CG",
                                              "problem_class": "S"})
             assert code == 503
@@ -289,6 +264,84 @@ class TestShardCoordinator:
             assert body["routing"]["served_by"] is None
             assert len(body["routing"]["attempts"]) == 2
             assert coordinator.status()["healthy_shards"] == 0
+
+
+class _ParkingShard:
+    """Stub shard (an app for the one server): ``POST /jobs`` parks
+    until released, ``GET /status`` answers at once."""
+
+    def __init__(self):
+        self.parked = 0
+        self.release = threading.Event()
+
+    def note_http_response(self, code):
+        pass
+
+    async def route(self, method, path, headers, body):
+        if method != "POST":
+            return 200, {"service": "stub"}, {}
+        self.parked += 1
+        while not self.release.is_set():
+            await asyncio.sleep(0.01)
+        return 200, {"job_id": "job-000001", "state": "done"}, {}
+
+
+class TestCoordinatorHTTPSurface:
+    def test_cached_hop_has_no_delayed_ack_stall(
+            self, tmp_path, daemon_url, coordinator_url):
+        """A cached ``wait`` submit through the coordinator's HTTP
+        surface on one keep-alive connection: a flat 44 ms while the
+        coordinator had its own handler without TCP_NODELAY."""
+        payload = {"benchmark": "IS", "problem_class": "S", "wait": True}
+        with _shard_fleet(tmp_path, daemon_url,
+                          count=1) as (coordinator, _, __):
+            client = ServiceClient(coordinator_url(coordinator))
+            assert client.submit(payload)[0] == 200  # executes, warms
+            latencies = []
+            for _ in range(60):
+                started = time.perf_counter()
+                code, body = client.submit(payload)
+                latencies.append(time.perf_counter() - started)
+                assert code == 200 and body["state"] == "cached"
+            client.close()
+        assert statistics.median(latencies) < 0.010, sorted(latencies)
+
+    def test_parked_waits_never_starve_status(self, coordinator_url):
+        """More ``wait`` submissions parked in the coordinator than the
+        loop's default executor has threads (``cpu_count + 4``): every
+        one completes and ``GET /status`` answers meanwhile."""
+        shard = _ParkingShard()
+        shard_url = coordinator_url(shard)  # any app serves the same way
+        parked = (os.cpu_count() or 1) + 4 + 2
+        coordinator = ShardCoordinator({"s0": shard_url},
+                                       health_interval=60.0)
+        codes: list[int] = []
+        workers: list[threading.Thread] = []
+        try:
+            url = coordinator_url(coordinator)
+
+            def submit():
+                codes.append(ServiceClient(url, timeout=60).submit(
+                    {"benchmark": "CG", "problem_class": "S",
+                     "wait": True})[0])
+            workers += [threading.Thread(target=submit)
+                        for _ in range(parked)]
+            for w in workers:
+                w.start()
+            deadline = time.monotonic() + 30
+            while shard.parked < parked:
+                assert time.monotonic() < deadline, shard.parked
+                time.sleep(0.01)
+            code, status = ServiceClient(url, timeout=10).status()
+            assert code == 200
+            assert status["healthy_shards"] == 1
+        finally:
+            shard.release.set()
+            for w in workers:
+                w.join(30)
+            coordinator.close()
+        assert not any(w.is_alive() for w in workers)
+        assert codes == [200] * parked
 
 
 class TestJobKeyIdempotency:
@@ -306,8 +359,8 @@ class TestJobKeyIdempotency:
             # a repeat after completion still returns the same job
             assert service.submit("CG", "S", job_key="k1") is first
 
-    def test_coordinator_stamps_a_job_key(self, tmp_path):
-        with _shard_fleet(tmp_path) as (coordinator, services, _):
+    def test_coordinator_stamps_a_job_key(self, tmp_path, daemon_url):
+        with _shard_fleet(tmp_path, daemon_url) as (coordinator, services, _):
             _, body = coordinator.submit({"benchmark": "CG",
                                           "problem_class": "S",
                                           "wait": True})
