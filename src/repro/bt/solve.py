@@ -104,8 +104,11 @@ def _block_sweep(r, fjac, njac, tmp1: float, tmp2: float,
         r[..., i, :] -= (ccs[..., i, :, :] @ r[..., i + 1, :, None])[..., 0]
 
 
-def _dvec(c: CFDConstants, direction: str) -> np.ndarray:
-    return np.array([getattr(c, f"d{direction}{m}") for m in range(1, 6)])
+def _solve_lines(r, ul, qsl, sql, vel: int, c: CFDConstants) -> None:
+    """Assemble and eliminate the lines of one direction (``vel``)."""
+    fjac, njac = _jacobians(ul, qsl, sql, vel, c)
+    t1, t2, dvec = c.directional[vel]
+    _block_sweep(r, fjac, njac, c.dt * t1, c.dt * t2, dvec)
 
 
 def x_solve_slab(lo: int, hi: int, rhs, u, qs, square,
@@ -114,10 +117,7 @@ def x_solve_slab(lo: int, hi: int, rhs, u, qs, square,
     if hi <= lo:
         return
     sl = (slice(1 + lo, 1 + hi), slice(1, -1))
-    ul = u[sl]
-    fjac, njac = _jacobians(ul, qs[sl], square[sl], 1, c)
-    _block_sweep(rhs[sl], fjac, njac, c.dt * c.tx1, c.dt * c.tx2,
-                 _dvec(c, "x"))
+    _solve_lines(rhs[sl], u[sl], qs[sl], square[sl], 1, c)
 
 
 def y_solve_slab(lo: int, hi: int, rhs, u, qs, square,
@@ -129,9 +129,7 @@ def y_solve_slab(lo: int, hi: int, rhs, u, qs, square,
     ul = np.swapaxes(u[sl], 1, 2)
     qsl = np.swapaxes(qs[sl], 1, 2)
     sql = np.swapaxes(square[sl], 1, 2)
-    fjac, njac = _jacobians(ul, qsl, sql, 2, c)
-    r = np.swapaxes(rhs[sl], 1, 2)
-    _block_sweep(r, fjac, njac, c.dt * c.ty1, c.dt * c.ty2, _dvec(c, "y"))
+    _solve_lines(np.swapaxes(rhs[sl], 1, 2), ul, qsl, sql, 2, c)
 
 
 def z_solve_slab(lo: int, hi: int, rhs, u, qs, square,
@@ -143,6 +141,4 @@ def z_solve_slab(lo: int, hi: int, rhs, u, qs, square,
     ul = np.moveaxis(u[sl], 0, 2)
     qsl = np.moveaxis(qs[sl], 0, 2)
     sql = np.moveaxis(square[sl], 0, 2)
-    fjac, njac = _jacobians(ul, qsl, sql, 3, c)
-    r = np.moveaxis(rhs[sl], 0, 2)
-    _block_sweep(r, fjac, njac, c.dt * c.tz1, c.dt * c.tz2, _dvec(c, "z"))
+    _solve_lines(np.moveaxis(rhs[sl], 0, 2), ul, qsl, sql, 3, c)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CFDConstants:
@@ -50,6 +52,11 @@ class CFDConstants:
             s(self, f"dx{m}", 0.75)
             s(self, f"dy{m}", 0.75)
             s(self, f"dz{m}", 1.0)
+        s(self, "directional", {
+            vel: (getattr(self, f"t{axis}1"), getattr(self, f"t{axis}2"),
+                  np.array([getattr(self, f"d{axis}{m}")
+                            for m in range(1, 6)]))
+            for vel, axis in ((1, "x"), (2, "y"), (3, "z"))})
         s(self, "dxmax", max(self.dx3, self.dx4))
         s(self, "dymax", max(self.dy2, self.dy4))
         s(self, "dzmax", max(self.dz2, self.dz3))

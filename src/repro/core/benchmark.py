@@ -205,14 +205,21 @@ class NPBenchmark(ABC):
         return ParallelRegion(name, self.team.recorder, self.timers[name])
 
     def setup(self) -> None:
-        """Idempotent public setup (untimed initialization)."""
+        """Untimed initialization; a no-op while the state it built has
+        not been consumed by ``run()``."""
         if not self._set_up:
             self._setup()
             self._set_up = True
 
     def run(self) -> BenchmarkResult:
-        """Execute the full benchmark life cycle and return the result."""
+        """Execute the full benchmark life cycle and return the result.
+
+        The timed region consumes the initial state ``setup()`` built, so
+        a further ``run()`` on the same object sets up afresh instead of
+        iterating on from the evolved solution (and failing verification).
+        """
         self.setup()
+        self._set_up = False
         # NPB semantics: all timers and region stats reset at the start of
         # the timed region (both therefore exclude warm-up and setup).
         self.timers.clear_all()

@@ -12,8 +12,9 @@ from repro.core.registry import register
 from repro.lu.operator import apply_operator_slab, rhs_slab
 from repro.lu.params import LU_EPSILON, OMEGA, lu_params
 from repro.lu.setup import pintgr, setbv, setiv
-from repro.lu.sweep import (blts_slab, buts_slab, hyperplanes,
-                            plane_wavefronts)
+from repro.lu.sweep import (blts_slab, buts_slab, hyperplanes, jac_slab,
+                            jac_scratch_shape, plane_wavefronts,
+                            wavefront_tiles)
 
 
 def _scale_rsd_slab(lo: int, hi: int, rsd, dt: float) -> None:
@@ -69,6 +70,8 @@ class LU(NPBenchmark):
         self.frct = team.shared(shape)
         (self.idx_k, self.idx_j, self.idx_i,
          self._offsets) = self._shared_hyperplanes()
+        self._tiles = wavefront_tiles(self._offsets)
+        self.jac = team.shared(jac_scratch_shape(self._offsets, self._tiles))
 
         setbv(self.u, c)
         setiv(self.u, c)
@@ -90,7 +93,7 @@ class LU(NPBenchmark):
         sk[:] = k
         sj[:] = j
         si[:] = i
-        return sk, sj, si, offsets
+        return sk, sj, si, offsets.tolist()
 
     def _erhs(self) -> None:
         """Forcing term: the operator applied to the exact field (erhs)."""
@@ -111,30 +114,52 @@ class LU(NPBenchmark):
         denom = float((c.nx - 2) * (c.ny - 2) * (c.nz - 2))
         return np.sqrt(total / denom)
 
+    def _assemble(self, tile: tuple[int, int], lower: bool,
+                  upper: bool) -> None:
+        """Build the 5x5 blocks of one tile of wavefronts into ``jac``."""
+        start = self._offsets[tile[0]]
+        with self.region("jac"):
+            self.team.parallel_for(
+                self._offsets[tile[1]] - start, jac_slab, self.jac, self.u,
+                self.idx_k, self.idx_j, self.idx_i, start, lower, upper,
+                self.constants)
+
+    def _sweep(self, name: str, task, tile: tuple[int, int],
+               wavefronts: range) -> None:
+        """One barrier per wavefront of an assembled tile."""
+        offsets = self._offsets
+        base = offsets[tile[0]]
+        team = self.team
+        with self.region(name):
+            for s in wavefronts:
+                start = offsets[s]
+                team.parallel_for(offsets[s + 1] - start, task, self.rsd,
+                                  self.jac, self.idx_k, self.idx_j,
+                                  self.idx_i, start, start - base, OMEGA)
+
     def _ssor(self, niter: int) -> None:
         """The SSOR pseudo-time iteration (ssor in lu.f)."""
         c = self.constants
         team = self.team
         tmp = 1.0 / (OMEGA * (2.0 - OMEGA))
-        offsets = self._offsets
-        nplanes = len(offsets) - 1
+        tiles = self._tiles
+        # The upper sweep starts in the tile the lower sweep ends in, so
+        # that tile is assembled once for both (with a single tile: one
+        # assembly per step).
+        turn = tiles[-1]
         for _ in range(niter):
             with self.region("scale"):
                 team.parallel_for(c.nz - 2, _scale_rsd_slab, self.rsd, c.dt)
-            # Lower sweep: ascending wavefronts, one barrier per wavefront.
-            with self.region("blts"):
-                for s in range(nplanes):
-                    start, end = int(offsets[s]), int(offsets[s + 1])
-                    team.parallel_for(end - start, blts_slab, self.rsd,
-                                      self.u, self.idx_k, self.idx_j,
-                                      self.idx_i, start, OMEGA, c)
+            # Lower sweep: ascending wavefronts.
+            for tile in tiles:
+                self._assemble(tile, lower=True, upper=tile is turn)
+                self._sweep("blts", blts_slab, tile, range(*tile))
             # Upper sweep: descending wavefronts.
-            with self.region("buts"):
-                for s in range(nplanes - 1, -1, -1):
-                    start, end = int(offsets[s]), int(offsets[s + 1])
-                    team.parallel_for(end - start, buts_slab, self.rsd,
-                                      self.u, self.idx_k, self.idx_j,
-                                      self.idx_i, start, OMEGA, c)
+            for tile in reversed(tiles):
+                if tile is not turn:
+                    self._assemble(tile, lower=False, upper=True)
+                self._sweep("buts", buts_slab, tile,
+                            range(tile[1] - 1, tile[0] - 1, -1))
             with self.region("add"):
                 team.parallel_for(c.nz - 2, _update_u_slab, self.u,
                                   self.rsd, tmp)

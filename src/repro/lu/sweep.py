@@ -3,10 +3,26 @@
 The SSOR lower solve updates each interior point from its already-updated
 (i-1, j-1, k-1) neighbors; the upper solve from (i+1, j+1, k+1).  Points
 on a hyperplane i+j+k = const are mutually independent, so each wavefront
-is one batched NumPy step: gather neighbor values, build the 5x5 Jacobian
-blocks, solve the stacked diagonal systems, scatter.  Per-point arithmetic
-is identical to the Fortran k/j/i ordering because triangular solves are
-order-independent along independent points.
+is one batched NumPy step.  Per-point arithmetic is identical to the
+Fortran k/j/i ordering because triangular solves are order-independent
+along independent points.
+
+The 5x5 blocks depend on ``u`` alone, and ``u`` is frozen for a whole SSOR
+step, so they are *not* built inside the wavefront loop: :func:`jac_slab`
+assembles them for a tile of consecutive wavefronts in one perfectly
+parallel dispatch (no wavefront dependence), into a team-shared scratch
+array indexed by sorted position, and the per-wavefront tasks
+:func:`blts_slab` / :func:`buts_slab` keep only what does depend on the
+sweep -- gather three neighbor ``rsd`` vectors, three mat-vecs, one
+stacked solve, scatter.  A wavefront of a class-S grid has at most 75
+points, where building the blocks (~150 NumPy calls) was all per-call
+overhead; each block is the same expression of the same ``u`` entries
+whichever task evaluates it, so results do not change by a bit.
+
+:data:`JAC_TILE_POINTS` bounds the scratch (1400 B per point), not the
+problem class: :func:`wavefront_tiles` cuts the sorted points into runs
+of whole wavefronts that fit, which is one tile -- one assembly dispatch
+per SSOR step -- up to class W and a few per sweep from class A up.
 
 Workers split each wavefront's point list; the barrier per wavefront is
 the synchronization-in-inner-loop pattern the paper blames for LU's lower
@@ -20,8 +36,32 @@ import numpy as np
 from repro.bt.solve import _jacobians
 from repro.cfd.constants import CFDConstants
 
-_T1 = {"x": "tx1", "y": "ty1", "z": "tz1"}
-_T2 = {"x": "tx2", "y": "ty2", "z": "tz2"}
+#: Most points whose blocks are held at once: 32 Ki points x 7 blocks x
+#: 200 B = 45 MB of scratch at every class (untiled, class A would hold
+#: 334 MB beside a 31 MB working set).
+JAC_TILE_POINTS = 32 * 1024
+
+#: Off-diagonal blocks as (scratch row, vel, dk, dj, di): the direction
+#: and the offset of the neighbor whose state builds the block and whose
+#: ``rsd`` it multiplies.
+_LOWER = ((0, 3, -1, 0, 0), (1, 2, 0, -1, 0), (2, 1, 0, 0, -1))
+_UPPER = ((3, 3, 1, 0, 0), (4, 2, 0, 1, 0), (5, 1, 0, 0, 1))
+_DIAG = 6
+JAC_BLOCKS = 7
+
+
+def _wavefronts(nx: int, ny: int, nz: int, group_of):
+    """Interior points sorted by ``group_of(kk, jj, ii)``, ties in scan
+    order: (idx_k, idx_j, idx_i, offsets) with offsets[s]..offsets[s+1]
+    delimiting group s.  Group ids must be dense from 0."""
+    kk, jj, ii = (a.ravel() for a in np.meshgrid(
+        np.arange(1, nz - 1), np.arange(1, ny - 1), np.arange(1, nx - 1),
+        indexing="ij"))
+    group = group_of(kk, jj, ii)
+    order = np.argsort(group, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(group))))
+    return (kk[order].astype(np.int64), jj[order].astype(np.int64),
+            ii[order].astype(np.int64), offsets.astype(np.int64))
 
 
 def hyperplanes(nx: int, ny: int, nz: int):
@@ -31,17 +71,7 @@ def hyperplanes(nx: int, ny: int, nz: int):
     containing every interior point sorted by wavefront (ties in scan
     order), and offsets[s]..offsets[s+1] delimiting wavefront s.
     """
-    kk, jj, ii = np.meshgrid(
-        np.arange(1, nz - 1), np.arange(1, ny - 1), np.arange(1, nx - 1),
-        indexing="ij",
-    )
-    kk, jj, ii = kk.ravel(), jj.ravel(), ii.ravel()
-    s = kk + jj + ii - 3  # wavefront number, 0-based
-    order = np.argsort(s, kind="stable")
-    counts = np.bincount(s, minlength=(nx - 2) + (ny - 2) + (nz - 2) - 2)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return (kk[order].astype(np.int64), jj[order].astype(np.int64),
-            ii[order].astype(np.int64), offsets.astype(np.int64))
+    return _wavefronts(nx, ny, nz, lambda kk, jj, ii: kk + jj + ii - 3)
 
 
 def plane_wavefronts(nx: int, ny: int, nz: int):
@@ -55,23 +85,30 @@ def plane_wavefronts(nx: int, ny: int, nz: int):
     "synchronization inside a loop over one grid dimension" the paper
     blames for LU's lower thread scalability.
     """
-    kk, jj, ii = np.meshgrid(
-        np.arange(1, nz - 1), np.arange(1, ny - 1), np.arange(1, nx - 1),
-        indexing="ij",
-    )
-    kk, jj, ii = kk.ravel(), jj.ravel(), ii.ravel()
-    diag = jj + ii - 2                 # in-plane wavefront, 0-based
-    ndiag = (nx - 2) + (ny - 2) - 1
-    group = (kk - 1) * ndiag + diag    # global group id, plane-major
-    order = np.argsort(group, kind="stable")
-    counts = np.bincount(group, minlength=(nz - 2) * ndiag)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return (kk[order].astype(np.int64), jj[order].astype(np.int64),
-            ii[order].astype(np.int64), offsets.astype(np.int64))
+    ndiag = (nx - 2) + (ny - 2) - 1    # in-plane wavefronts per k plane
+    return _wavefronts(
+        nx, ny, nz, lambda kk, jj, ii: (kk - 1) * ndiag + jj + ii - 2)
 
 
-def _gather_u(u, k, j, i):
-    return u[k, j, i, :]
+def wavefront_tiles(offsets) -> list[tuple[int, int]]:
+    """Cut the wavefronts into tiles ``(first, last)`` (``last``
+    exclusive) of consecutive whole wavefronts holding at most
+    :data:`JAC_TILE_POINTS` points; a single wavefront larger than that
+    is a tile by itself."""
+    tiles = []
+    first = 0
+    for s in range(1, len(offsets) - 1):
+        if offsets[s + 1] - offsets[first] > JAC_TILE_POINTS:
+            tiles.append((first, s))
+            first = s
+    tiles.append((first, len(offsets) - 1))
+    return tiles
+
+
+def jac_scratch_shape(offsets, tiles) -> tuple[int, int, int, int]:
+    """Shape of the block scratch that holds any one of ``tiles``."""
+    return (JAC_BLOCKS, max(offsets[last] - offsets[first]
+                            for first, last in tiles), 5, 5)
 
 
 def _point_qs(ul):
@@ -82,15 +119,14 @@ def _point_qs(ul):
     return square * t1, square
 
 
-def _offdiag_block(u_nb, direction: str, vel: int, sign: float,
-                   c: CFDConstants):
+def _offdiag_block(u_nb, vel: int, sign: float, c: CFDConstants):
     """Lower (sign=-1) or upper (sign=+1) block for one direction, built
     from the neighbor state ``u_nb``: sign*dt*t2*fjac - dt*t1*(njac + D)."""
     qsl, sql = _point_qs(u_nb)
     fjac, njac = _jacobians(u_nb, qsl, sql, vel, c)
-    t1 = c.dt * getattr(c, _T1[direction])
-    t2 = c.dt * getattr(c, _T2[direction])
-    dvec = np.array([getattr(c, f"d{direction}{m}") for m in range(1, 6)])
+    t1, t2, dvec = c.directional[vel]
+    t1 = c.dt * t1
+    t2 = c.dt * t2
     block = sign * t2 * fjac - t1 * njac
     block[..., range(5), range(5)] -= t1 * dvec
     return block
@@ -102,55 +138,65 @@ def _diag_block(ul, c: CFDConstants):
     qsl, sql = _point_qs(ul)
     d = np.zeros(ul.shape[:-1] + (5, 5))
     ddiag = np.zeros(5)
-    for direction, vel in (("x", 1), ("y", 2), ("z", 3)):
+    for vel in (1, 2, 3):
         _, njac = _jacobians(ul, qsl, sql, vel, c)
-        t1 = getattr(c, _T1[direction])
+        t1, _, dvec = c.directional[vel]
         d += (2.0 * c.dt * t1) * njac
-        ddiag += (2.0 * c.dt * t1) * np.array(
-            [getattr(c, f"d{direction}{m}") for m in range(1, 6)])
+        ddiag += (2.0 * c.dt * t1) * dvec
     d[..., range(5), range(5)] += 1.0 + ddiag
     return d
 
 
-def blts_slab(lo: int, hi: int, rsd, u, idx_k, idx_j, idx_i,
-              start: int, omega: float, c: CFDConstants) -> None:
-    """Lower-triangular update for points [start+lo, start+hi) of a
-    wavefront (jacld + blts)."""
+def jac_slab(lo: int, hi: int, jac, u, idx_k, idx_j, idx_i, start: int,
+             lower: bool, upper: bool, c: CFDConstants) -> None:
+    """Assemble the blocks of sorted positions [start+lo, start+hi) into
+    scratch rows [lo, hi) (jacld + jacu): the diagonal block always, the
+    three lower and/or upper blocks as asked."""
     if hi <= lo:
         return
     sel = slice(start + lo, start + hi)
     k, j, i = idx_k[sel], idx_j[sel], idx_i[sel]
-
-    acc = rsd[k, j, i, :].copy()
-    for direction, vel, dk, dj, di in (("z", 3, -1, 0, 0),
-                                       ("y", 2, 0, -1, 0),
-                                       ("x", 1, 0, 0, -1)):
-        u_nb = _gather_u(u, k + dk, j + dj, i + di)
-        block = _offdiag_block(u_nb, direction, vel, -1.0, c)
-        v_nb = rsd[k + dk, j + dj, i + di, :]
-        acc -= omega * (block @ v_nb[..., None])[..., 0]
-
-    d = _diag_block(u[k, j, i, :], c)
-    rsd[k, j, i, :] = np.linalg.solve(d, acc[..., None])[..., 0]
+    for wanted, sign, blocks in ((lower, -1.0, _LOWER), (upper, 1.0, _UPPER)):
+        if wanted:
+            for row, vel, dk, dj, di in blocks:
+                jac[row, lo:hi] = _offdiag_block(
+                    u[k + dk, j + dj, i + di, :], vel, sign, c)
+    jac[_DIAG, lo:hi] = _diag_block(u[k, j, i, :], c)
 
 
-def buts_slab(lo: int, hi: int, rsd, u, idx_k, idx_j, idx_i,
-              start: int, omega: float, c: CFDConstants) -> None:
-    """Upper-triangular update for points [start+lo, start+hi) of a
-    wavefront (jacu + buts)."""
+def blts_slab(lo: int, hi: int, rsd, jac, idx_k, idx_j, idx_i,
+              start: int, row: int, omega: float) -> None:
+    """Lower-triangular update for points [start+lo, start+hi) of a
+    wavefront (blts); their blocks are scratch rows [row+lo, row+hi)."""
     if hi <= lo:
         return
     sel = slice(start + lo, start + hi)
+    rows = slice(row + lo, row + hi)
+    k, j, i = idx_k[sel], idx_j[sel], idx_i[sel]
+
+    acc = rsd[k, j, i, :]
+    for b, _, dk, dj, di in _LOWER:
+        v_nb = rsd[k + dk, j + dj, i + di, :]
+        acc -= omega * (jac[b, rows] @ v_nb[..., None])[..., 0]
+
+    rsd[k, j, i, :] = np.linalg.solve(jac[_DIAG, rows],
+                                      acc[..., None])[..., 0]
+
+
+def buts_slab(lo: int, hi: int, rsd, jac, idx_k, idx_j, idx_i,
+              start: int, row: int, omega: float) -> None:
+    """Upper-triangular update for points [start+lo, start+hi) of a
+    wavefront (buts); their blocks are scratch rows [row+lo, row+hi)."""
+    if hi <= lo:
+        return
+    sel = slice(start + lo, start + hi)
+    rows = slice(row + lo, row + hi)
     k, j, i = idx_k[sel], idx_j[sel], idx_i[sel]
 
     tv = np.zeros((len(k), 5))
-    for direction, vel, dk, dj, di in (("z", 3, 1, 0, 0),
-                                       ("y", 2, 0, 1, 0),
-                                       ("x", 1, 0, 0, 1)):
-        u_nb = _gather_u(u, k + dk, j + dj, i + di)
-        block = _offdiag_block(u_nb, direction, vel, 1.0, c)
+    for b, _, dk, dj, di in _UPPER:
         v_nb = rsd[k + dk, j + dj, i + di, :]
-        tv += omega * (block @ v_nb[..., None])[..., 0]
+        tv += omega * (jac[b, rows] @ v_nb[..., None])[..., 0]
 
-    d = _diag_block(u[k, j, i, :], c)
-    rsd[k, j, i, :] -= np.linalg.solve(d, tv[..., None])[..., 0]
+    rsd[k, j, i, :] -= np.linalg.solve(jac[_DIAG, rows],
+                                       tv[..., None])[..., 0]

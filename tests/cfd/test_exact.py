@@ -69,6 +69,15 @@ class TestConstants:
         assert c.xxcon2 == pytest.approx(c.c3c4 * c.tx3 * c.tx3)
         assert c.comz4 == pytest.approx(4 * c.dt * c.dssp)
 
+    def test_directional_triples_by_momentum_component(self):
+        c = CFDConstants(12, 10, 8, 0.015)
+        for vel, axis in ((1, "x"), (2, "y"), (3, "z")):
+            t1, t2, dvec = c.directional[vel]
+            assert t1 == getattr(c, f"t{axis}1")
+            assert t2 == getattr(c, f"t{axis}2")
+            assert dvec.tolist() == [getattr(c, f"d{axis}{m}")
+                                     for m in range(1, 6)]
+
     def test_picklable(self):
         import pickle
 
@@ -76,3 +85,5 @@ class TestConstants:
         clone = pickle.loads(pickle.dumps(c))
         assert clone.xxcon5 == c.xxcon5
         assert clone.dz5tz1 == c.dz5tz1
+        assert clone == c
+        assert np.array_equal(clone.directional[3][2], c.directional[3][2])
