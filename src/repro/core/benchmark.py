@@ -60,8 +60,10 @@ class BenchmarkResult:
     verification: VerificationResult
     timers: dict[str, float] = field(default_factory=dict)
     #: per-region dispatch accounting of the timed region: region name ->
-    #: {calls, wall_seconds, dispatch_seconds, execute_seconds,
-    #:  barrier_seconds} (see :mod:`repro.runtime.region`)
+    #: {calls, inline_calls, wall_seconds, dispatch_seconds,
+    #:  execute_seconds, barrier_seconds} (see :mod:`repro.runtime.region`;
+    #: records written before ``inline_calls`` existed lack the key --
+    #: read it with ``.get("inline_calls", 0)``)
     regions: dict[str, dict[str, float]] = field(default_factory=dict)
     #: structured fault-tolerance events of the whole run (timeouts,
     #: worker deaths, respawns, degradations), in occurrence order; each

@@ -44,7 +44,9 @@ def region_profile_table(result: "BenchmarkResult",
     """The ``npb profile`` breakdown: one row per instrumented region.
 
     Columns follow the runtime's dispatch accounting
-    (:mod:`repro.runtime.region`): ``wall`` is master-side elapsed time in
+    (:mod:`repro.runtime.region`): ``inline`` counts the region's calls
+    whose slabs ran on the master (sites below the team's measured
+    crossover, or a degraded team); ``wall`` is master-side elapsed time in
     the region's dispatches; ``dispatch``/``execute``/``barrier`` are sums
     over workers; ``sync%`` is the region's synchronization overhead,
     ``(dispatch + barrier) / (dispatch + execute + barrier)`` -- the
@@ -59,8 +61,8 @@ def region_profile_table(result: "BenchmarkResult",
     """
     has_alloc = any(stats.get("alloc_bytes", 0) or stats.get("alloc_blocks", 0)
                     for stats in result.regions.values())
-    columns = ["region", "calls", "wall s", "dispatch s", "execute s",
-               "barrier s", "sync %"]
+    columns = ["region", "calls", "inline", "wall s", "dispatch s",
+               "execute s", "barrier s", "sync %"]
     if has_alloc:
         columns += ["alloc MB", "blocks"]
     table = Table(
@@ -68,12 +70,13 @@ def region_profile_table(result: "BenchmarkResult",
         f"({result.backend} x{result.nworkers}, {result.niter} iterations)",
         columns,
     )
-    totals = {"calls": 0, "wall": 0.0, "dispatch": 0.0, "execute": 0.0,
+    totals = {"calls": 0, "inline": 0, "wall": 0.0, "dispatch": 0.0, "execute": 0.0,
               "barrier": 0.0, "alloc_bytes": 0, "alloc_blocks": 0}
     for name, stats in result.regions.items():
         sync = stats["dispatch_seconds"] + stats["barrier_seconds"]
         busy = sync + stats["execute_seconds"]
-        row = [name, stats["calls"], stats["wall_seconds"],
+        row = [name, stats["calls"], stats.get("inline_calls", 0),
+               stats["wall_seconds"],
                stats["dispatch_seconds"], stats["execute_seconds"],
                stats["barrier_seconds"],
                100.0 * sync / busy if busy > 0 else 0.0]
@@ -82,6 +85,7 @@ def region_profile_table(result: "BenchmarkResult",
                     stats.get("alloc_blocks", 0)]
         table.add_row(*row)
         totals["calls"] += int(stats["calls"])
+        totals["inline"] += int(stats.get("inline_calls", 0))
         totals["wall"] += stats["wall_seconds"]
         totals["dispatch"] += stats["dispatch_seconds"]
         totals["execute"] += stats["execute_seconds"]
@@ -90,7 +94,7 @@ def region_profile_table(result: "BenchmarkResult",
         totals["alloc_blocks"] += int(stats.get("alloc_blocks", 0))
     sync = totals["dispatch"] + totals["barrier"]
     busy = sync + totals["execute"]
-    total_row = ["TOTAL", totals["calls"], totals["wall"],
+    total_row = ["TOTAL", totals["calls"], totals["inline"], totals["wall"],
                  totals["dispatch"], totals["execute"], totals["barrier"],
                  100.0 * sync / busy if busy > 0 else 0.0]
     if has_alloc:

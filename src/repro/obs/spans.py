@@ -298,6 +298,7 @@ def spans_from_team_trace(
             status="ok",
             attrs={
                 "calls": entry["calls"],
+                "inline_calls": stats.get("inline_calls", 0),
                 "wall_seconds": stats.get("wall_seconds"),
                 "dispatch_seconds": stats.get("dispatch_seconds"),
                 "execute_seconds": stats.get("execute_seconds"),

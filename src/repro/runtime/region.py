@@ -18,6 +18,12 @@ busy time (it can exceed the region's wall time), and for a perfectly
 balanced region ``barrier`` approaches zero.  ``wall`` is master-side
 elapsed dispatch time and is counted once per call.
 
+A dispatch whose slabs ran one after another on the master (a site the
+plan keeps inline, or a degraded team) has no workers waiting on each
+other: its slabs are charged to ``execute`` and only the master's own
+gaps around them to ``dispatch``, so an all-inline region reads like the
+same region on ``SerialTeam``.  ``inline_calls`` counts those dispatches.
+
 When allocation tracking is on (``tracemalloc`` tracing, e.g. under
 ``npb profile --alloc``), every dispatch additionally charges two
 allocation counters to its region (see :mod:`repro.runtime.arena`):
@@ -45,6 +51,8 @@ class RegionStats:
     """Accumulated dispatch accounting for one named region."""
 
     calls: int = 0
+    #: dispatches (of ``calls``) whose slabs ran on the master
+    inline_calls: int = 0
     wall_seconds: float = 0.0
     dispatch_seconds: float = 0.0
     execute_seconds: float = 0.0
@@ -69,6 +77,7 @@ class RegionStats:
     def as_dict(self) -> dict[str, float]:
         return {
             "calls": self.calls,
+            "inline_calls": self.inline_calls,
             "wall_seconds": self.wall_seconds,
             "dispatch_seconds": self.dispatch_seconds,
             "execute_seconds": self.execute_seconds,
@@ -128,22 +137,32 @@ class RegionRecorder:
 
     def record(self, published_at: float, done_at: float,
                replies: "Sequence[WorkerReply]",
-               alloc: "tuple[int, int] | None" = None) -> None:
+               alloc: "tuple[int, int] | None" = None,
+               inline: bool = False) -> None:
         """Charge one completed dispatch to the current region.
 
         ``alloc`` is the dispatch's ``(alloc_bytes, alloc_blocks)`` probe
         delta (:mod:`repro.runtime.arena`), or None when allocation
-        tracking is off.
+        tracking is off.  ``inline`` says the slabs ran back to back on
+        the master: a later slab did not *wait* while an earlier one
+        ran, so that time is nobody's dispatch or barrier overhead.
         """
         stats = self._stats.get(self.current_region)
         if stats is None:
             stats = self._stats[self.current_region] = RegionStats()
+        wall = done_at - published_at
         stats.calls += 1
-        stats.wall_seconds += done_at - published_at
-        for reply in replies:
-            stats.dispatch_seconds += reply.started_at - published_at
-            stats.execute_seconds += reply.finished_at - reply.started_at
-            stats.barrier_seconds += done_at - reply.finished_at
+        stats.wall_seconds += wall
+        if inline:
+            busy = sum(reply.execute_seconds for reply in replies)
+            stats.inline_calls += 1
+            stats.execute_seconds += busy
+            stats.dispatch_seconds += wall - busy
+        else:
+            for reply in replies:
+                stats.dispatch_seconds += reply.started_at - published_at
+                stats.execute_seconds += reply.finished_at - reply.started_at
+                stats.barrier_seconds += done_at - reply.finished_at
         if alloc is not None:
             stats.alloc_bytes += alloc[0]
             stats.alloc_blocks += alloc[1]

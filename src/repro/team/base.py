@@ -45,6 +45,20 @@ kernels reuse per-worker scratch buffers dispatch after dispatch.  When
 allocation probe and charges the ``alloc_bytes``/``alloc_blocks`` deltas
 to the current region.
 
+Granularity-aware dispatch
+--------------------------
+A crossing to the workers has a fixed cost that a thin slab never earns
+back (the paper's "synchronization inside the loop" LU diagnosis).  The
+core therefore decides per ``parallel_for``/``parallel_kernel`` call
+site ``(fn, n)`` whether to take the transport or to run the slabs on
+the master through :meth:`Team._run_inline` -- same bounds, same rank
+order, so partials and arrays are bit-identical either way.  The
+decision is measured, never configured; the rule and its state live in
+:class:`~repro.runtime.plan.ExecutionPlan` (``observe``), beside the
+bounds, and survive :meth:`Team.reset` like them.  ``run_on_all`` always
+crosses (reaching every worker is its purpose), one-worker teams have
+nothing to decide, and a degraded team has no transport left.
+
 Fault tolerance
 ---------------
 The core also owns the recovery state machine (see
@@ -78,7 +92,7 @@ from repro.runtime.arena import (allocation_probe_start,
 from repro.runtime.dispatch import (FaultEvent, FaultPolicy,
                                     TransportFailure, WorkerReply,
                                     execute_task, raise_reply_error)
-from repro.runtime.plan import Bounds, ExecutionPlan
+from repro.runtime.plan import Bounds, ExecutionPlan, Site
 from repro.runtime.region import RegionRecorder
 
 
@@ -165,26 +179,37 @@ class Team(ABC):
 
     def _run_inline(self, fn: Callable, bounds: Bounds,
                     args: tuple) -> list[WorkerReply]:
-        """Degraded-mode transport: every slab inline on the master.
+        """Every slab on the master, one after another, in rank order.
 
         Same bounds, same rank order, so results are bit-identical to a
-        healthy dispatch -- only the parallelism is gone.  Every slab
+        transported dispatch -- only the parallelism is gone.  Every slab
         runs through :func:`~repro.runtime.dispatch.execute_task`, so
         each one opens a fresh arena generation on the master exactly as
-        it would on its own worker.
+        it would on its own worker.  Used for call sites the plan keeps
+        inline and for every dispatch of a degraded team.
         """
         return [execute_task(rank, fn, a, b, args)
                 for rank, (a, b) in enumerate(bounds)]
 
-    def _dispatch(self, fn: Callable, bounds: Bounds,
-                  args: tuple) -> list[Any]:
+    def _dispatch(self, fn: Callable, bounds: Bounds, args: tuple,
+                  site: Site | None = None) -> list[Any]:
+        """Run one task per worker; ``site`` names the call site whose
+        crossover decision applies (None: always take the transport)."""
         if self._closed:
             raise RuntimeError("team is closed")
+        if self._nworkers == 1 or self._degraded:
+            # Nothing to decide: SerialTeam's transport *is* the inline
+            # path, a one-worker team exists to measure the hand-off
+            # against it (the paper's "1 thread vs serial"), and a
+            # degraded team has no transport left.
+            site = None
+        limit = None if site is None else self.plan.inline_limit(site)
         attempts = 0
         while True:
+            inline = self._degraded or limit is not None
             published_at = time.perf_counter()
             probe = allocation_probe_start()
-            if self._degraded:
+            if inline:
                 replies = self._run_inline(fn, bounds, args)
             else:
                 try:
@@ -210,7 +235,10 @@ class Team(ABC):
                     continue
             done_at = time.perf_counter()
             self.recorder.record(published_at, done_at, replies,
-                                 allocation_probe_stop(probe))
+                                 allocation_probe_stop(probe), inline)
+            if site is not None and not self._degraded:
+                self.plan.observe(site, limit, done_at - published_at,
+                                  sum(r.execute_seconds for r in replies))
             # Tracing fast path: one global load + branch when off.  The
             # contextvar is only consulted once some thread in the
             # process holds a sampled trace, so untraced dispatch stays
@@ -313,8 +341,8 @@ class Team(ABC):
         slab function.  Resolution is memoized per team until the tier
         changes.
         """
-        return self._dispatch(self._resolve_kernel(kernel),
-                              self.plan.bounds(n), args)
+        fn = self._resolve_kernel(kernel)
+        return self._dispatch(fn, self.plan.bounds(n), args, (fn, n))
 
     def reduce_kernel(self, kernel: str, n: int, *args: Any) -> float:
         """Sum of per-worker partials from a named registered kernel."""
@@ -325,7 +353,7 @@ class Team(ABC):
 
         Implicit barrier on return.  Returns per-worker results in rank order.
         """
-        return self._dispatch(fn, self.plan.bounds(n), args)
+        return self._dispatch(fn, self.plan.bounds(n), args, (fn, n))
 
     def run_on_all(self, fn: Callable, *args: Any) -> list[Any]:
         """Every worker runs ``fn(rank, nworkers, *args)`` once; barrier."""

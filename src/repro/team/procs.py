@@ -4,8 +4,11 @@ The reproduction notes for this paper flag the CPython GIL as the obstacle
 to Java-style thread scalability, and call for a NumPy/multiprocessing
 rework.  This backend is that rework: persistent forked worker processes,
 benchmark arrays placed in ``multiprocessing.shared_memory`` segments, and
-slab tasks shipped over pipes as (function, bounds, arguments) tuples with
+slab tasks shipped over pipes as (function, bounds, arguments) messages with
 shared arrays passed *by reference* (name + shape + dtype), never by value.
+A dispatch pickles ``(function, arguments)`` once; each worker's message is
+those bytes behind a fixed-size head carrying the dispatch sequence number
+and the worker's own bounds.
 
 Constraints (enforced by convention across the suite):
 
@@ -35,10 +38,13 @@ from __future__ import annotations
 import multiprocessing as mp
 import multiprocessing.connection
 import os
+import pickle
+import struct
 import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -56,6 +62,11 @@ __all__ = ["ProcessTeam", "SharedArrayRef", "WorkerError"]
 
 #: Idle interval between liveness probes while waiting for replies.
 _PROBE_SECONDS = 0.1
+
+#: Head of a task message: dispatch sequence number, then the receiving
+#: worker's ``(a, b)``.  The pickled ``(fn, args)`` follows; an empty
+#: message tells the worker to exit.
+_HEAD = struct.Struct("<qqq")
 
 
 @dataclass(frozen=True)
@@ -92,10 +103,11 @@ def _worker_main(rank: int, conn) -> None:
 
     try:
         while True:
-            msg = conn.recv()
-            if msg is None:
+            msg = conn.recv_bytes()
+            if not msg:
                 break
-            seq, fn, a, b, args = msg
+            seq, a, b = _HEAD.unpack_from(msg)
+            fn, args = pickle.loads(memoryview(msg)[_HEAD.size:])
             # Mirror execute_task (remote tracebacks must be captured as
             # strings here): new arena generation, then run and stamp.
             arena.next_dispatch()
@@ -133,6 +145,11 @@ class ProcessTeam(Team):
         self._seq = 0
         self._pipes: list = []
         self._procs: list = []
+        #: master pipe end -> rank, for the reply-gather loop
+        self._rank_of: dict = {}
+        #: ranks the dispatch in flight still waits for (one set per
+        #: team, refilled per dispatch)
+        self._pending: set[int] = set()
         for rank in range(nworkers):
             parent, proc = self._spawn_worker(rank)
             self._pipes.append(parent)
@@ -147,6 +164,7 @@ class ProcessTeam(Team):
         )
         proc.start()
         child.close()
+        self._rank_of[parent] = rank
         return parent, proc
 
     # ------------------------------------------------------------------ #
@@ -193,13 +211,16 @@ class ProcessTeam(Team):
 
     def _transport(self, fn: Callable, bounds: Bounds,
                    args: tuple) -> list[WorkerReply]:
-        payload = tuple(self._translate(a) for a in args)
+        # One pickle per dispatch: the body is the same for every rank,
+        # only the head in front of it is rewritten.
+        message = bytearray(_HEAD.size) + ForkingPickler.dumps(
+            (fn, tuple(self._translate(a) for a in args)))
         self._seq += 1
         seq = self._seq
         for rank, pipe in enumerate(self._pipes):
-            a, b = bounds[rank]
+            _HEAD.pack_into(message, 0, seq, *bounds[rank])
             try:
-                pipe.send((seq, fn, a, b, payload))
+                pipe.send_bytes(message)
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerDeath(
                     f"worker {rank} pipe closed on send "
@@ -210,8 +231,8 @@ class ProcessTeam(Team):
         deadline = (None if timeout is None
                     else time.perf_counter() + timeout)
         replies: list[WorkerReply | None] = [None] * self._nworkers
-        pending = set(range(self._nworkers))
-        pipe_rank = {id(self._pipes[r]): r for r in pending}
+        pending = self._pending
+        pending.update(range(self._nworkers))
         while pending:
             chunk = _PROBE_SECONDS
             if deadline is not None:
@@ -225,7 +246,7 @@ class ProcessTeam(Team):
             ready = mp.connection.wait(
                 [self._pipes[r] for r in pending], timeout=chunk)
             for conn in ready:
-                rank = pipe_rank[id(conn)]
+                rank = self._rank_of[conn]
                 try:
                     msg = conn.recv()
                 except (EOFError, OSError):
@@ -271,6 +292,7 @@ class ProcessTeam(Team):
                 proc.join(timeout=1.0)
         else:
             proc.join(timeout=1.0)
+        del self._rank_of[self._pipes[rank]]
         try:
             self._pipes[rank].close()
         except OSError:
@@ -300,7 +322,7 @@ class ProcessTeam(Team):
         super().close()
         for pipe in self._pipes:
             try:
-                pipe.send(None)
+                pipe.send_bytes(b"")
                 pipe.close()
             except OSError:
                 pass

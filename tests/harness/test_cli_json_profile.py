@@ -4,7 +4,7 @@ import json
 
 from repro.harness.cli import main
 
-REGION_KEYS = {"calls", "wall_seconds", "dispatch_seconds",
+REGION_KEYS = {"calls", "inline_calls", "wall_seconds", "dispatch_seconds",
                "execute_seconds", "barrier_seconds",
                "alloc_bytes", "alloc_blocks"}
 
@@ -39,6 +39,13 @@ class TestRunJson:
         assert record["nworkers"] == 2
         assert "rank" in record["regions"]
 
+    def test_thin_regions_report_their_inline_calls(self, capsys):
+        assert main(["run", "CG", "-c", "S", "-b", "threads", "-w", "2",
+                     "--json"]) == 0
+        cg = json.loads(capsys.readouterr().out)["regions"]["conj_grad"]
+        # a few crossings per call site to measure it, the rest inline
+        assert 0.9 * cg["calls"] < cg["inline_calls"] < cg["calls"]
+
 
 class TestVerifyJson:
     def test_verify_emits_record_per_benchmark(self, capsys):
@@ -59,7 +66,8 @@ class TestProfile:
         # separated from compute (execute).
         for region in ("blts", "buts", "rhs"):
             assert region in out
-        for column in ("dispatch s", "execute s", "barrier s", "sync %"):
+        for column in ("inline", "dispatch s", "execute s", "barrier s",
+                       "sync %"):
             assert column in out
         assert "plan cache" in out
 

@@ -44,6 +44,8 @@ class TestTracedDaemon:
         record_regions = body["result"]["regions"]
         assert conj["attrs"]["wall_seconds"] == pytest.approx(
             record_regions["conj_grad"]["wall_seconds"])
+        assert (conj["attrs"]["inline_calls"]
+                == record_regions["conj_grad"]["inline_calls"] == 0)
         workers = [s for s in spans if s["name"].startswith("worker.")]
         assert workers, names
         # spans nest: every non-root parent id is a span in the trace

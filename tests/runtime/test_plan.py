@@ -55,3 +55,47 @@ class TestExecutionPlan:
         )
         assert bp is block_partition
         assert pb is partition_bounds
+
+
+class TestCrossoverRule:
+    """``observe(site, limit, wall, busy)`` on hand-made times."""
+
+    SITE = (len, 64)
+
+    def _transported(self, plan, wall, busy):
+        assert plan.inline_limit(self.SITE) is None
+        plan.observe(self.SITE, None, wall, busy)
+
+    def test_two_losses_in_a_row_send_the_site_inline(self):
+        plan = ExecutionPlan(2)
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        self._transported(plan, wall=80e-6, busy=40e-6)
+        # the cheaper of the two transported walls is what inline must beat
+        assert plan.inline_limit(self.SITE) == 80e-6
+
+    def test_a_win_between_two_losses_keeps_the_site_transported(self):
+        plan = ExecutionPlan(2)
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        self._transported(plan, wall=100e-6, busy=150e-6)
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        assert plan.inline_limit(self.SITE) is None
+
+    def test_inline_site_stays_while_under_its_limit_then_returns(self):
+        plan = ExecutionPlan(2)
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        plan.observe(self.SITE, 100e-6, wall=45e-6, busy=40e-6)
+        assert plan.inline_limit(self.SITE) == 100e-6
+        plan.observe(self.SITE, 100e-6, wall=101e-6, busy=99e-6)
+        assert plan.inline_limit(self.SITE) is None
+        # back to square one: one loss is not enough again
+        self._transported(plan, wall=100e-6, busy=40e-6)
+        assert plan.inline_limit(self.SITE) is None
+
+    def test_sites_are_independent(self):
+        plan = ExecutionPlan(2)
+        other = (len, 65)
+        plan.observe(self.SITE, None, 100e-6, 40e-6)
+        plan.observe(other, None, 100e-6, 40e-6)
+        assert plan.inline_limit(self.SITE) is None
+        assert plan.inline_limit(other) is None

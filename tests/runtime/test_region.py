@@ -56,6 +56,22 @@ class TestRegionRecorder:
         assert s.execute_seconds == pytest.approx(0.4 + 0.7)
         assert s.barrier_seconds == pytest.approx(0.5 + 0.1)
 
+    def test_inline_dispatch_charges_no_fictitious_overhead(self):
+        rec = RegionRecorder(2)
+        rec.push("r")
+        # Both slabs on the master, back to back: [0.1, 0.5] then
+        # [0.5, 0.9].  Rank 1 did not wait 0.5 s for its task and rank 0
+        # did not wait 0.5 s at a barrier; the master's own gaps are 0.2.
+        rec.record(0.0, 1.0, replies((0.1, 0.5), (0.5, 0.9)), inline=True)
+        s = rec.stats("r")
+        assert (s.calls, s.inline_calls) == (1, 1)
+        assert s.execute_seconds == pytest.approx(0.8)
+        assert s.dispatch_seconds == pytest.approx(0.2)
+        assert s.barrier_seconds == 0.0
+        assert s.overhead_fraction == pytest.approx(0.2)
+        rec.record(1.0, 2.0, replies((1.1, 1.5), (1.2, 1.9)))
+        assert (s.calls, s.inline_calls) == (2, 1)
+
     def test_stats_accumulate_across_calls(self):
         rec = RegionRecorder(1)
         rec.push("r")
@@ -80,7 +96,7 @@ class TestRegionRecorder:
         rec.record(0.0, 1.0, replies((0.2, 0.7)))
         rec.pop()
         report = rec.report()
-        assert set(report["a"]) == {"calls", "wall_seconds",
+        assert set(report["a"]) == {"calls", "inline_calls", "wall_seconds",
                                     "dispatch_seconds", "execute_seconds",
                                     "barrier_seconds",
                                     "alloc_bytes", "alloc_blocks"}

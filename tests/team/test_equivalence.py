@@ -14,6 +14,11 @@ parallel backends, that
 Element-wise slab tasks make bit-identity a fair demand: each element's
 value depends only on its own index, so the backend can only get it
 exactly right or visibly wrong.
+
+Every site is dispatched :data:`ROUNDS` times: the first two cross to the
+workers, and these thin sites then run inline on the master (see
+``test_inline_crossover.py``), so each case covers both paths of the
+dispatch core.
 """
 
 import random
@@ -32,6 +37,9 @@ CASES = sorted({(_rng.randint(1, 197), _rng.choice([1, 2, 3, 4, 5, 8]))
                 for _ in range(12)})
 
 PARALLEL_BACKENDS = ["threads", "process"]
+
+#: Dispatches per site: two transported, then the inline path.
+ROUNDS = 5
 
 
 # Module-level tasks (picklable for the process backend).
@@ -83,8 +91,10 @@ class TestCrossBackendEquivalence:
         expected = reference_fill(n, scale)
         with make_team(backend, workers) as team:
             out = team.shared(n)
-            team.parallel_for(n, scaled_fill, out, scale)
-            assert out.tobytes() == expected.tobytes()
+            for _ in range(ROUNDS):
+                out[:] = 0.0
+                team.parallel_for(n, scaled_fill, out, scale)
+                assert out.tobytes() == expected.tobytes()
 
     def test_reduction_partials_bit_identical_to_serial(self, backend, n,
                                                         workers):
@@ -97,18 +107,20 @@ class TestCrossBackendEquivalence:
         with make_team(backend, workers) as team:
             shared_values = team.shared(n)
             shared_values[:] = values
-            partials = team.parallel_for(n, slab_checksum, shared_values)
-            assert partials == expected_partials  # bit-identical floats
-            # ...and the master-side combination is the same sum in the
-            # same rank order, hence also bit-identical
-            assert (team.reduce_sum(n, slab_checksum, shared_values)
-                    == float(sum(expected_partials)))
+            for _ in range(ROUNDS):
+                partials = team.parallel_for(n, slab_checksum, shared_values)
+                assert partials == expected_partials  # bit-identical floats
+                # ...and the master-side combination is the same sum in
+                # the same rank order, hence also bit-identical
+                assert (team.reduce_sum(n, slab_checksum, shared_values)
+                        == float(sum(expected_partials)))
 
 
 @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
 def test_repeated_dispatches_stay_deterministic(backend):
     """Same dispatch, ten times: identical bytes every time (no rank
-    scrambling, no stale-reply contamination)."""
+    scrambling, no stale-reply contamination), whether the slabs crossed
+    to the workers or ran on the master -- and the ten took both paths."""
     n, workers = 173, 4
     expected = reference_fill(n, 3.5)
     with make_team(backend, workers) as team:
@@ -117,3 +129,5 @@ def test_repeated_dispatches_stay_deterministic(backend):
             out[:] = 0.0
             team.parallel_for(n, scaled_fill, out, 3.5)
             assert out.tobytes() == expected.tobytes()
+        stats = team.recorder.stats(team.recorder.current_region)
+        assert 0 < stats.inline_calls < stats.calls == 10
