@@ -2,8 +2,9 @@
 
 Measures, for each hot slab kernel, the bytes of temporary churn per call
 (tracemalloc peak rise) and the wall time per call for the
-expression-form ``*_reference`` kernel against its fused arena rewrite
-(:mod:`repro.runtime.arena`).  Run from the repo root:
+expression-form ``*_reference`` kernel -- the test oracle
+``tests/kernels/kernel_oracle.py`` -- against the production fused arena
+kernel (:mod:`repro.runtime.arena`).  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_alloc.py           # table
     PYTHONPATH=src python benchmarks/bench_alloc.py --check   # CI gate
@@ -23,10 +24,12 @@ import sys
 import time
 import tracemalloc
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+# the naive column is the equivalence suite's oracle, not shipped code
+sys.path.insert(0, os.path.join(_ROOT, "tests", "kernels"))
 
+import kernel_oracle as oracle  # noqa: E402
 import numpy as np  # noqa: E402
 
 from repro.cfd import rhs as cfd_rhs  # noqa: E402
@@ -60,14 +63,14 @@ def make_cases(m=50, cfd_n=26, cg_n=30_000):
     u, v, r = _mg_arrays(m, 1)
     cases.append((
         "mg.resid",
-        lambda: mg._resid_slab_reference(0, m - 2, u, v, r, A),
+        lambda: oracle._resid_slab_reference(0, m - 2, u, v, r, A),
         lambda: mg._resid_slab(0, m - 2, u, v, r, A),
     ))
 
     r2, u2, _ = _mg_arrays(m, 2)
     cases.append((
         "mg.psinv",
-        lambda: mg._psinv_slab_reference(0, m - 2, r2, u2, C),
+        lambda: oracle._psinv_slab_reference(0, m - 2, r2, u2, C),
         lambda: mg._psinv_slab(0, m - 2, r2, u2, C),
     ))
 
@@ -78,14 +81,14 @@ def make_cases(m=50, cfd_n=26, cg_n=30_000):
     uc[..., 0] = 1.0 + 0.2 * rng.random((n, n, n))
     uc[..., 4] = 5.0 + rng.random((n, n, n))
     rho_i, us, vs, ws, qs, square = (np.empty((n, n, n)) for _ in range(6))
-    cfd_rhs.fields_slab_reference(0, n, uc, rho_i, us, vs, ws, qs,
-                                  square, None, c)
+    oracle.fields_slab_reference(0, n, uc, rho_i, us, vs, ws, qs,
+                                 square, None, c)
     forcing = rng.standard_normal((n, n, n, 5))
     rhs_out = np.zeros((n, n, n, 5))
     cases.append((
         "cfd.rhs",
-        lambda: cfd_rhs.rhs_slab_reference(0, n - 2, uc, rhs_out, forcing,
-                                           rho_i, us, vs, ws, qs, square, c),
+        lambda: oracle.rhs_slab_reference(0, n - 2, uc, rhs_out, forcing,
+                                          rho_i, us, vs, ws, qs, square, c),
         lambda: cfd_rhs.rhs_slab(0, n - 2, uc, rhs_out, forcing,
                                  rho_i, us, vs, ws, qs, square, c),
     ))
@@ -103,8 +106,8 @@ def make_cases(m=50, cfd_n=26, cg_n=30_000):
     cg.compute_reduceat_offsets([(0, cg_n)], rowstr, offsets)
     cases.append((
         "cg.matvec",
-        lambda: cg._matvec_slab_reference(0, cg_n, rowstr, colidx, am, x,
-                                          out),
+        lambda: oracle._matvec_slab_reference(0, cg_n, rowstr, colidx, am,
+                                              x, out),
         lambda: cg._matvec_slab(0, cg_n, rowstr, colidx, am, x, out,
                                 offsets),
     ))
@@ -114,7 +117,7 @@ def make_cases(m=50, cfd_n=26, cg_n=30_000):
     out3 = np.zeros((m, m, m))
     cases.append((
         "basic.stencil2",
-        lambda: basic_ops.numpy_stencil2_slab_reference(0, m, a3, out3),
+        lambda: oracle.numpy_stencil2_slab_reference(0, m, a3, out3),
         lambda: basic_ops.numpy_stencil2_slab(0, m, a3, out3),
     ))
     return cases

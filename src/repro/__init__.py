@@ -25,7 +25,7 @@ __version__ = "3.0.0"
 
 def run_benchmark(name: str, problem_class: str = "S",
                   backend: str = "serial", nworkers: int = 1,
-                  policy=None, kernel_backend: str = "fused") -> BenchmarkResult:
+                  policy=None) -> BenchmarkResult:
     """Run one benchmark end to end and return its result record.
 
     Parameters
@@ -36,13 +36,9 @@ def run_benchmark(name: str, problem_class: str = "S",
     nworkers : worker count for the parallel backends
     policy : optional :class:`~repro.runtime.dispatch.FaultPolicy`
         (per-dispatch timeout, respawn retries, backoff)
-    kernel_backend : kernel tier ("reference", "fused", "compiled") the
-        team resolves registered kernels against
-        (see :mod:`repro.kernels.registry`)
     """
     cls = get_benchmark(name)
-    with make_team(backend, nworkers, policy=policy,
-                   kernel_backend=kernel_backend) as team:
+    with make_team(backend, nworkers, policy=policy) as team:
         benchmark = cls(problem_class, team)
         return benchmark.run()
 

@@ -16,8 +16,8 @@ Memory discipline: both phases are fused in-place ufunc chains writing
 into output views and per-worker :class:`~repro.runtime.arena.ScratchArena`
 buffers, replicating the left-associative grouping of the expression forms
 statement by statement so results stay bit-identical (asserted by
-``tests/kernels/test_fused_equivalence.py``).  The expression forms are
-kept as ``*_reference`` for that cross-check.
+``tests/kernels/test_fused_equivalence.py`` against the expression forms,
+the ``*_reference`` functions of ``tests/kernels/kernel_oracle.py``).
 """
 
 from __future__ import annotations
@@ -25,30 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cfd.constants import CFDConstants
-from repro.kernels import registry
 from repro.runtime.arena import worker_arena
 
 _AXIS = {"x": 2, "y": 1, "z": 0}
-
-
-def fields_slab_reference(lo: int, hi: int, u, rho_i, us, vs, ws, qs,
-                          square, speed, c: CFDConstants) -> None:
-    """Expression-form derived fields (the readable spec; allocates
-    temporaries).  ``speed`` is None for BT."""
-    if hi <= lo:
-        return
-    sl = slice(lo, hi)
-    rho_inv = 1.0 / u[sl, :, :, 0]
-    rho_i[sl] = rho_inv
-    us[sl] = u[sl, :, :, 1] * rho_inv
-    vs[sl] = u[sl, :, :, 2] * rho_inv
-    ws[sl] = u[sl, :, :, 3] * rho_inv
-    sq = 0.5 * (u[sl, :, :, 1] ** 2 + u[sl, :, :, 2] ** 2
-                + u[sl, :, :, 3] ** 2) * rho_inv
-    square[sl] = sq
-    qs[sl] = sq * rho_inv
-    if speed is not None:
-        speed[sl] = np.sqrt(c.c1c2 * rho_inv * (u[sl, :, :, 4] - sq))
 
 
 def fields_slab(lo: int, hi: int, u, rho_i, us, vs, ws, qs, square,
@@ -56,8 +35,8 @@ def fields_slab(lo: int, hi: int, u, rho_i, us, vs, ws, qs, square,
     """Derived pointwise fields for planes [lo, hi); speed is None for BT.
 
     Fused directly into the output field views (plus two arena scratch
-    buffers); bit-identical to :func:`fields_slab_reference` -- note
-    ``x ** 2`` lowers to ``x * x`` in NumPy, and scalar multiplies
+    buffers); bit-identical to the oracle's ``fields_slab_reference`` --
+    note ``x ** 2`` lowers to ``x * x`` in NumPy, and scalar multiplies
     commute bitwise.
     """
     if hi <= lo:
@@ -99,82 +78,6 @@ def _view(f: np.ndarray, axis: int, offset: int, lo: int, hi: int):
     return f[tuple(slices)]
 
 
-def rhs_slab_reference(lo: int, hi: int, u, rhs, forcing, rho_i, us, vs,
-                       ws, qs, square, c: CFDConstants) -> None:
-    """Expression-form fluxes + dissipation + dt scaling (the readable
-    spec; allocates a temporary per sub-expression)."""
-    if hi <= lo:
-        return
-    nz = u.shape[0]
-    klo_copy = 0 if lo == 0 else 1 + lo
-    khi_copy = nz if hi == nz - 2 else 1 + hi
-    rhs[klo_copy:khi_copy] = forcing[klo_copy:khi_copy]
-
-    def C(f, axis, o):
-        return _view(f, axis, o, lo, hi)
-
-    def CU(m, axis, o):
-        return _view(u[..., m], axis, o, lo, hi)
-
-    def D2(f, axis):
-        return C(f, axis, 1) - 2.0 * C(f, axis, 0) + C(f, axis, -1)
-
-    def D2U(m, axis):
-        return CU(m, axis, 1) - 2.0 * CU(m, axis, 0) + CU(m, axis, -1)
-
-    R = rhs[1 + lo : 1 + hi, 1:-1, 1:-1, :]
-    vel_fields = {1: us, 2: vs, 3: ws}
-
-    for direction, vel in (("x", 1), ("y", 2), ("z", 3)):
-        axis = _AXIS[direction]
-        t2 = getattr(c, f"t{direction}2")
-        prefix = {"x": "xx", "y": "yy", "z": "zz"}[direction]
-        con2 = getattr(c, f"{prefix}con2")
-        con3 = getattr(c, f"{prefix}con3")
-        con4 = getattr(c, f"{prefix}con4")
-        con5 = getattr(c, f"{prefix}con5")
-        d_t1 = [getattr(c, f"d{direction}{m}t{direction}1")
-                for m in range(1, 6)]
-        w = vel_fields[vel]
-        wp1 = C(w, axis, 1)
-        wc = C(w, axis, 0)
-        wm1 = C(w, axis, -1)
-
-        # continuity
-        R[..., 0] += (d_t1[0] * D2U(0, axis)
-                      - t2 * (CU(vel, axis, 1) - CU(vel, axis, -1)))
-        # momentum
-        for m in (1, 2, 3):
-            if m == vel:
-                R[..., m] += (d_t1[m] * D2U(m, axis)
-                              + con2 * c.con43 * (wp1 - 2.0 * wc + wm1)
-                              - t2 * (CU(m, axis, 1) * wp1
-                                      - CU(m, axis, -1) * wm1
-                                      + (CU(4, axis, 1) - C(square, axis, 1)
-                                         - CU(4, axis, -1)
-                                         + C(square, axis, -1)) * c.c2))
-            else:
-                R[..., m] += (d_t1[m] * D2U(m, axis)
-                              + con2 * D2(vel_fields[m], axis)
-                              - t2 * (CU(m, axis, 1) * wp1
-                                      - CU(m, axis, -1) * wm1))
-        # energy
-        R[..., 4] += (d_t1[4] * D2U(4, axis)
-                      + con3 * D2(qs, axis)
-                      + con4 * (wp1 * wp1 - 2.0 * wc * wc + wm1 * wm1)
-                      + con5 * (CU(4, axis, 1) * C(rho_i, axis, 1)
-                                - 2.0 * CU(4, axis, 0) * C(rho_i, axis, 0)
-                                + CU(4, axis, -1) * C(rho_i, axis, -1))
-                      - t2 * ((c.c1 * CU(4, axis, 1)
-                               - c.c2 * C(square, axis, 1)) * wp1
-                              - (c.c1 * CU(4, axis, -1)
-                                 - c.c2 * C(square, axis, -1)) * wm1))
-
-        _dissipation_u_reference(rhs, u, axis, lo, hi, c.dssp)
-
-    R *= c.dt
-
-
 def rhs_slab(lo: int, hi: int, u, rhs, forcing, rho_i, us, vs, ws, qs,
              square, c: CFDConstants) -> None:
     """Fluxes + dissipation + dt scaling for interior planes [1+lo, 1+hi).
@@ -186,8 +89,8 @@ def rhs_slab(lo: int, hi: int, u, rhs, forcing, rho_i, us, vs, ws, qs,
     Fused into four interior-shaped arena buffers (``acc`` accumulates a
     statement's right-hand side; ``s1``/``s2``/``s3`` hold
     sub-expressions); every chain is the left-associative grouping of the
-    matching :func:`rhs_slab_reference` statement, so results are
-    bit-identical.
+    matching ``rhs_slab_reference`` statement of the oracle, so results
+    are bit-identical.
     """
     if hi <= lo:
         return
@@ -326,70 +229,11 @@ def rhs_slab(lo: int, hi: int, u, rhs, forcing, rho_i, us, vs, ws, qs,
     R *= c.dt
 
 
-def _dissipation_u_reference(rhs, u, axis: int, lo: int, hi: int,
-                             dssp: float) -> None:
-    """Expression-form 4th-order dissipation (the readable spec)."""
-    n = u.shape[axis]
-
-    if axis != 0:
-        def U(alo, ahi, off):
-            slices = [slice(1 + lo, 1 + hi), slice(1, -1), slice(1, -1),
-                      slice(None)]
-            slices[axis] = slice(alo + off, ahi + off + 1)
-            return u[tuple(slices)]
-
-        def Rv(alo, ahi):
-            slices = [slice(1 + lo, 1 + hi), slice(1, -1), slice(1, -1),
-                      slice(None)]
-            slices[axis] = slice(alo, ahi + 1)
-            return rhs[tuple(slices)]
-
-        Rv(1, 1)[...] -= dssp * (5.0 * U(1, 1, 0) - 4.0 * U(1, 1, 1)
-                                 + U(1, 1, 2))
-        Rv(2, 2)[...] -= dssp * (-4.0 * U(2, 2, -1) + 6.0 * U(2, 2, 0)
-                                 - 4.0 * U(2, 2, 1) + U(2, 2, 2))
-        alo, ahi = 3, n - 4
-        if ahi >= alo:
-            Rv(alo, ahi)[...] -= dssp * (
-                U(alo, ahi, -2) - 4.0 * U(alo, ahi, -1)
-                + 6.0 * U(alo, ahi, 0) - 4.0 * U(alo, ahi, 1)
-                + U(alo, ahi, 2))
-        i = n - 3
-        Rv(i, i)[...] -= dssp * (U(i, i, -2) - 4.0 * U(i, i, -1)
-                                 + 6.0 * U(i, i, 0) - 4.0 * U(i, i, 1))
-        i = n - 2
-        Rv(i, i)[...] -= dssp * (U(i, i, -2) - 4.0 * U(i, i, -1)
-                                 + 5.0 * U(i, i, 0))
-        return
-
-    # Swept axis is k itself: per-plane stencils so the boundary-modified
-    # rows land correctly for any slab bounds.
-    for k in range(1 + lo, 1 + hi):
-        target = rhs[k, 1:-1, 1:-1, :]
-
-        def uk(o, _k=k):
-            return u[_k + o, 1:-1, 1:-1, :]
-
-        if k == 1:
-            target -= dssp * (5.0 * uk(0) - 4.0 * uk(1) + uk(2))
-        elif k == 2:
-            target -= dssp * (-4.0 * uk(-1) + 6.0 * uk(0)
-                              - 4.0 * uk(1) + uk(2))
-        elif k == n - 3:
-            target -= dssp * (uk(-2) - 4.0 * uk(-1) + 6.0 * uk(0)
-                              - 4.0 * uk(1))
-        elif k == n - 2:
-            target -= dssp * (uk(-2) - 4.0 * uk(-1) + 5.0 * uk(0))
-        else:
-            target -= dssp * (uk(-2) - 4.0 * uk(-1) + 6.0 * uk(0)
-                              - 4.0 * uk(1) + uk(2))
-
-
 def _dissipation_u(rhs, u, axis: int, lo: int, hi: int, dssp: float) -> None:
     """Subtract the 4th-order dissipation of u from rhs on the slab
     interior, with one-sided stencils at the first/last two interior rows
-    of the swept axis.  Fused into arena scratch, bit-identical to
-    :func:`_dissipation_u_reference`."""
+    of the swept axis.  Fused into arena scratch, bit-identical to the
+    oracle's ``_dissipation_u_reference``."""
     n = u.shape[axis]
     arena = worker_arena()
 
@@ -517,12 +361,3 @@ def add_slab(lo: int, hi: int, u, rhs) -> None:
     """u += rhs on interior planes [1+lo, 1+hi) (the ``add`` routine)."""
     u[1 + lo : 1 + hi, 1:-1, 1:-1, :] += rhs[1 + lo : 1 + hi, 1:-1, 1:-1, :]
 
-
-# --------------------------------------------------------------------- #
-# kernel-tier registration (see repro.kernels.registry); the compiled
-# flux+dissipation kernel lives in repro.kernels.compiled
-
-registry.register("cfd.fields", "reference", fields_slab_reference)
-registry.register("cfd.fields", "fused", fields_slab)
-registry.register("cfd.rhs", "reference", rhs_slab_reference)
-registry.register("cfd.rhs", "fused", rhs_slab)

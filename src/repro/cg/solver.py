@@ -8,10 +8,10 @@ them to workers.
 Memory discipline: the hot per-iteration kernels (mat-vec, z/r update,
 final norm) are fused in-place chains into per-worker
 :class:`~repro.runtime.arena.ScratchArena` buffers, bit-identical to the
-``*_reference`` expression forms (asserted by
-``tests/kernels/test_fused_equivalence.py``).  The mat-vec additionally
-takes the ``reduceat`` row offsets precomputed once per execution plan
-(:func:`compute_reduceat_offsets`) instead of rebuilding
+``*_reference`` expression forms of ``tests/kernels/kernel_oracle.py``
+(asserted by ``tests/kernels/test_fused_equivalence.py``).  The mat-vec
+additionally takes the ``reduceat`` row offsets precomputed once per
+execution plan (:func:`compute_reduceat_offsets`) instead of rebuilding
 ``rowstr[lo:hi] - start`` on all 26 calls of every outer iteration.
 """
 
@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from repro.kernels import registry
 from repro.runtime.arena import worker_arena
 from repro.team.base import Team
 
@@ -57,29 +56,15 @@ def compute_reduceat_offsets(bounds, rowstr, out) -> None:
             out[lo:hi] = rowstr[lo:hi] - rowstr[lo]
 
 
-def _matvec_slab_reference(lo: int, hi: int, rowstr, colidx, a, x,
-                           out, offsets=None) -> None:
-    """Expression-form CSR mat-vec restricted to rows ``[lo, hi)`` (no
-    empty rows assumed); allocates the gather and products temporaries.
-    ``offsets`` (the fused tier's reduceat precomputation) is accepted
-    for signature compatibility across tiers and ignored."""
-    if hi <= lo:
-        return
-    start = int(rowstr[lo])
-    end = int(rowstr[hi])
-    products = a[start:end] * x[colidx[start:end]]
-    out[lo:hi] = np.add.reduceat(products, rowstr[lo:hi] - start)
-
-
 def _matvec_slab(lo: int, hi: int, rowstr, colidx, a, x, out,
                  offsets=None) -> None:
     """CSR mat-vec restricted to rows ``[lo, hi)`` (no empty rows assumed).
 
     Fused: gather ``x`` with ``np.take(..., out=)`` into one arena buffer,
     multiply by ``a`` in place, ``reduceat`` straight into ``out[lo:hi]``.
-    Bit-identical to :func:`_matvec_slab_reference`.  ``offsets`` is the
-    :func:`compute_reduceat_offsets` array; when None the offsets are
-    rebuilt per call (reference behavior).
+    Bit-identical to the oracle's ``_matvec_slab_reference``.  ``offsets``
+    is the :func:`compute_reduceat_offsets` array; when None the offsets
+    are rebuilt per call (reference behavior).
     """
     if hi <= lo:
         return
@@ -92,17 +77,9 @@ def _matvec_slab(lo: int, hi: int, rowstr, colidx, a, x, out,
     np.add.reduceat(gathered, idx, out=out[lo:hi])
 
 
-def _update_zr_slab_reference(lo: int, hi: int, z, r, p, q,
-                              alpha: float) -> None:
-    """Expression form of the z/r update (allocates ``alpha * p`` and
-    ``alpha * q`` temporaries)."""
-    z[lo:hi] += alpha * p[lo:hi]
-    r[lo:hi] -= alpha * q[lo:hi]
-
-
 def _update_zr_slab(lo: int, hi: int, z, r, p, q, alpha: float) -> None:
     """z += alpha p; r -= alpha q on the slab, fused into one arena
-    buffer; bit-identical to :func:`_update_zr_slab_reference`."""
+    buffer; bit-identical to the oracle's ``_update_zr_slab_reference``."""
     if hi <= lo:
         return
     t = worker_arena().take((hi - lo,))
@@ -120,16 +97,11 @@ def _update_p_slab(lo: int, hi: int, p, r, beta: float) -> None:
     p[lo:hi] += r[lo:hi]
 
 
-def _norm_diff_slab_reference(lo: int, hi: int, x, r) -> float:
-    """Expression form of the final-residual partial (allocates ``d``)."""
-    d = x[lo:hi] - r[lo:hi]
-    return float(d @ d)
-
-
 def _norm_diff_slab(lo: int, hi: int, x, r) -> float:
     """Partial sum of (x - r)**2 over the slab, difference fused into an
-    arena buffer; bit-identical to :func:`_norm_diff_slab_reference` (the
-    dot runs over the same contiguous values)."""
+    arena buffer; bit-identical to the oracle's
+    ``_norm_diff_slab_reference`` (the dot runs over the same contiguous
+    values)."""
     if hi <= lo:
         return 0.0
     d = worker_arena().take((hi - lo,))
@@ -159,27 +131,15 @@ def conj_grad(team: Team, n: int, rowstr, colidx, a,
     rho = team.reduce_sum(n, _dot_slab, r, r)
 
     for _ in range(CG_ITERATIONS):
-        team.parallel_kernel("cg.matvec", n, rowstr, colidx, a, p, q,
-                             offsets)
+        team.parallel_for(n, _matvec_slab, rowstr, colidx, a, p, q, offsets)
         d = team.reduce_sum(n, _dot_slab, p, q)
         alpha = rho / d
-        team.parallel_kernel("cg.update_zr", n, z, r, p, q, alpha)
+        team.parallel_for(n, _update_zr_slab, z, r, p, q, alpha)
         rho0 = rho
         rho = team.reduce_sum(n, _dot_slab, r, r)
         beta = rho / rho0
         team.parallel_for(n, _update_p_slab, p, r, beta)
 
-    team.parallel_kernel("cg.matvec", n, rowstr, colidx, a, z, r, offsets)
-    return math.sqrt(team.reduce_kernel("cg.norm_diff", n, x, r))
+    team.parallel_for(n, _matvec_slab, rowstr, colidx, a, z, r, offsets)
+    return math.sqrt(team.reduce_sum(n, _norm_diff_slab, x, r))
 
-
-# --------------------------------------------------------------------- #
-# kernel-tier registration (see repro.kernels.registry); the compiled
-# mat-vec lives in repro.kernels.compiled
-
-registry.register("cg.matvec", "reference", _matvec_slab_reference)
-registry.register("cg.matvec", "fused", _matvec_slab)
-registry.register("cg.update_zr", "reference", _update_zr_slab_reference)
-registry.register("cg.update_zr", "fused", _update_zr_slab)
-registry.register("cg.norm_diff", "reference", _norm_diff_slab_reference)
-registry.register("cg.norm_diff", "fused", _norm_diff_slab)

@@ -16,8 +16,8 @@ Each operation is implemented here in the styles the paper compares:
     regular-stride machine code role that f77 plays in the paper.  The
     stencil and matvec kernels are fused in-place ufunc chains into
     per-worker :class:`~repro.runtime.arena.ScratchArena` buffers
-    (bit-identical to the ``*_reference`` expression forms, which are kept
-    as the readable spec and for the equivalence suite).
+    (bit-identical to the ``*_reference`` expression forms, the test
+    oracle ``tests/kernels/kernel_oracle.py``).
 
 ``python``
     Interpreted per-element loops over a *linearized* 1-D buffer with
@@ -95,23 +95,11 @@ def numpy_assignment(w: Workload, out: np.ndarray) -> None:
         out[...] = w.a
 
 
-def numpy_stencil1_reference(w: Workload, out: np.ndarray) -> None:
-    """Expression-form 7-point filter (allocates one temporary per
-    operator)."""
-    a = w.a
-    out[1:-1, 1:-1, 1:-1] = (
-        C0 * a[1:-1, 1:-1, 1:-1]
-        + C1 * (a[1:-1, 1:-1, :-2] + a[1:-1, 1:-1, 2:]
-                + a[1:-1, :-2, 1:-1] + a[1:-1, 2:, 1:-1]
-                + a[:-2, 1:-1, 1:-1] + a[2:, 1:-1, 1:-1])
-    )
-
-
 def numpy_stencil1(w: Workload, out: np.ndarray) -> None:
     """7-point first-order star filter on the interior, fused into the
-    output interior plus one arena buffer; bit-identical to
-    :func:`numpy_stencil1_reference`.  An entry point, not a slab task,
-    so it opens its own arena generation."""
+    output interior plus one arena buffer; bit-identical to the oracle's
+    ``numpy_stencil1_reference``.  An entry point, not a slab task, so it
+    opens its own arena generation."""
     a = w.a
     arena = worker_arena()
     arena.next_dispatch()
@@ -127,24 +115,9 @@ def numpy_stencil1(w: Workload, out: np.ndarray) -> None:
     np.add(ov, t, out=ov)
 
 
-def numpy_stencil2_reference(w: Workload, out: np.ndarray) -> None:
-    """Expression-form 13-point filter (allocates one temporary per
-    operator)."""
-    a = w.a
-    out[2:-2, 2:-2, 2:-2] = (
-        C0 * a[2:-2, 2:-2, 2:-2]
-        + C1 * (a[2:-2, 2:-2, 1:-3] + a[2:-2, 2:-2, 3:-1]
-                + a[2:-2, 1:-3, 2:-2] + a[2:-2, 3:-1, 2:-2]
-                + a[1:-3, 2:-2, 2:-2] + a[3:-1, 2:-2, 2:-2])
-        + C2 * (a[2:-2, 2:-2, :-4] + a[2:-2, 2:-2, 4:]
-                + a[2:-2, :-4, 2:-2] + a[2:-2, 4:, 2:-2]
-                + a[:-4, 2:-2, 2:-2] + a[4:, 2:-2, 2:-2])
-    )
-
-
 def numpy_stencil2(w: Workload, out: np.ndarray) -> None:
     """13-point second-order star filter on the deep interior, fused;
-    bit-identical to :func:`numpy_stencil2_reference`."""
+    bit-identical to the oracle's ``numpy_stencil2_reference``."""
     a = w.a
     arena = worker_arena()
     arena.next_dispatch()
@@ -167,15 +140,10 @@ def numpy_stencil2(w: Workload, out: np.ndarray) -> None:
     np.add(ov, t, out=ov)
 
 
-def numpy_matvec5_reference(w: Workload, out: np.ndarray) -> None:
-    """Expression-form pointwise 5x5 mat-vec (allocates the matmul
-    result)."""
-    out[...] = (w.matrices @ w.vectors[..., None])[..., 0]
-
-
 def numpy_matvec5(w: Workload, out: np.ndarray) -> None:
     """out[p] = M[p] @ x[p] at every grid point, matmul routed into an
-    arena buffer; bit-identical to :func:`numpy_matvec5_reference`."""
+    arena buffer; bit-identical to the oracle's
+    ``numpy_matvec5_reference``."""
     arena = worker_arena()
     arena.next_dispatch()
     t = arena.take(w.vectors.shape + (1,))
@@ -195,23 +163,9 @@ def numpy_assignment_slab(lo: int, hi: int, a, out) -> None:
         out[lo:hi] = a[lo:hi]
 
 
-def numpy_stencil1_slab_reference(lo: int, hi: int, a, out) -> None:
-    lo1 = max(lo, 1)
-    hi1 = min(hi, a.shape[0] - 1)
-    if hi1 <= lo1:
-        return
-    out[lo1:hi1, 1:-1, 1:-1] = (
-        C0 * a[lo1:hi1, 1:-1, 1:-1]
-        + C1 * (a[lo1:hi1, 1:-1, :-2] + a[lo1:hi1, 1:-1, 2:]
-                + a[lo1:hi1, :-2, 1:-1] + a[lo1:hi1, 2:, 1:-1]
-                + a[lo1 - 1:hi1 - 1, 1:-1, 1:-1]
-                + a[lo1 + 1:hi1 + 1, 1:-1, 1:-1])
-    )
-
-
 def numpy_stencil1_slab(lo: int, hi: int, a, out) -> None:
-    """Slab 7-point filter, fused; bit-identical to
-    :func:`numpy_stencil1_slab_reference`."""
+    """Slab 7-point filter, fused; bit-identical to the oracle's
+    ``numpy_stencil1_slab_reference``."""
     lo1 = max(lo, 1)
     hi1 = min(hi, a.shape[0] - 1)
     if hi1 <= lo1:
@@ -228,27 +182,9 @@ def numpy_stencil1_slab(lo: int, hi: int, a, out) -> None:
     np.add(ov, t, out=ov)
 
 
-def numpy_stencil2_slab_reference(lo: int, hi: int, a, out) -> None:
-    lo2 = max(lo, 2)
-    hi2 = min(hi, a.shape[0] - 2)
-    if hi2 <= lo2:
-        return
-    out[lo2:hi2, 2:-2, 2:-2] = (
-        C0 * a[lo2:hi2, 2:-2, 2:-2]
-        + C1 * (a[lo2:hi2, 2:-2, 1:-3] + a[lo2:hi2, 2:-2, 3:-1]
-                + a[lo2:hi2, 1:-3, 2:-2] + a[lo2:hi2, 3:-1, 2:-2]
-                + a[lo2 - 1:hi2 - 1, 2:-2, 2:-2]
-                + a[lo2 + 1:hi2 + 1, 2:-2, 2:-2])
-        + C2 * (a[lo2:hi2, 2:-2, :-4] + a[lo2:hi2, 2:-2, 4:]
-                + a[lo2:hi2, :-4, 2:-2] + a[lo2:hi2, 4:, 2:-2]
-                + a[lo2 - 2:hi2 - 2, 2:-2, 2:-2]
-                + a[lo2 + 2:hi2 + 2, 2:-2, 2:-2])
-    )
-
-
 def numpy_stencil2_slab(lo: int, hi: int, a, out) -> None:
-    """Slab 13-point filter, fused; bit-identical to
-    :func:`numpy_stencil2_slab_reference`."""
+    """Slab 13-point filter, fused; bit-identical to the oracle's
+    ``numpy_stencil2_slab_reference``."""
     lo2 = max(lo, 2)
     hi2 = min(hi, a.shape[0] - 2)
     if hi2 <= lo2:
@@ -272,14 +208,9 @@ def numpy_stencil2_slab(lo: int, hi: int, a, out) -> None:
     np.add(ov, t, out=ov)
 
 
-def numpy_matvec5_slab_reference(lo: int, hi: int, matrices, vectors,
-                                 out) -> None:
-    out[lo:hi] = (matrices[lo:hi] @ vectors[lo:hi, ..., None])[..., 0]
-
-
 def numpy_matvec5_slab(lo: int, hi: int, matrices, vectors, out) -> None:
     """Slab pointwise mat-vec, matmul routed into an arena buffer;
-    bit-identical to :func:`numpy_matvec5_slab_reference`."""
+    bit-identical to the oracle's ``numpy_matvec5_slab_reference``."""
     if hi <= lo:
         return
     t = worker_arena().take((hi - lo,) + vectors.shape[1:] + (1,))

@@ -35,15 +35,15 @@ from repro.team import SerialTeam, Team
 #: v4: added the job-service fields ``job_id`` (null outside the
 #: service), ``cache_hit``, and ``queue_wait_seconds`` (see
 #: :mod:`repro.service`).
-#: v5: added ``kernel_backend`` (the kernel tier the run's team resolved
-#: against; see :mod:`repro.kernels.registry`).
+#: v5: added the kernel-tier field (removed again in v7).
 #: v6: added the async-front-end fields ``tenant`` (the tenant id the
 #: submitting request carried; null outside the service) and
 #: ``coalesced_with`` (the primary job id this response was coalesced
 #: onto when an in-flight duplicate attached instead of re-executing;
 #: null for the primary and for un-coalesced runs; see
 #: :mod:`repro.service.async_api`).
-RUN_RECORD_SCHEMA_VERSION = 6
+#: v7: v6 minus the kernel-tier field -- every slab kernel has one form.
+RUN_RECORD_SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -75,10 +75,6 @@ class BenchmarkResult:
     job_id: str | None = None
     cache_hit: bool = False
     queue_wait_seconds: float = 0.0
-    #: kernel tier the run's team resolved kernels against (schema v5);
-    #: the *requested* tier -- an unavailable compiled tier still runs
-    #: (and reports) ``compiled`` while serving fallbacks per kernel
-    kernel_backend: str = "fused"
     #: async-front-end provenance (schema v6): tenant id the submitting
     #: request carried, and -- for a response fanned out to a coalesced
     #: waiter -- the primary job id the waiter attached to; both stay
@@ -126,7 +122,6 @@ class BenchmarkResult:
             "job_id": self.job_id,
             "cache_hit": self.cache_hit,
             "queue_wait_seconds": self.queue_wait_seconds,
-            "kernel_backend": self.kernel_backend,
             "tenant": self.tenant,
             "coalesced_with": self.coalesced_with,
         }
@@ -251,5 +246,4 @@ class NPBenchmark(ABC):
             timers=timers,
             regions=regions,
             faults=faults,
-            kernel_backend=self.team.kernel_backend,
         )

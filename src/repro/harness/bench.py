@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -46,17 +47,16 @@ from repro.harness.stats import summarize, time_callable
 #: direct ``npb bench`` runs record null/false/zero, and v1-v3 records
 #: are migrated on load the same way (a recorded cell back then could
 #: only have been a direct run).
-#: v5: benchmark cells carry ``kernel_backend`` (the kernel tier; see
-#: :mod:`repro.kernels.registry`).  v1-v4 records are migrated on load
-#: with the historical default ``"fused"``, and a cell's ``cell_id``
-#: only grows a ``.{tier}`` suffix for non-default tiers, so committed
-#: baselines keep gating unchanged.
+#: v5: benchmark cells named a kernel tier (removed again in v7).
 #: v6: benchmark cells carry ``tenant`` and ``coalesced_with`` (the
 #: async-front-end provenance; see :mod:`repro.service.async_api`).
 #: Direct ``npb bench`` runs record null for both, and v1-v5 records are
 #: migrated on load the same way (no recorded cell predating the async
 #: front end could have been tenant-tagged or coalesced).
-SCHEMA_VERSION = 6
+#: v7: v6 minus the kernel-tier column of benchmark cells and the
+#: JIT-compiler version of the environment stamp -- every slab kernel
+#: has one form.  v5/v6 cells lose the column on load.
+SCHEMA_VERSION = 7
 
 #: The ``kind`` tag every record carries (guards against loading foreign JSON).
 RECORD_KIND = "npb-bench-record"
@@ -89,35 +89,24 @@ class BenchCell:
     problem_class: str
     backend: str
     workers: int
-    #: kernel tier the cell runs at (see :mod:`repro.kernels.registry`)
-    kernel_backend: str = "fused"
 
     @property
     def cell_id(self) -> str:
-        base = (
+        return (
             f"{self.benchmark}.{self.problem_class}."
             f"{self.backend}.x{self.workers}"
         )
-        # The default tier keeps the historical id so committed baselines
-        # (BENCH_0001.json) gate unchanged; other tiers get distinct ids.
-        if self.kernel_backend != "fused":
-            return f"{base}.{self.kernel_backend}"
-        return base
 
     @classmethod
     def parse(cls, spec: str) -> "BenchCell":
-        """Parse a ``BENCH:CLASS:BACKEND:WORKERS[:TIER]`` spec
-        (``CG:S:threads:2`` or ``CG:S:threads:2:compiled``)."""
+        """Parse a ``BENCH:CLASS:BACKEND:WORKERS`` spec (``CG:S:threads:2``)."""
         parts = spec.split(":")
-        if len(parts) not in (4, 5):
+        if len(parts) != 4:
             raise ValueError(
-                f"cell spec {spec!r} is not "
-                f"BENCHMARK:CLASS:BACKEND:WORKERS[:TIER]"
+                f"cell spec {spec!r} is not BENCHMARK:CLASS:BACKEND:WORKERS"
             )
-        name, problem_class, backend, workers = parts[:4]
-        tier = parts[4] if len(parts) == 5 else "fused"
-        return cls(name.upper(), problem_class.upper(), backend,
-                   int(workers), kernel_backend=tier)
+        name, problem_class, backend, workers = parts
+        return cls(name.upper(), problem_class.upper(), backend, int(workers))
 
 
 @dataclass(frozen=True)
@@ -202,16 +191,10 @@ def _git_sha() -> str:
 
 def environment_fingerprint() -> dict:
     """Stamp that makes two records comparable (or explains why not)."""
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "numpy": np.__version__,
-        "numba": numba_version,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
@@ -231,8 +214,7 @@ def run_bench_cell(cell: BenchCell, repeat: int) -> dict:
     for _ in range(repeat):
         results.append(
             run_benchmark(
-                cell.benchmark, cell.problem_class, cell.backend,
-                cell.workers, kernel_backend=cell.kernel_backend,
+                cell.benchmark, cell.problem_class, cell.backend, cell.workers
             )
         )
     times = [r.time_seconds for r in results]
@@ -262,9 +244,6 @@ def run_bench_cell(cell: BenchCell, repeat: int) -> dict:
         "job_id": best.job_id,
         "cache_hit": best.cache_hit,
         "queue_wait_seconds": best.queue_wait_seconds,
-        # kernel tier (schema v5): the *requested* tier; an unavailable
-        # compiled tier records "compiled" while serving fallbacks
-        "kernel_backend": cell.kernel_backend,
         # async-front-end provenance (schema v6): bench cells are direct
         # runs, never tenant-tagged and never coalesced
         "tenant": best.tenant,
@@ -383,13 +362,6 @@ def _migrate_record(record: dict, version: int) -> dict:
                 cell.setdefault("job_id", None)
                 cell.setdefault("cache_hit", False)
                 cell.setdefault("queue_wait_seconds", 0.0)
-    if version < 5:
-        # v4 predates kernel tiers; every recorded cell ran the fused
-        # kernels (the tier that is now the default), so "fused" is the
-        # faithful migration.
-        for cell in record.get("cells", []):
-            if cell.get("kind") == "benchmark":
-                cell.setdefault("kernel_backend", "fused")
     if version < 6:
         # v5 predates the async front end; no recorded cell could have
         # been tenant-tagged or coalesced, so null is the faithful
@@ -398,6 +370,21 @@ def _migrate_record(record: dict, version: int) -> dict:
             if cell.get("kind") == "benchmark":
                 cell.setdefault("tenant", None)
                 cell.setdefault("coalesced_with", None)
+    if version < 7:
+        # v5 and v6 cells named the kernel tier they ran at.  Only
+        # "fused" was ever the production form, so a fused cell just
+        # loses the column (older cells never had it); a cell measured
+        # at another tier has no counterpart any more and is dropped.
+        kept = []
+        for cell in record.get("cells", []):
+            tier = cell.pop("kernel_backend", "fused")
+            if tier == "fused":
+                kept.append(cell)
+            else:
+                print(f"npb bench: dropping cell {cell.get('id')!r} "
+                      f"measured at removed kernel tier {tier!r}",
+                      file=sys.stderr)
+        record["cells"] = kept
     if version < SCHEMA_VERSION:
         record["schema_version"] = SCHEMA_VERSION
     return record
@@ -406,9 +393,8 @@ def _migrate_record(record: dict, version: int) -> dict:
 def load_record(path: str) -> dict:
     """Load and sanity-check one trajectory record.
 
-    Records written by older schema versions are migrated in memory
-    (missing fault fields default to zero); records from a *newer*
-    schema are rejected.
+    Records written by older schema versions are migrated in memory;
+    records from a *newer* schema are rejected.
     """
     return records.load_record(
         path, RECORD_KIND, SCHEMA_VERSION, "npb bench", _migrate_record

@@ -27,13 +27,7 @@ Subcommands::
                                        fault schedule; checks the
                                        admitted-jobs invariant and
                                        appends a CHAOS_<seq>.json record
-    npb backends [--json]              list kernel tiers, per-kernel
-                                       coverage, and availability
     npb list                           list benchmarks and classes
-
-Kernel tiers: ``run``/``verify``/``profile``/``bench``/``serve``/
-``submit`` accept ``--kernel-backend {reference,fused,compiled}``
-(default ``fused``); see :mod:`repro.kernels.registry`.
 
 Exit codes
 ----------
@@ -59,13 +53,11 @@ code  meaning
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from repro import available_benchmarks, run_benchmark
 from repro.common.params import CLASS_ORDER
-from repro.kernels.registry import DEFAULT_TIER, REGISTRY, TIERS
 from repro.harness.bench import (DEFAULT_ABS_SLACK, DEFAULT_MAD_MULTIPLIER,
                                  DEFAULT_TOLERANCE)
 from repro.harness.report import format_table, region_profile_table
@@ -112,19 +104,6 @@ def _fault_policy(args) -> FaultPolicy | None:
     return FaultPolicy(**kwargs)
 
 
-def _warn_tier_fallback(tier: str) -> None:
-    """One stderr line when the requested tier cannot fully serve.
-
-    The run proceeds (resolution falls back per kernel, exactly as
-    documented); this just makes sure nobody reads a fallback run's
-    numbers as the compiled tier's.
-    """
-    available, reason = REGISTRY.tier_status(tier)
-    if not available:
-        print(f"npb: kernel backend {tier!r} unavailable ({reason}); "
-              f"kernels fall back to the next tier", file=sys.stderr)
-
-
 def _fault_lines(result) -> str:
     """Per-event fault report lines for the text output."""
     return "\n".join(
@@ -134,11 +113,9 @@ def _fault_lines(result) -> str:
 
 
 def _cmd_run(args) -> int:
-    _warn_tier_fallback(args.kernel_backend)
     result = run_benchmark(args.benchmark.upper(), args.problem_class,
                            args.backend, args.workers,
-                           policy=_fault_policy(args),
-                           kernel_backend=args.kernel_backend)
+                           policy=_fault_policy(args))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -151,13 +128,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _warn_tier_fallback(args.kernel_backend)
     failures = 0
     records = []
     for name in available_benchmarks():
         result = run_benchmark(name, args.problem_class, args.backend,
-                               args.workers, policy=_fault_policy(args),
-                               kernel_backend=args.kernel_backend)
+                               args.workers, policy=_fault_policy(args))
         if args.json:
             records.append(result.to_dict())
         else:
@@ -183,13 +158,11 @@ def _cmd_profile(args) -> int:
     from repro.team import make_team
 
     cls = get_benchmark(args.benchmark.upper())
-    _warn_tier_fallback(args.kernel_backend)
     if args.alloc and not tracemalloc.is_tracing():
         tracemalloc.start()
     try:
         with make_team(args.backend, args.workers,
-                       policy=_fault_policy(args),
-                       kernel_backend=args.kernel_backend) as team:
+                       policy=_fault_policy(args)) as team:
             result = cls(args.problem_class, team).run()
             plan_info = team.plan.cache_info()
     finally:
@@ -229,8 +202,12 @@ def _cmd_bench(args) -> int:
         return 1 if comparison.regressions else 0
 
     if args.cells:
-        cells = [bench.BenchCell.parse(spec)
-                 for spec in args.cells.split(",")]
+        try:
+            cells = [bench.BenchCell.parse(spec)
+                     for spec in args.cells.split(",")]
+        except ValueError as exc:
+            print(f"npb bench: --cells: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         kernels = []
     elif args.quick:
         cells = bench.QUICK_CELLS
@@ -240,12 +217,6 @@ def _cmd_bench(args) -> int:
         kernels = bench.FULL_KERNELS
     if args.no_kernels:
         kernels = []
-    if args.kernel_backend != DEFAULT_TIER:
-        # Re-tier the whole benchmark cell set; the Table-1 basic-op
-        # kernels time raw numpy idioms and have no tier to select.
-        _warn_tier_fallback(args.kernel_backend)
-        cells = [dataclasses.replace(c, kernel_backend=args.kernel_backend)
-                 for c in cells]
     progress = None if args.json else print
     record = bench.run_suite(cells, kernels, repeat=args.repeat,
                              quick=args.quick, progress=progress,
@@ -310,7 +281,6 @@ def _cmd_serve(args) -> int:
                   f"weight", file=sys.stderr)
             return EXIT_USAGE
 
-    _warn_tier_fallback(args.kernel_backend)
     chaos = None
     if getattr(args, "chaos_seed", None) is not None:
         from repro.service.chaos import PRESETS, ChaosInjector, ChaosPlan
@@ -323,7 +293,6 @@ def _cmd_serve(args) -> int:
         pool_size=args.pool, queue_depth=args.queue_depth,
         cache_dir=args.cache_dir, cache_entries=args.cache_entries,
         policy=_fault_policy(args),
-        kernel_backend=args.kernel_backend,
         chaos=chaos,
         trace_sample=getattr(args, "trace_sample", 0.0))
     frontend = AsyncFrontEnd(service, window=args.admission_window,
@@ -371,7 +340,6 @@ def _spawn_shard(name: str, args, chaos_seed: int | None = None,
            "--pool", str(args.pool),
            "--queue-depth", str(args.queue_depth),
            "--cache-dir", os.path.join(args.cache_dir, name),
-           "--kernel-backend", args.kernel_backend,
            "--drain-timeout", str(args.drain_timeout)]
     if getattr(args, "trace_sample", 0.0):
         cmd += ["--trace-sample", str(args.trace_sample)]
@@ -428,8 +396,6 @@ def _cmd_shard_serve(args) -> int:
         shards[name] = url
 
     children = []
-    if args.spawn:
-        _warn_tier_fallback(args.kernel_backend)
     for i in range(args.spawn):
         name = f"shard{len(shards)}"
         child, url = _spawn_shard(name, args)
@@ -477,7 +443,6 @@ def _cmd_chaos(args) -> int:
     from repro.service.client import ServiceClient, ServiceUnavailable
     from repro.service.shard import ShardCoordinator
 
-    _warn_tier_fallback(args.kernel_backend)
     say = (lambda *a, **k: None) if args.json else print
 
     # 1. Spawn the shard daemons, each running in-daemon chaos under a
@@ -584,7 +549,6 @@ def _cmd_chaos(args) -> int:
             "concurrency": args.concurrency, "profile": args.profile,
             "backend": args.backend, "workers": args.workers,
             "pool": args.pool, "queue_depth": args.queue_depth,
-            "kernel_backend": args.kernel_backend,
             "kill_at": args.kill_at, "retries": args.retries,
         },
         coordinator_plan=plan,
@@ -659,7 +623,6 @@ def _cmd_submit(args) -> int:
         "workers": args.workers,
         "priority": args.priority,
         "no_cache": args.no_cache,
-        "kernel_backend": args.kernel_backend,
         "wait": not args.no_wait,
     }
     if args.trace:
@@ -906,10 +869,14 @@ def _cmd_loadgen(args) -> int:
         return EXIT_FAILURE if comparison["regressions"] else EXIT_OK
 
     if args.mix:
-        profile = loadgen.parse_mix(
-            args.mix,
-            duplicate_fraction=(0.5 if args.duplicate_fraction is None
-                                else args.duplicate_fraction))
+        try:
+            profile = loadgen.parse_mix(
+                args.mix,
+                duplicate_fraction=(0.5 if args.duplicate_fraction is None
+                                    else args.duplicate_fraction))
+        except ValueError as exc:
+            print(f"npb loadgen: --mix: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         profile = loadgen.PROFILES[args.profile]
         if args.duplicate_fraction is not None:
@@ -1029,41 +996,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_backends(args) -> int:
-    """List kernel tiers, availability (with the why), and coverage."""
-    coverage = REGISTRY.coverage()
-    if args.json:
-        print(json.dumps(coverage, indent=2))
-        return EXIT_OK
-    for tier in TIERS:
-        info = coverage["tiers"][tier]
-        flags = []
-        if info["default"]:
-            flags.append("default")
-        flags.append("available" if info["available"] else "UNAVAILABLE")
-        print(f"{tier:<10} [{', '.join(flags)}]")
-        if not info["available"]:
-            print(f"  reason: {info['reason']}")
-        for kernel, detail in info["kernels"].items():
-            line = f"  {kernel:<14}"
-            if detail["serves"] != tier:
-                line += f" -> serves via {detail['serves']}"
-            if detail["tolerance"]:
-                line += f"  tolerance {detail['tolerance']:g}"
-            print(line)
-        uncovered = [k for k in coverage["kernels"]
-                     if k not in info["kernels"]]
-        if uncovered:
-            print("  (falls back for: " + ", ".join(uncovered) + ")")
-    return EXIT_OK
-
-
 def _cmd_list(args) -> int:
     print("Benchmarks:  ", ", ".join(available_benchmarks()))
     print("Classes:     ", ", ".join(str(c) for c in CLASS_ORDER))
     print("Backends:     serial, threads, process")
-    print("Kernel tiers:", ", ".join(TIERS),
-          f"(default {DEFAULT_TIER}; see 'npb backends')")
     print("Tables:      ", ", ".join(str(t) for t in TABLES))
     return 0
 
@@ -1154,12 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "alloc_bytes/alloc_blocks are populated; "
                             "traced records are slower -- only compare "
                             "them against other traced records")
-    bench.add_argument("--kernel-backend", default=DEFAULT_TIER,
-                       choices=list(TIERS),
-                       help="kernel tier for every benchmark cell; "
-                            "non-default tiers get distinct cell ids "
-                            "(CG.S.serial.x1.compiled) so they never "
-                            "collide with fused baselines")
     bench.add_argument("--json", action="store_true",
                        help="print the record (or comparison) as JSON")
     bench.set_defaults(fn=_cmd_bench)
@@ -1304,9 +1234,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_serve.add_argument("--cache-dir", default=".npb-service-cache",
                              help="base cache directory; spawned shards "
                                   "use <dir>/shardN subdirectories")
-    shard_serve.add_argument("--kernel-backend", default=DEFAULT_TIER,
-                             choices=list(TIERS),
-                             help="kernel tier of spawned shards")
     shard_serve.add_argument("--drain-timeout", type=float, default=60.0,
                              help="seconds to wait for spawned shards to "
                                   "drain on SIGTERM/SIGINT (default 60)")
@@ -1358,9 +1285,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base cache directory; shards use "
                             "<dir>/shardN subdirectories "
                             "(default .npb-chaos-cache)")
-    chaos.add_argument("--kernel-backend", default=DEFAULT_TIER,
-                       choices=list(TIERS),
-                       help="kernel tier of spawned shards")
     chaos.add_argument("--retries", type=int, default=3,
                        help="429 retries per request (default 3)")
     chaos.add_argument("--settle-timeout", type=float, default=30.0,
@@ -1442,8 +1366,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SPEC[@W],...",
                          help="custom weighted mix overriding --profile, "
                               "e.g. CG:S:serial:1@2,MG:S "
-                              "(BENCH[:CLASS[:BACKEND[:WORKERS"
-                              "[:TIER]]]][@WEIGHT])")
+                              "(BENCH[:CLASS[:BACKEND[:WORKERS]]]"
+                              "[@WEIGHT])")
     loadgen.add_argument("--duplicate-fraction", type=float, default=None,
                          help="fraction of requests that are cache-"
                               "eligible resubmissions (default: the "
@@ -1554,13 +1478,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the simulated tables")
     report.set_defaults(fn=_cmd_report)
 
-    backends = sub.add_parser(
-        "backends", help="list kernel tiers, per-kernel coverage, and "
-                         "availability (with the why-unavailable reason)")
-    backends.add_argument("--json", action="store_true",
-                          help="emit the structured coverage report")
-    backends.set_defaults(fn=_cmd_backends)
-
     lst = sub.add_parser("list", help="list benchmarks, classes, tables")
     lst.set_defaults(fn=_cmd_list)
     return parser
@@ -1571,13 +1488,6 @@ def _common(sub_parser) -> None:
     sub_parser.add_argument("-b", "--backend", default="serial",
                             choices=["serial", "threads", "process"])
     sub_parser.add_argument("-w", "--workers", type=int, default=1)
-    sub_parser.add_argument("--kernel-backend", default=DEFAULT_TIER,
-                            choices=list(TIERS),
-                            help="kernel tier to resolve registered "
-                                 "kernels against (default fused; an "
-                                 "unavailable compiled tier warns and "
-                                 "falls back per kernel -- see "
-                                 "'npb backends')")
     sub_parser.add_argument("--dispatch-timeout", type=float, default=None,
                             metavar="SECONDS",
                             help="per-dispatch deadline; hung workers are "

@@ -1,25 +1,6 @@
-"""Kernel-backend registry package: named, selectable kernel tiers.
+"""Kernel catalogue package; see :mod:`repro.kernels.registry`."""
 
-See :mod:`repro.kernels.registry` for the registry itself and
-:mod:`repro.kernels.compiled` for the Numba tier.
-"""
+from repro.kernels.registry import (KERNELS, Kernel, UnknownKernelError,
+                                    resolve)
 
-from repro.kernels.registry import (DEFAULT_TIER, REGISTRY, TIERS,
-                                    KernelRegistry, KernelVariant,
-                                    TierUnavailableError, UnknownKernelError,
-                                    UnknownTierError, register, resolve,
-                                    validate_tier)
-
-__all__ = [
-    "DEFAULT_TIER",
-    "REGISTRY",
-    "TIERS",
-    "KernelRegistry",
-    "KernelVariant",
-    "TierUnavailableError",
-    "UnknownKernelError",
-    "UnknownTierError",
-    "register",
-    "resolve",
-    "validate_tier",
-]
+__all__ = ["KERNELS", "Kernel", "UnknownKernelError", "resolve"]

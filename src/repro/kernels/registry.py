@@ -1,268 +1,65 @@
-"""Pluggable kernel-backend registry: named, selectable kernel tiers.
+"""Kernel catalogue: ten stable names -> the production slab function.
 
-The paper's central axis is the interpreted-vs-compiled language gap on
-the NAS kernels; this registry turns the suite's hard-wired kernel calls
-into a three-way study of that axis.  Every hot slab kernel is registered
-under a stable name (``"mg.resid"``, ``"cg.matvec"``, ...) in up to three
-*tiers*:
+Every hot slab kernel of MG, CG and the BT/SP right-hand side has one
+form, defined beside its driver (``repro.mg.operators``,
+``repro.cfd.rhs``, ``repro.cg.solver``); the driver hands that function
+to ``team.parallel_for`` itself.  This table gives the same functions
+stable names for everything that addresses a kernel from outside its
+driver -- the per-kernel probes of ``benchmarks/e2e``, ``bench_alloc.py``
+and the equivalence suite -- so ``resolve(name).fn`` is, by identity, the
+function the suite dispatches (``tests/kernels/test_registry.py``).
 
-``reference``
-    The expression-form NumPy kernels (``*_slab_reference``) -- readable
-    specification, allocates temporaries per call.  The "interpreted"
-    baseline of the study.
-
-``fused``
-    The in-place arena ufunc chains of PR 4 -- allocation-free,
-    bit-identical to the reference.  The default tier and the suite's
-    production path.
-
-``compiled``
-    Numba ``njit`` scalar-loop micro-kernels
-    (:mod:`repro.kernels.compiled`) -- the "JNI column" of Halli et al.:
-    native code behind the managed front end.  Optional: when numba is
-    not installed the tier reports *unavailable with a reason* and
-    resolution falls back down the chain ``compiled -> fused ->
-    reference`` instead of raising.
-
-Selection is plumbed through the runtime: a :class:`~repro.team.base.Team`
-carries the requested tier on its :class:`~repro.runtime.plan.ExecutionPlan`
-and resolves registered kernels at dispatch time
-(:meth:`~repro.team.base.Team.parallel_kernel`), so all three backends --
-serial, threads, process -- honor the same selection.  Resolved callables
-are always module-level functions, which is what lets the process backend
-ship them to workers by qualified name.
-
-Equivalence is the non-negotiable core: every registered variant must pass
-the cross-tier suite in ``tests/kernels/test_fused_equivalence.py``.  A
-variant that cannot replicate the reference's floating-point grouping
-declares an explicit per-kernel ``tolerance`` (relative), asserted by the
-suite rather than waved through; ``tolerance=0.0`` means bit-identical.
+All entries are module-level functions ``fn(lo, hi, *args)``, picklable
+by qualified name, which is what lets ``ProcessTeam`` ship them.  Their
+expression-form specifications live in ``tests/kernels/kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import import_module
 from typing import Callable
 
-#: Registered tiers, in language-gap order (slowest first).
-TIERS = ("reference", "fused", "compiled")
-
-#: The tier a Team uses unless told otherwise.
-DEFAULT_TIER = "fused"
-
-#: Resolution fallback, best-available-first, for each requested tier.
-#: ``compiled`` degrades to ``fused`` (bit-compat superset of behaviours),
-#: never the other way around: asking for a cheaper tier always gets it.
-_FALLBACK = {
-    "reference": ("reference",),
-    "fused": ("fused", "reference"),
-    "compiled": ("compiled", "fused", "reference"),
-}
-
-#: Modules that register kernel variants at import time.  Imported lazily
-#: on first lookup so ``import repro`` stays cheap (the same deferral as
-#: :mod:`repro.core.registry`).
-_PROVIDERS = (
-    "repro.mg.operators",
-    "repro.cfd.rhs",
-    "repro.cg.solver",
-    "repro.kernels.compiled",
-)
-
-
-class UnknownTierError(ValueError):
-    """The requested tier is not one of :data:`TIERS`."""
-
-    def __init__(self, tier: str):
-        super().__init__(
-            f"unknown kernel backend {tier!r}; choose from {list(TIERS)}")
-        self.tier = tier
+from repro.cfd import rhs as cfd
+from repro.cg import solver as cg
+from repro.mg import operators as mg
 
 
 class UnknownKernelError(KeyError):
-    """No variant of the named kernel is registered in any tier."""
+    """The name is not one of the catalogued kernels."""
 
-    def __init__(self, kernel: str, known):
+    def __init__(self, kernel: str):
         super().__init__(
-            f"unknown kernel {kernel!r}; registered: {sorted(known)}")
+            f"unknown kernel {kernel!r}; registered: {sorted(KERNELS)}")
         self.kernel = kernel
 
 
-class TierUnavailableError(RuntimeError):
-    """Strict resolution asked for a tier that cannot serve the kernel."""
-
-
 @dataclass(frozen=True)
-class KernelVariant:
-    """One registered implementation of one kernel in one tier."""
+class Kernel:
+    """One catalogued kernel: its stable name and its slab function."""
 
-    kernel: str
-    tier: str
+    name: str
     fn: Callable
-    #: maximum relative error versus the reference tier that the
-    #: equivalence suite accepts for this variant; 0.0 = bit-identical
-    tolerance: float = 0.0
-    #: one-line justification when ``tolerance`` is nonzero (documented
-    #: FP-grouping departure), or other notes worth surfacing
-    note: str = ""
 
 
-@dataclass
-class _Availability:
-    available: bool
-    reason: str = ""
+KERNELS: dict[str, Kernel] = {
+    name: Kernel(name, fn) for name, fn in (
+        ("mg.resid", mg._resid_slab),
+        ("mg.psinv", mg._psinv_slab),
+        ("mg.rprj3", mg._rprj3_slab),
+        ("mg.interp", mg._interp_slab),
+        ("mg.norm2u3", mg._norm_slab),
+        ("cfd.fields", cfd.fields_slab),
+        ("cfd.rhs", cfd.rhs_slab),
+        ("cg.matvec", cg._matvec_slab),
+        ("cg.update_zr", cg._update_zr_slab),
+        ("cg.norm_diff", cg._norm_diff_slab),
+    )
+}
 
 
-class KernelRegistry:
-    """Kernel name -> tier -> variant, with availability bookkeeping."""
-
-    def __init__(self):
-        self._kernels: dict[str, dict[str, KernelVariant]] = {}
-        self._tier_status: dict[str, _Availability] = {
-            tier: _Availability(True) for tier in TIERS}
-        self._providers_loaded = False
-
-    # ------------------------------------------------------------------ #
-    # registration (called at provider-module import time)
-
-    def register(self, kernel: str, tier: str, fn: Callable,
-                 tolerance: float = 0.0, note: str = "") -> KernelVariant:
-        """Register one variant; re-registration replaces (idempotent
-        under module re-import)."""
-        if tier not in TIERS:
-            raise UnknownTierError(tier)
-        if tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
-        if tolerance > 0.0 and not note:
-            raise ValueError(
-                f"{kernel}/{tier}: a nonzero tolerance must carry a note "
-                f"documenting the FP-grouping departure")
-        variant = KernelVariant(kernel=kernel, tier=tier, fn=fn,
-                                tolerance=tolerance, note=note)
-        self._kernels.setdefault(kernel, {})[tier] = variant
-        return variant
-
-    def mark_tier_unavailable(self, tier: str, reason: str) -> None:
-        """Report a whole tier as unavailable (with the why), instead of
-        raising at import time -- resolution then falls back."""
-        if tier not in TIERS:
-            raise UnknownTierError(tier)
-        self._tier_status[tier] = _Availability(False, reason)
-
-    # ------------------------------------------------------------------ #
-    # lookup
-
-    def _ensure_providers(self) -> None:
-        if self._providers_loaded:
-            return
-        self._providers_loaded = True
-        for module in _PROVIDERS:
-            import_module(module)
-
-    def kernels(self) -> list[str]:
-        """All registered kernel names, sorted."""
-        self._ensure_providers()
-        return sorted(self._kernels)
-
-    def tier_status(self, tier: str) -> tuple[bool, str]:
-        """(available, why-not) for one tier."""
-        if tier not in TIERS:
-            raise UnknownTierError(tier)
-        self._ensure_providers()
-        status = self._tier_status[tier]
-        return status.available, status.reason
-
-    def variants(self, kernel: str) -> dict[str, KernelVariant]:
-        """tier -> variant for one kernel (registered tiers only)."""
-        self._ensure_providers()
-        if kernel not in self._kernels:
-            raise UnknownKernelError(kernel, self._kernels)
-        return dict(self._kernels[kernel])
-
-    def resolve(self, kernel: str, tier: str = DEFAULT_TIER,
-                fallback: bool = True) -> KernelVariant:
-        """Best available variant of ``kernel`` for the requested tier.
-
-        Walks the fallback chain (``compiled -> fused -> reference``)
-        past unavailable or unregistered tiers; the returned variant's
-        ``.tier`` says what actually serves.  With ``fallback=False`` a
-        tier that cannot serve raises :class:`TierUnavailableError`
-        carrying the reason instead.
-        """
-        if tier not in TIERS:
-            raise UnknownTierError(tier)
-        self._ensure_providers()
-        if kernel not in self._kernels:
-            raise UnknownKernelError(kernel, self._kernels)
-        registered = self._kernels[kernel]
-        blockers = []
-        for candidate in _FALLBACK[tier]:
-            status = self._tier_status[candidate]
-            if not status.available:
-                blockers.append(f"{candidate}: {status.reason}")
-            elif candidate in registered:
-                variant = registered[candidate]
-                if not fallback and variant.tier != tier:
-                    break
-                return variant
-            else:
-                blockers.append(f"{candidate}: no {kernel} variant "
-                                f"registered")
-            if not fallback:
-                break
-        raise TierUnavailableError(
-            f"kernel {kernel!r} cannot be served at tier {tier!r}: "
-            + "; ".join(blockers))
-
-    # ------------------------------------------------------------------ #
-    # reporting (the `npb backends` command)
-
-    def coverage(self) -> dict:
-        """Structured tier/kernel report for ``npb backends --json``."""
-        self._ensure_providers()
-        tiers = {}
-        for tier in TIERS:
-            status = self._tier_status[tier]
-            kernels = {}
-            for kernel in sorted(self._kernels):
-                variant = self._kernels[kernel].get(tier)
-                if variant is None:
-                    continue
-                served = self.resolve(kernel, tier).tier
-                kernels[kernel] = {
-                    "tolerance": variant.tolerance,
-                    "note": variant.note,
-                    "serves": served,
-                }
-            tiers[tier] = {
-                "available": status.available,
-                "reason": status.reason,
-                "default": tier == DEFAULT_TIER,
-                "kernels": kernels,
-            }
-        return {"tiers": tiers, "kernels": sorted(self._kernels)}
-
-
-#: The process-wide registry every provider module registers into.
-REGISTRY = KernelRegistry()
-
-
-def register(kernel: str, tier: str, fn: Callable, tolerance: float = 0.0,
-             note: str = "") -> KernelVariant:
-    """Module-level convenience for provider registration."""
-    return REGISTRY.register(kernel, tier, fn, tolerance=tolerance,
-                             note=note)
-
-
-def resolve(kernel: str, tier: str = DEFAULT_TIER,
-            fallback: bool = True) -> KernelVariant:
-    """Module-level convenience for :meth:`KernelRegistry.resolve`."""
-    return REGISTRY.resolve(kernel, tier, fallback=fallback)
-
-
-def validate_tier(tier: str) -> str:
-    """Raise :class:`UnknownTierError` unless ``tier`` is registered."""
-    if tier not in TIERS:
-        raise UnknownTierError(tier)
-    return tier
+def resolve(kernel: str) -> Kernel:
+    """The catalogued kernel called ``kernel``."""
+    try:
+        return KERNELS[kernel]
+    except KeyError:
+        raise UnknownKernelError(kernel) from None

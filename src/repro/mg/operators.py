@@ -16,17 +16,16 @@ chains (``np.add(..., out=)`` etc.) into per-worker
 iteration loop allocates nothing -- every temporary the expression-style
 kernels used to materialize per call is replaced by a reused arena buffer.
 Each fused chain replicates the exact left-associative pairwise grouping of
-its expression form, so the fusion is bit-identical (asserted by
-``tests/kernels/test_fused_equivalence.py``).  The original expression
-kernels are kept as ``*_slab_reference`` for that cross-check and as the
-readable specification.
+its expression form, so the fusion is bit-identical to it.  The
+expression kernels themselves are the test oracle
+``tests/kernels/kernel_oracle.py`` (``*_slab_reference``), which
+``tests/kernels/test_fused_equivalence.py`` asserts against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import registry
 from repro.runtime.arena import worker_arena
 from repro.team.base import Team
 
@@ -48,36 +47,14 @@ def zero3(x: np.ndarray) -> None:
 # --------------------------------------------------------------------- #
 # resid: r = v - A u
 
-def _resid_slab_reference(lo: int, hi: int, u, v, r, a) -> None:
-    """Expression-form residual (the readable spec; allocates temporaries).
-
-    The a(1) face term is zero for the NPB coefficients and, following the
-    Fortran, is never computed.
-    """
-    if hi <= lo:
-        return
-    a0, _, a2, a3 = a
-    uc = u[lo : hi + 2]  # the slab plus one halo plane each side
-    u1 = (uc[1:-1, :-2, :] + uc[1:-1, 2:, :]
-          + uc[:-2, 1:-1, :] + uc[2:, 1:-1, :])
-    u2 = (uc[:-2, :-2, :] + uc[:-2, 2:, :]
-          + uc[2:, :-2, :] + uc[2:, 2:, :])
-    center = uc[1:-1, 1:-1, 1:-1]
-    r[1 + lo : 1 + hi, 1:-1, 1:-1] = (
-        v[1 + lo : 1 + hi, 1:-1, 1:-1]
-        - a0 * center
-        - a2 * (u2[:, :, 1:-1] + u1[:, :, :-2] + u1[:, :, 2:])
-        - a3 * (u2[:, :, :-2] + u2[:, :, 2:])
-    )
-
-
 def _resid_slab(lo: int, hi: int, u, v, r, a) -> None:
     """Residual on interior planes [1+lo, 1+hi), fused into arena scratch.
 
-    Bit-identical to :func:`_resid_slab_reference`: every chain below is
-    the left-associative pairwise grouping of the expression form.  The
-    result accumulates in scratch and is copied into ``r`` last because
-    ``v`` may alias ``r`` (the V-cycle calls ``resid(team, u, r, r, a)``).
+    Bit-identical to the oracle's ``_resid_slab_reference``: every chain
+    below is the left-associative pairwise grouping of the expression
+    form.  The result accumulates in scratch and is copied into ``r`` last
+    because ``v`` may alias ``r`` (the V-cycle calls
+    ``resid(team, u, r, r, a)``).
     """
     if hi <= lo:
         return
@@ -113,38 +90,16 @@ def _resid_slab(lo: int, hi: int, u, v, r, a) -> None:
 
 def resid(team: Team, u, v, r, a) -> None:
     """r = v - A u (safe when v is r), then ghost exchange on r."""
-    team.parallel_kernel("mg.resid", u.shape[0] - 2, u, v, r, a)
+    team.parallel_for(u.shape[0] - 2, _resid_slab, u, v, r, a)
     comm3(r)
 
 
 # --------------------------------------------------------------------- #
 # psinv: u = u + S r  (the smoother)
 
-def _psinv_slab_reference(lo: int, hi: int, r, u, c) -> None:
-    """Expression-form smoother (the readable spec; allocates temporaries).
-
-    The c(3) corner term is zero for both NPB coefficient sets and,
-    following the Fortran, is never computed.
-    """
-    if hi <= lo:
-        return
-    c0, c1, c2, _ = c
-    rc = r[lo : hi + 2]
-    r1 = (rc[1:-1, :-2, :] + rc[1:-1, 2:, :]
-          + rc[:-2, 1:-1, :] + rc[2:, 1:-1, :])
-    r2 = (rc[:-2, :-2, :] + rc[:-2, 2:, :]
-          + rc[2:, :-2, :] + rc[2:, 2:, :])
-    center = rc[1:-1, 1:-1, :]
-    u[1 + lo : 1 + hi, 1:-1, 1:-1] += (
-        c0 * center[:, :, 1:-1]
-        + c1 * (center[:, :, :-2] + center[:, :, 2:] + r1[:, :, 1:-1])
-        + c2 * (r2[:, :, 1:-1] + r1[:, :, :-2] + r1[:, :, 2:])
-    )
-
-
 def _psinv_slab(lo: int, hi: int, r, u, c) -> None:
     """Smoother update on interior planes [1+lo, 1+hi), fused into arena
-    scratch; bit-identical to :func:`_psinv_slab_reference`."""
+    scratch; bit-identical to the oracle's ``_psinv_slab_reference``."""
     if hi <= lo:
         return
     c0, c1, c2, _ = c
@@ -180,7 +135,7 @@ def _psinv_slab(lo: int, hi: int, r, u, c) -> None:
 
 def psinv(team: Team, r, u, c) -> None:
     """u += S r, then ghost exchange on u."""
-    team.parallel_kernel("mg.psinv", r.shape[0] - 2, r, u, c)
+    team.parallel_for(r.shape[0] - 2, _psinv_slab, r, u, c)
     comm3(u)
 
 
@@ -195,41 +150,10 @@ def _fine_slices(lo: int, hi: int, d: int, offset: int) -> slice:
     return slice(start, stop, 2)
 
 
-def _rprj3_slab_reference(lo: int, hi: int, r, s, d) -> None:
-    """Expression-form restriction (the readable spec; allocates
-    temporaries)."""
-    if hi <= lo:
-        return
-    m3j, m2j, m1j = s.shape
-    d3, d2, d1 = d
-    s3 = {o: _fine_slices(1 + lo, 1 + hi, d3, o) for o in (-1, 0, 1)}
-    s2 = {o: _fine_slices(1, m2j - 1, d2, o) for o in (-1, 0, 1)}
-    s1 = {o: _fine_slices(1, m1j - 1, d1, o) for o in (-1, 0, 1)}
-
-    def R(o3: int, o2: int, o1: int) -> np.ndarray:
-        return r[s3[o3], s2[o2], s1[o1]]
-
-    # x1/y1 are the lateral sums of the Fortran at i1-1 and i1+1; x2/y2 the
-    # same sums at the center i1.  Grouping follows the Fortran statements.
-    def x1(o1: int) -> np.ndarray:
-        return R(0, -1, o1) + R(0, 1, o1) + R(-1, 0, o1) + R(1, 0, o1)
-
-    def y1(o1: int) -> np.ndarray:
-        return R(-1, -1, o1) + R(1, -1, o1) + R(-1, 1, o1) + R(1, 1, o1)
-
-    # Weights sum to 4: the factor that rescales the residual of the
-    # unscaled NPB stencil from grid h to grid 2h.
-    s[1 + lo : 1 + hi, 1:-1, 1:-1] = (
-        0.5 * R(0, 0, 0)
-        + 0.25 * (R(0, 0, -1) + R(0, 0, 1) + x1(0))
-        + 0.125 * (x1(-1) + x1(1) + y1(0))
-        + 0.0625 * (y1(-1) + y1(1))
-    )
-
-
 def _rprj3_slab(lo: int, hi: int, r, s, d) -> None:
     """Restriction writing coarse interior planes [1+lo, 1+hi), fused into
-    arena scratch; bit-identical to :func:`_rprj3_slab_reference`."""
+    arena scratch; bit-identical to the oracle's
+    ``_rprj3_slab_reference``."""
     if hi <= lo:
         return
     m3j, m2j, m1j = s.shape
@@ -276,47 +200,17 @@ def _rprj3_slab(lo: int, hi: int, r, s, d) -> None:
 def rprj3(team: Team, r, s) -> None:
     """Restrict fine residual r to coarse grid s, then exchange ghosts."""
     d = tuple(2 if mk == 3 else 1 for mk in r.shape)
-    team.parallel_kernel("mg.rprj3", s.shape[0] - 2, r, s, d)
+    team.parallel_for(s.shape[0] - 2, _rprj3_slab, r, s, d)
     comm3(s)
 
 
 # --------------------------------------------------------------------- #
 # interp: trilinear prolongation, u += P z
 
-def _interp_slab_reference(lo: int, hi: int, z, u) -> None:
-    """Expression-form prolongation (the readable spec; allocates
-    temporaries)."""
-    if hi <= lo:
-        return
-    mm3, mm2, mm1 = z.shape
-    a = slice(lo, hi)          # coarse i3
-    ap = slice(lo + 1, hi + 1)  # coarse i3+1
-    # Fortran z1/z2/z3 lateral sums (statement order preserved):
-    z1 = z[a, 1:, :] + z[a, :-1, :]
-    z2 = z[ap, :-1, :] + z[a, :-1, :]
-    z3 = z[ap, 1:, :] + z[ap, :-1, :] + z1
-
-    fe3 = slice(2 * lo, 2 * (hi - 1) + 1, 2)       # fine even planes 2*cz3
-    fo3 = slice(2 * lo + 1, 2 * (hi - 1) + 2, 2)   # fine odd planes 2*cz3+1
-    fe = slice(0, 2 * (mm2 - 2) + 1, 2)            # fine even rows/cols
-    fo = slice(1, 2 * (mm2 - 2) + 2, 2)            # fine odd rows/cols
-    c = slice(0, mm1 - 1)                          # coarse i1
-    cp = slice(1, mm1)                             # coarse i1+1
-
-    u[fe3, fe, fe] += z[a, :-1, c]
-    u[fe3, fe, fo] += 0.5 * (z[a, :-1, cp] + z[a, :-1, c])
-    u[fe3, fo, fe] += 0.5 * z1[:, :, c]
-    u[fe3, fo, fo] += 0.25 * (z1[:, :, c] + z1[:, :, cp])
-    u[fo3, fe, fe] += 0.5 * z2[:, :, c]
-    u[fo3, fe, fo] += 0.25 * (z2[:, :, c] + z2[:, :, cp])
-    u[fo3, fo, fe] += 0.25 * z3[:, :, c]
-    u[fo3, fo, fo] += 0.125 * (z3[:, :, c] + z3[:, :, cp])
-
-
 def _interp_slab(lo: int, hi: int, z, u) -> None:
     """Prolongation for coarse planes cz3 in [lo, hi) (0-based, up to
     mm3-1), writing fine planes 2*cz3 and 2*cz3+1; fused into arena
-    scratch, bit-identical to :func:`_interp_slab_reference`."""
+    scratch, bit-identical to the oracle's ``_interp_slab_reference``."""
     if hi <= lo:
         return
     mm3, mm2, mm1 = z.shape
@@ -378,20 +272,11 @@ def interp(team: Team, z, u) -> None:
             "interp onto a size-3 grid (interior 1) is not reachable for "
             "the NPB problem classes"
         )
-    team.parallel_kernel("mg.interp", z.shape[0] - 1, z, u)
+    team.parallel_for(z.shape[0] - 1, _interp_slab, z, u)
 
 
 # --------------------------------------------------------------------- #
 # norm2u3
-
-def _norm_slab_reference(lo: int, hi: int, r) -> tuple[float, float]:
-    """Expression-form partials (allocates ``interior*interior`` and
-    ``np.abs(interior)`` temporaries)."""
-    if hi <= lo:
-        return 0.0, 0.0
-    interior = r[1 + lo : 1 + hi, 1:-1, 1:-1]
-    return float(np.sum(interior * interior)), float(np.max(np.abs(interior)))
-
 
 def _norm_slab(lo: int, hi: int, r) -> tuple[float, float]:
     """Partial (sum of squares, max abs) over interior planes [1+lo, 1+hi).
@@ -416,28 +301,9 @@ def _norm_slab(lo: int, hi: int, r) -> tuple[float, float]:
 
 def norm2u3(team: Team, r, nx: int, ny: int, nz: int) -> tuple[float, float]:
     """L2 norm (per-point) and max norm of the interior (norm2u3)."""
-    partials = team.parallel_kernel("mg.norm2u3", r.shape[0] - 2, r)
+    partials = team.parallel_for(r.shape[0] - 2, _norm_slab, r)
     total = sum(p[0] for p in partials)
     rnmu = max(p[1] for p in partials)
     rnm2 = float(np.sqrt(total / (float(nx) * ny * nz)))
     return rnm2, rnmu
 
-
-# --------------------------------------------------------------------- #
-# kernel-tier registration (see repro.kernels.registry); the compiled
-# variants of the hot kernels live in repro.kernels.compiled
-
-registry.register("mg.resid", "reference", _resid_slab_reference)
-registry.register("mg.resid", "fused", _resid_slab)
-registry.register("mg.psinv", "reference", _psinv_slab_reference)
-registry.register("mg.psinv", "fused", _psinv_slab)
-registry.register("mg.rprj3", "reference", _rprj3_slab_reference)
-registry.register("mg.rprj3", "fused", _rprj3_slab)
-registry.register("mg.interp", "reference", _interp_slab_reference)
-registry.register("mg.interp", "fused", _interp_slab)
-registry.register("mg.norm2u3", "reference", _norm_slab_reference)
-registry.register(
-    "mg.norm2u3", "fused", _norm_slab, tolerance=1e-13,
-    note="BLAS dot accumulation order differs from np.sum in the last "
-         "ulp (see _norm_slab docstring); MG verification compares at "
-         "1e-8")

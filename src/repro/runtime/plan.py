@@ -47,16 +47,12 @@ class ExecutionPlan:
     """
 
     __slots__ = ("nworkers", "ranks", "_bounds", "hits", "misses",
-                 "kernel_backend", "_inline", "_lost")
+                 "_inline", "_lost")
 
-    def __init__(self, nworkers: int, kernel_backend: str = "fused"):
+    def __init__(self, nworkers: int):
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self.nworkers = nworkers
-        #: selected kernel tier (see :mod:`repro.kernels.registry`); the
-        #: Team validates and owns mutation, the plan just carries it so
-        #: dispatch-time resolution reads one object
-        self.kernel_backend = kernel_backend
         #: per-worker ``(rank, nworkers)`` pairs, the run_on_all "bounds"
         self.ranks: Bounds = tuple((r, nworkers) for r in range(nworkers))
         self._bounds: dict[int, Bounds] = {}

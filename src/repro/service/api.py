@@ -38,13 +38,10 @@ class BenchService:
         cache_dir: str = DEFAULT_CACHE_DIR,
         cache_entries: int = 256,
         policy: FaultPolicy | None = None,
-        kernel_backend: str = "fused",
         chaos=None,
         autostart: bool = True,
         trace_sample: float = 0.0,
     ):
-        #: default kernel tier for submissions that don't name one
-        self.default_kernel_backend = kernel_backend
         #: edge sampling decision for submissions that carry no
         #: traceparent (``--trace-sample RATE``; explicit traced submits
         #: are always on)
@@ -190,7 +187,6 @@ class BenchService:
         no_cache: bool = False,
         dispatch_timeout: float | None = None,
         max_retries: int | None = None,
-        kernel_backend: str | None = None,
         job_key: str | None = None,
         tenant: str | None = None,
         trace: TraceContext | None = None,
@@ -199,9 +195,7 @@ class BenchService:
 
         ``backend``/``workers`` default to the pool configuration, which
         is the warm path; overriding them still works but runs on a cold
-        one-shot team.  ``kernel_backend`` selects the kernel tier for
-        the run; the scheduler swaps it onto the leased team per job, so
-        pooled teams stay warm across tiers.
+        one-shot team.
 
         ``job_key`` makes the submission idempotent: a repeated key
         returns the job already admitted under it (whatever state it has
@@ -231,11 +225,6 @@ class BenchService:
             workers=self.pool.workers if workers is None else workers,
             dispatch_timeout=dispatch_timeout,
             max_retries=max_retries,
-            kernel_backend=(
-                self.default_kernel_backend
-                if kernel_backend is None
-                else kernel_backend
-            ),
         )
         with self._cond:
             if job_key is not None:

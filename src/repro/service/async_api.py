@@ -16,12 +16,13 @@ every connection that was parked on an ``asyncio.Future``.
     Submit a job.  Body: ``{"benchmark": "CG", "problem_class": "S",
     "backend": "serial", "workers": 1, "priority": "normal",
     "no_cache": false, "dispatch_timeout": null, "max_retries": null,
-    "kernel_backend": "fused", "job_key": null, "tenant": null,
-    "wait": false}``.
+    "job_key": null, "tenant": null, "wait": false}``; a missing
+    ``backend``/``workers`` means the pool's.
     Returns 202 with the job dict (or 200 with the terminal job when
     ``wait`` is true; 504 when ``wait_timeout`` expires first); 429 with
     ``Retry-After`` when admission is rejected (queue full, tenant over
-    quota, or draining); 400 on a malformed spec.
+    quota, or draining); 400 on a malformed spec or a field
+    ``BenchService.submit`` does not take.
 ``GET /jobs`` / ``GET /jobs/<id>`` / ``GET /jobs/<id>/trace``
     Job listing / one job / its span tree (404 when unknown).
 ``GET /status`` / ``GET /metrics``
@@ -33,10 +34,12 @@ every connection that was parked on an ``asyncio.Future``.
 Three capabilities ride on it:
 
 **In-flight coalescing.**  A registry keyed by the spec's routing key
-(:func:`repro.service.jobs.routing_key` -- within one daemon the
-environment is pinned, so equal routing keys partition submissions
-exactly like equal fingerprints) tracks every cache-eligible job between
-admission and its terminal state.  A second identical request attaches
+(:func:`repro.service.jobs.routing_key`, with the pool's ``backend``/
+``workers`` for a payload that names none, exactly as
+``BenchService.submit`` fills them -- within one daemon the environment
+is pinned, so equal routing keys partition submissions exactly like
+equal fingerprints) tracks every cache-eligible job between admission
+and its terminal state.  A second identical request attaches
 an ``asyncio.Future`` to the registered entry instead of re-queueing;
 when the primary completes, one result fans out to all attached waiters.
 Waiter responses carry ``coalesced_with: <primary job_id>`` (also
@@ -70,6 +73,7 @@ bounded-queue/429 backpressure stays the outermost layer underneath.
 from __future__ import annotations
 
 import asyncio
+import inspect
 from collections import deque
 
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
@@ -83,6 +87,14 @@ from repro.service.jobs import (
     routing_key,
     submission_payload,
 )
+
+#: The body fields of a submission: what ``BenchService.submit`` takes.
+#: Any other field is refused (400) before the request can replay or
+#: coalesce onto another job -- those layers match on a subset of the
+#: fields, so an unchecked stray one would be ignored in silence.
+_SUBMIT_FIELDS = frozenset(
+    inspect.signature(BenchService.submit).parameters
+) - {"self", "trace"}
 
 
 def begin_submit_trace(service: BenchService, payload: dict, header_value: str | None):
@@ -441,6 +453,9 @@ class AsyncFrontEnd:
         self, payload: dict, wait: bool, wait_timeout, trace
     ) -> tuple:
         """The submit path behind the front-end span (see above)."""
+        if not payload.keys() <= _SUBMIT_FIELDS:
+            unknown = sorted(payload.keys() - _SUBMIT_FIELDS)
+            return self._refused(ValueError(f"unknown field(s) {unknown}"))
         tenant = payload.get("tenant")
 
         # Layer 1: idempotency-key replay (no work, no quota).
@@ -461,7 +476,8 @@ class AsyncFrontEnd:
         # admission (or inside the executor submit) finds the entry and
         # attaches instead of racing to a duplicate execution.
         eligible = not bool(payload.get("no_cache", False))
-        key = routing_key(payload, self.service.default_kernel_backend)
+        pool = self.service.pool
+        key = routing_key(payload, pool.backend, pool.workers)
         entry = None
         if eligible:
             existing_entry = self._registry.get(key)

@@ -30,7 +30,9 @@ Two identity notions coexist on a spec:
   run-affecting fields only, computable from a raw submission payload
   without stamping the environment (no ``git rev-parse`` per request).
   Shards of one coordinator share an environment, so routing on this
-  subset preserves cache locality across the fleet.
+  subset preserves cache locality across the fleet.  The daemon's front
+  end keys its in-flight coalescing registry on the same function, told
+  what its pool runs a payload on when the payload does not say.
 
 A :class:`Job` may additionally carry a client-supplied ``job_key``
 (idempotency key).  Resubmitting the same key returns the already-admitted
@@ -78,7 +80,6 @@ ROUTING_FIELDS = (
     "workers",
     "dispatch_timeout",
     "max_retries",
-    "kernel_backend",
 )
 
 
@@ -112,31 +113,31 @@ def _git_sha() -> str:
     return sha()
 
 
-def routing_key(payload: Mapping, default_kernel_backend: str = "fused") -> str:
+def routing_key(
+    payload: Mapping, backend: str = "serial", workers: int = 1
+) -> str:
     """Placement key of a raw submission payload (sha256 hex digest).
 
-    Normalizes exactly the defaults :meth:`JobSpec.create` would apply,
-    so a payload routes to the same shard its resulting spec would --
-    without validating the payload or touching the environment.  Unknown
-    payload keys (``wait``, ``priority``, ``no_cache``, ``job_key``,
-    ``tenant``) are ignored: they do not change what runs.  The daemon's
-    front end (:mod:`repro.service.async_api`) reuses this key for its
-    in-flight coalescing registry -- within one daemon the environment
-    is fixed, so equal routing keys partition jobs exactly like equal
-    fingerprints, and routing-key coalescing composes with shard
-    placement (identical specs land on the same shard *and* coalesce
-    there).
+    Normalizes the payload the way the spec it becomes is normalized --
+    without validating it or touching the environment.  ``backend`` and
+    ``workers`` are what a payload naming neither runs on: the literal
+    :meth:`JobSpec.create` defaults unless the caller knows better.  The
+    daemon's front end (:mod:`repro.service.async_api`) does -- its
+    ``BenchService.submit`` fills them from the pool -- and passes the
+    pool's, so two payloads share a key iff ``submit`` would build equal
+    specs; that is what lets it use the key for its in-flight coalescing
+    registry (within one daemon the environment is fixed, so equal keys
+    partition jobs exactly like equal fingerprints).  Payload keys that
+    do not change what runs (``wait``, ``priority``, ``no_cache``,
+    ``job_key``, ``tenant``) are ignored.
     """
     normalized = {
         "benchmark": str(payload.get("benchmark", "")).upper(),
         "problem_class": str(payload.get("problem_class") or "S").upper(),
-        "backend": str(payload.get("backend") or "serial"),
-        "workers": int(payload.get("workers") or 1),
+        "backend": str(payload.get("backend") or backend),
+        "workers": int(payload.get("workers") or workers),
         "dispatch_timeout": payload.get("dispatch_timeout"),
         "max_retries": payload.get("max_retries"),
-        "kernel_backend": str(
-            payload.get("kernel_backend") or default_kernel_backend
-        ),
     }
     canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -182,10 +183,6 @@ class JobSpec:
     #: clean run have different fault histories in their records
     dispatch_timeout: float | None = None
     max_retries: int | None = None
-    #: kernel tier the run resolves kernels against -- fingerprint-
-    #: affecting by construction: two tiers of the same cell are
-    #: different results (that ratio *is* the language-gap study)
-    kernel_backend: str = "fused"
     #: environment pin: results from another tree/interpreter/numpy are
     #: different cache entries by construction
     git_sha: str = "unknown"
@@ -201,11 +198,9 @@ class JobSpec:
         workers: int = 1,
         dispatch_timeout: float | None = None,
         max_retries: int | None = None,
-        kernel_backend: str = "fused",
     ) -> "JobSpec":
         """Validated spec with the environment pin stamped in."""
         from repro import available_benchmarks
-        from repro.kernels.registry import validate_tier
 
         benchmark = str(benchmark).upper()
         problem_class = str(problem_class).upper()
@@ -226,7 +221,6 @@ class JobSpec:
             workers=workers,
             dispatch_timeout=dispatch_timeout,
             max_retries=max_retries,
-            kernel_backend=validate_tier(str(kernel_backend)),
             git_sha=_git_sha(),
             python_version=platform.python_version(),
             numpy_version=np.__version__,
@@ -240,7 +234,6 @@ class JobSpec:
             "workers": self.workers,
             "dispatch_timeout": self.dispatch_timeout,
             "max_retries": self.max_retries,
-            "kernel_backend": self.kernel_backend,
             "git_sha": self.git_sha,
             "python_version": self.python_version,
             "numpy_version": self.numpy_version,

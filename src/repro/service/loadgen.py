@@ -82,33 +82,26 @@ class MixEntry:
     problem_class: str = "S"
     backend: str = "serial"
     workers: int = 1
-    kernel_backend: str | None = None
     weight: float = 1.0
 
     @property
     def cell_id(self) -> str:
-        base = (
+        return (
             f"{self.benchmark}.{self.problem_class}."
             f"{self.backend}.x{self.workers}"
         )
-        if self.kernel_backend and self.kernel_backend != "fused":
-            return f"{base}.{self.kernel_backend}"
-        return base
 
     def payload(self) -> dict:
-        payload = {
+        return {
             "benchmark": self.benchmark,
             "problem_class": self.problem_class,
             "backend": self.backend,
             "workers": self.workers,
         }
-        if self.kernel_backend is not None:
-            payload["kernel_backend"] = self.kernel_backend
-        return payload
 
     @classmethod
     def parse(cls, spec: str) -> "MixEntry":
-        """Parse ``BENCH[:CLASS[:BACKEND[:WORKERS[:TIER]]]][@WEIGHT]``.
+        """Parse ``BENCH[:CLASS[:BACKEND[:WORKERS]]][@WEIGHT]``.
 
         ``CG`` alone is CG class S serial x1 at weight 1;
         ``CG:S:threads:2@3`` weights a threaded cell 3x.
@@ -118,17 +111,16 @@ class MixEntry:
         if weight <= 0:
             raise ValueError(f"mix weight must be > 0 in {spec!r}")
         parts = body.split(":")
-        if not parts[0] or len(parts) > 5:
+        if not parts[0] or len(parts) > 4:
             raise ValueError(
                 f"mix spec {spec!r} is not "
-                f"BENCH[:CLASS[:BACKEND[:WORKERS[:TIER]]]][@WEIGHT]"
+                f"BENCH[:CLASS[:BACKEND[:WORKERS]]][@WEIGHT]"
             )
         return cls(
             benchmark=parts[0].upper(),
             problem_class=(parts[1].upper() if len(parts) > 1 else "S"),
             backend=(parts[2] if len(parts) > 2 else "serial"),
             workers=(int(parts[3]) if len(parts) > 3 else 1),
-            kernel_backend=(parts[4] if len(parts) > 4 else None),
             weight=weight,
         )
 

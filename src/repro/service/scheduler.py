@@ -223,19 +223,12 @@ class Scheduler:
             job.started_at = time.time()
             self._on_update(job)
             saved_policy = team.policy
-            saved_tier = team.kernel_backend
             job_policy = job.spec.fault_policy()
             try:
                 from repro.core.registry import get_benchmark
 
                 if job_policy is not None:
                     team.policy = job_policy
-                # Pooled teams outlive one job: select the job's kernel
-                # tier for this run and restore the pool default
-                # afterwards (the same save/swap/restore as the fault
-                # policy above).
-                if job.spec.kernel_backend != saved_tier:
-                    team.set_kernel_backend(job.spec.kernel_backend)
                 benchmark = get_benchmark(job.spec.benchmark)(
                     job.spec.problem_class, team
                 )
@@ -247,7 +240,6 @@ class Scheduler:
                             "benchmark": job.spec.benchmark,
                             "backend": job.spec.backend,
                             "workers": job.spec.workers,
-                            "kernel_backend": job.spec.kernel_backend,
                         },
                     )
                     try:
@@ -274,8 +266,6 @@ class Scheduler:
                 return
             finally:
                 team.policy = saved_policy
-                if team.kernel_backend != saved_tier:
-                    team.set_kernel_backend(saved_tier)
                 self._pool.release(team, pooled)
         finally:
             if tracked:

@@ -227,12 +227,10 @@ class ShardCoordinator:
         health_interval: float = DEFAULT_HEALTH_INTERVAL,
         probe_timeout: float = DEFAULT_PROBE_TIMEOUT,
         client_timeout: float = 600.0,
-        default_kernel_backend: str = "fused",
         trace_sample: float = 0.0,
     ):
         if not shards:
             raise ValueError("a coordinator needs at least one shard")
-        self.default_kernel_backend = default_kernel_backend
         #: edge sampling for submissions arriving without a traceparent
         self.sampler = TraceSampler(trace_sample)
         self.trace_sample = float(trace_sample)
@@ -366,10 +364,17 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ #
 
     def owner(self, payload: dict) -> str:
-        """Owning shard of a submission payload (ignoring health)."""
-        return self._ring.route(
-            routing_key(payload, self.default_kernel_backend)
-        )
+        """Owning shard of a submission payload (ignoring health).
+
+        The key fills a missing ``backend``/``workers`` with the literal
+        ``"serial"``/``1``, not with the owning shard's pool defaults
+        (the coordinator does not know them before it has routed).  On
+        a fleet of ``threads x2`` shards a bare payload and its explicit
+        ``threads``/``2`` twin may therefore land on different shards:
+        that split costs cache locality, never a wrong answer -- each
+        shard's front end coalesces and caches on the spec it builds.
+        """
+        return self._ring.route(routing_key(payload))
 
     def _attempt_order(self, key: str) -> list[str]:
         """Preference order with unhealthy shards demoted, not dropped.
@@ -404,7 +409,7 @@ class ShardCoordinator:
         rather than a fresh trace.
         """
         payload = dict(payload)
-        key = routing_key(payload, self.default_kernel_backend)
+        key = routing_key(payload)
         with self._lock:
             self._seq += 1
             sequence = self._seq

@@ -6,7 +6,7 @@ from repro.cfd.constants import CFDConstants
 from repro.cfd.exact_rhs import compute_forcing
 from repro.cfd.initialize import initialize
 from repro.cfd.norms import error_norm, rhs_norm
-from repro.cfd.rhs import add_slab
+from repro.cfd.rhs import add_slab, fields_slab, rhs_slab
 from repro.common.verification import VerificationResult
 from repro.core.benchmark import NPBenchmark
 from repro.core.registry import register
@@ -56,12 +56,12 @@ class SP(NPBenchmark):
     def compute_rhs(self) -> None:
         c = self.constants
         team = self.team
-        team.parallel_kernel("cfd.fields", c.nz, self.u, self.rho_i,
-                             self.us, self.vs, self.ws, self.qs,
-                             self.square, self.speed, c)
-        team.parallel_kernel("cfd.rhs", c.nz - 2, self.u, self.rhs,
-                             self.forcing, self.rho_i, self.us, self.vs,
-                             self.ws, self.qs, self.square, c)
+        team.parallel_for(c.nz, fields_slab, self.u, self.rho_i,
+                          self.us, self.vs, self.ws, self.qs,
+                          self.square, self.speed, c)
+        team.parallel_for(c.nz - 2, rhs_slab, self.u, self.rhs,
+                          self.forcing, self.rho_i, self.us, self.vs,
+                          self.ws, self.qs, self.square, c)
 
     def adi(self) -> None:
         """One approximate-factorization time step (phase timers follow

@@ -43,15 +43,12 @@ _BACKENDS = {
 
 
 def make_team(backend: str = "serial", nworkers: int = 1,
-              policy: FaultPolicy | None = None,
-              kernel_backend: str = "fused") -> Team:
+              policy: FaultPolicy | None = None) -> Team:
     """Create a team by backend name (``serial``, ``threads``, ``process``).
 
     ``policy`` carries the fault-tolerance knobs (per-dispatch timeout,
     respawn retries, backoff); ``None`` means the defaults of
     :class:`~repro.runtime.dispatch.FaultPolicy` (no deadline, 2 retries).
-    ``kernel_backend`` selects the kernel tier every dispatch of this team
-    resolves against (see :mod:`repro.kernels.registry`).
     """
     try:
         cls = _BACKENDS[backend]
@@ -60,8 +57,8 @@ def make_team(backend: str = "serial", nworkers: int = 1,
             f"unknown backend {backend!r}; choose from {sorted(_BACKENDS)}"
         ) from None
     if backend == "serial":
-        return cls(policy=policy, kernel_backend=kernel_backend)
-    return cls(nworkers, policy=policy, kernel_backend=kernel_backend)
+        return cls(policy=policy)
+    return cls(nworkers, policy=policy)
 
 
 __all__ = [

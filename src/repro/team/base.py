@@ -49,10 +49,10 @@ Granularity-aware dispatch
 --------------------------
 A crossing to the workers has a fixed cost that a thin slab never earns
 back (the paper's "synchronization inside the loop" LU diagnosis).  The
-core therefore decides per ``parallel_for``/``parallel_kernel`` call
-site ``(fn, n)`` whether to take the transport or to run the slabs on
-the master through :meth:`Team._run_inline` -- same bounds, same rank
-order, so partials and arrays are bit-identical either way.  The
+core therefore decides per ``parallel_for`` call site ``(fn, n)``
+whether to take the transport or to run the slabs on the master through
+:meth:`Team._run_inline` -- same bounds, same rank order, so partials
+and arrays are bit-identical either way.  The
 decision is measured, never configured; the rule and its state live in
 :class:`~repro.runtime.plan.ExecutionPlan` (``observe``), beside the
 bounds, and survive :meth:`Team.reset` like them.  ``run_on_all`` always
@@ -84,8 +84,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.kernels.registry import (DEFAULT_TIER, resolve as resolve_kernel,
-                                    validate_tier)
 from repro.obs.trace import current_trace, tracing_active
 from repro.runtime.arena import (allocation_probe_start,
                                  allocation_probe_stop, arena_rewind_task)
@@ -102,19 +100,14 @@ class Team(ABC):
     #: backend name, set by subclasses
     backend: str = "abstract"
 
-    def __init__(self, nworkers: int, policy: FaultPolicy | None = None,
-                 kernel_backend: str = DEFAULT_TIER):
+    def __init__(self, nworkers: int, policy: FaultPolicy | None = None):
         if nworkers < 1:
             raise ValueError("nworkers must be >= 1")
         self._nworkers = nworkers
         #: fault-tolerance knobs (timeout, retries, backoff)
         self.policy = policy if policy is not None else FaultPolicy()
-        #: memoized slab partitions for this worker count; also carries
-        #: the selected kernel tier (resolved at dispatch time)
-        self.plan = ExecutionPlan(nworkers,
-                                  kernel_backend=validate_tier(kernel_backend))
-        #: kernel name -> resolved callable for the current tier
-        self._kernel_fns: dict[str, Callable] = {}
+        #: memoized slab partitions for this worker count
+        self.plan = ExecutionPlan(nworkers)
         #: per-region dispatch/execute/barrier accounting
         self.recorder = RegionRecorder(nworkers)
         #: per-region trace accumulation (region extents + per-worker
@@ -303,50 +296,7 @@ class Team(ABC):
         return trace
 
     # ------------------------------------------------------------------ #
-    # kernel-tier selection (see repro.kernels.registry)
-
-    @property
-    def kernel_backend(self) -> str:
-        """The selected kernel tier (``reference``/``fused``/``compiled``).
-
-        This is the *requested* tier; an unavailable tier (compiled
-        without numba) silently serves the best fallback per kernel --
-        ``npb backends`` reports what actually serves.
-        """
-        return self.plan.kernel_backend
-
-    def set_kernel_backend(self, tier: str) -> None:
-        """Re-select the kernel tier on a live team.
-
-        Pooled teams outlive a single job, so the scheduler swaps the
-        tier per job the same way it swaps the fault policy; the resolved-
-        kernel cache is dropped so the next dispatch re-resolves.
-        """
-        self.plan.kernel_backend = validate_tier(tier)
-        self._kernel_fns.clear()
-
-    def _resolve_kernel(self, kernel: str) -> Callable:
-        fn = self._kernel_fns.get(kernel)
-        if fn is None:
-            fn = resolve_kernel(kernel, self.plan.kernel_backend).fn
-            self._kernel_fns[kernel] = fn
-        return fn
-
-    def parallel_kernel(self, kernel: str, n: int, *args: Any) -> list[Any]:
-        """``parallel_for`` over a *named* registered kernel.
-
-        The registry resolves ``kernel`` at the team's selected tier
-        (with fallback) to a module-level callable -- picklable by
-        qualified name, so the process backend ships it like any other
-        slab function.  Resolution is memoized per team until the tier
-        changes.
-        """
-        fn = self._resolve_kernel(kernel)
-        return self._dispatch(fn, self.plan.bounds(n), args, (fn, n))
-
-    def reduce_kernel(self, kernel: str, n: int, *args: Any) -> float:
-        """Sum of per-worker partials from a named registered kernel."""
-        return float(sum(self.parallel_kernel(kernel, n, *args)))
+    # public dispatch surface
 
     def parallel_for(self, n: int, fn: Callable, *args: Any) -> list[Any]:
         """Block-partition ``range(n)``; worker ``r`` runs ``fn(lo_r, hi_r, *args)``.

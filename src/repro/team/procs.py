@@ -130,10 +130,8 @@ class ProcessTeam(Team):
 
     backend = "process"
 
-    def __init__(self, nworkers: int, policy: FaultPolicy | None = None,
-                 kernel_backend: str = "fused"):
-        super().__init__(nworkers, policy=policy,
-                         kernel_backend=kernel_backend)
+    def __init__(self, nworkers: int, policy: FaultPolicy | None = None):
+        super().__init__(nworkers, policy=policy)
         self._ctx = mp.get_context("fork")
         # Start the resource tracker now so every forked worker inherits it;
         # see the note in _worker_main's resolve().

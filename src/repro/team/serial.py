@@ -21,9 +21,8 @@ class SerialTeam(Team):
 
     backend = "serial"
 
-    def __init__(self, policy: FaultPolicy | None = None,
-                 kernel_backend: str = "fused"):
-        super().__init__(1, policy=policy, kernel_backend=kernel_backend)
+    def __init__(self, policy: FaultPolicy | None = None):
+        super().__init__(1, policy=policy)
 
     def _transport(self, fn: Callable, bounds: Bounds,
                    args: tuple) -> list[WorkerReply]:

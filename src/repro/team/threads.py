@@ -47,10 +47,8 @@ class ThreadTeam(Team):
     backend = "threads"
 
     def __init__(self, nworkers: int, join_timeout: float = 5.0,
-                 policy: FaultPolicy | None = None,
-                 kernel_backend: str = "fused"):
-        super().__init__(nworkers, policy=policy,
-                         kernel_backend=kernel_backend)
+                 policy: FaultPolicy | None = None):
+        super().__init__(nworkers, policy=policy)
         self._join_timeout = join_timeout
         self._cond = threading.Condition()
         self._generation = 0

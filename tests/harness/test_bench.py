@@ -12,6 +12,10 @@ from repro.harness.stats import mad, median, summarize, time_callable
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: The project's first trajectory record (PR 2, schema v1), retired from
+#: the repo root: the oldest real input the migration chain must load.
+BENCH_V1 = Path(__file__).resolve().parent / "fixtures" / "bench_v1.json"
+
 CELL_TIMING_KEYS = {
     "repeats",
     "times_seconds",
@@ -131,7 +135,7 @@ class TestRecordSchema:
             bench.load_record(str(path))
 
     def test_v2_record_migrates_to_v3_in_memory(self, tmp_path):
-        """A pre-allocation-accounting record (BENCH_0001.json vintage)
+        """A pre-allocation-accounting record (``bench_v1.json`` vintage)
         loads with zeroed alloc fields so the comparator still works."""
         cell = make_cell("CG.S.serial.x1", 0.1)
         cell["kind"] = "benchmark"
@@ -205,7 +209,7 @@ def make_versioned_record(version):
         cell["job_id"] = None
         cell["cache_hit"] = False
         cell["queue_wait_seconds"] = 0.0
-    if version >= 5:
+    if 5 <= version < 7:
         cell["kernel_backend"] = "fused"
     if version >= 6:
         cell["tenant"] = None
@@ -233,7 +237,7 @@ class TestMigrationChain:
         assert cell["job_id"] is None
         assert cell["cache_hit"] is False
         assert cell["queue_wait_seconds"] == 0.0
-        assert cell["kernel_backend"] == "fused"
+        assert "kernel_backend" not in cell
         assert cell["tenant"] is None
         assert cell["coalesced_with"] is None
         stats = cell["regions"]["conj_grad"]
@@ -263,18 +267,19 @@ class TestMigrationChain:
 
     def test_each_step_adds_only_its_own_fields(self):
         """Adjacent synthetic fixtures differ exactly by the fields the
-        intervening migration step backfills (no silent schema drift)."""
+        intervening schema step added or took away (no silent drift)."""
         step_fields = {
             2: {"faults", "fault_counts"},
             3: set(),  # v3 added *region* fields, not cell fields
             4: {"job_id", "cache_hit", "queue_wait_seconds"},
             5: {"kernel_backend"},
             6: {"tenant", "coalesced_with"},
+            7: {"kernel_backend"},  # the one step that removes a field
         }
         for version in self.VERSIONS[:-1]:
             old = make_versioned_record(version)["cells"][0]
             new = make_versioned_record(version + 1)["cells"][0]
-            assert set(new) - set(old) == step_fields[version + 1]
+            assert set(new) ^ set(old) == step_fields[version + 1]
             region_added = set(new["regions"]["conj_grad"]) - set(
                 old["regions"]["conj_grad"]
             )
@@ -285,11 +290,11 @@ class TestMigrationChain:
 
 
 class TestCommittedRecord:
-    """The repo's committed seed trajectory record stays loadable."""
+    """The project's first trajectory record stays loadable, and so does
+    every record at the repo root."""
 
     def test_bench_0001_migrates_cleanly(self):
-        path = REPO_ROOT / "BENCH_0001.json"
-        assert path.exists()  # committed at the repo root
+        path = BENCH_V1
         raw = json.loads(path.read_text())
         assert raw["schema_version"] == 1  # the vintage stays frozen on disk
         loaded = bench.load_record(str(path))
@@ -304,16 +309,30 @@ class TestCommittedRecord:
             assert cell["job_id"] is None
             assert cell["cache_hit"] is False
             assert cell["queue_wait_seconds"] == 0.0
-            assert cell["kernel_backend"] == "fused"
+            assert "kernel_backend" not in cell
             for stats in cell["regions"].values():
                 assert stats["alloc_bytes"] == 0
                 assert stats["alloc_blocks"] == 0
 
     def test_bench_0001_migration_is_idempotent(self, tmp_path):
-        loaded = bench.load_record(str(REPO_ROOT / "BENCH_0001.json"))
+        loaded = bench.load_record(str(BENCH_V1))
         rewritten = tmp_path / "migrated.json"
         rewritten.write_text(json.dumps(loaded))
         assert bench.load_record(str(rewritten)) == loaded
+
+    def test_root_records_load_without_losing_a_cell(self):
+        """BENCH_0002.. are schema v6 with every cell at the one kept
+        tier: the v7 step drops their column and none of their cells
+        (CI's perf-smoke gates on one of them)."""
+        paths = sorted(REPO_ROOT.glob("BENCH_0*.json"))
+        assert len(paths) >= 4
+        for path in paths:
+            raw = json.loads(path.read_text())
+            loaded = bench.load_record(str(path))
+            assert loaded["schema_version"] == bench.SCHEMA_VERSION
+            assert [c["id"] for c in loaded["cells"]] == [
+                c["id"] for c in raw["cells"]]
+            assert all("kernel_backend" not in c for c in loaded["cells"])
 
 
 class TestSequenceAllocation:

@@ -1,5 +1,7 @@
 """End-to-end CLI tests (verify command, report, exit-code table)."""
 
+import pytest
+
 from repro.harness import cli
 from repro.harness.cli import main
 
@@ -46,6 +48,39 @@ class TestExitCodeTable:
     def test_success_is_exit_ok(self, capsys):
         assert main(["run", "CG", "-c", "S"]) == cli.EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,shown", [
+        (["backends"], "invalid choice: 'backends'"),
+        (["submit", "CG", "--kernel-backend", "x"],
+         "unrecognized arguments: --kernel-backend"),
+        (["run", "CG", "--kernel-backend", "fused"],
+         "unrecognized arguments: --kernel-backend"),
+    ], ids=["backends", "submit", "run"])
+    def test_removed_kernel_tier_options_are_argparse_errors(
+            self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,grammar", [
+        (["bench", "--cells", "CG:S:serial:1:compiled"],
+         "BENCHMARK:CLASS:BACKEND:WORKERS\n"),
+        (["loadgen", "--mix", "CG:S:serial:1:compiled"],
+         "BENCH[:CLASS[:BACKEND[:WORKERS]]][@WEIGHT]\n"),
+    ], ids=["bench", "loadgen"])
+    def test_five_field_cell_is_exit_usage(self, capsys, argv, grammar):
+        """The fifth field was the kernel tier; both cell grammars are
+        four fields, and the message shows the grammar."""
+        assert main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "CG:S:serial:1:compiled" in err
+        assert err.endswith(grammar)
+
+    def test_list_names_no_kernel_tiers(self, capsys):
+        assert main(["list"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "Backends:" in out and "tier" not in out.lower()
 
     def test_unreachable_service_is_exit_usage(self, capsys):
         # nothing listens on this port (reserved port 47 is never bound)

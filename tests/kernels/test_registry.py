@@ -1,288 +1,200 @@
-"""Unit tests for the kernel-backend registry and its plumbing.
+"""The kernel catalogue's contract, and the guards that keep the tier gone.
 
-Covers the registry contract in isolation (fresh :class:`KernelRegistry`
-instances with hand-registered variants -- no providers involved), then
-the layers the tier selection threads through: ``Team``/``make_team``,
-the ``JobSpec`` fingerprint, the bench cell grammar and schema-v5
-migration, and the ``npb backends`` command.
+``repro.kernels.registry`` is a plain table: ten stable names, each the
+production slab function its driver hands to ``team.parallel_for``.  The
+first half pins that -- the names, identity with the driver's function,
+picklability for ``ProcessTeam``, what an unknown name raises, and that
+running the benchmarks really dispatches the catalogued functions.
+
+The second half is about the ``reference``/``fused``/``compiled`` tier
+the table used to select between: every site that took a tier refuses
+one now (loudly, never by ignoring it), the bench cell grammar is four
+fields, and an older bench record loses its tier column on load.
 """
 
 import json
+import pickle
 
-import numpy as np
 import pytest
 
-from repro.harness import cli
-from repro.harness.bench import (
-    SCHEMA_VERSION,
-    BenchCell,
-    _migrate_record,
-    load_record,
-)
-from repro.kernels.registry import (
-    DEFAULT_TIER,
-    REGISTRY,
-    TIERS,
-    KernelRegistry,
-    TierUnavailableError,
-    UnknownKernelError,
-    UnknownTierError,
-    validate_tier,
-)
+from repro import get_benchmark, make_team, run_benchmark
+from repro.cfd import rhs as cfd
+from repro.cg import solver as cg
+from repro.harness.bench import (SCHEMA_VERSION, BenchCell, _migrate_record,
+                                 load_record)
+from repro.kernels import KERNELS, UnknownKernelError, resolve
 from repro.mg import operators as mg
+from repro.runtime import ExecutionPlan
+from repro.service import BenchService, ShardCoordinator
 from repro.service.jobs import JobSpec
-from repro.team import make_team
+from repro.service.loadgen import MixEntry
+from repro.team import SerialTeam
+
+#: name -> the function its driver dispatches, spelled out by hand.
+DISPATCHED = {
+    "mg.resid": mg._resid_slab,
+    "mg.psinv": mg._psinv_slab,
+    "mg.rprj3": mg._rprj3_slab,
+    "mg.interp": mg._interp_slab,
+    "mg.norm2u3": mg._norm_slab,
+    "cfd.fields": cfd.fields_slab,
+    "cfd.rhs": cfd.rhs_slab,
+    "cg.matvec": cg._matvec_slab,
+    "cg.update_zr": cg._update_zr_slab,
+    "cg.norm_diff": cg._norm_diff_slab,
+}
 
 
-def _stub(lo, hi):
-    return ("stub", lo, hi)
+class _RecordingTeam(SerialTeam):
+    """A serial team that remembers every function it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.dispatched = set()
+
+    def parallel_for(self, n, fn, *args):
+        self.dispatched.add(fn)
+        return super().parallel_for(n, fn, *args)
 
 
 class TestRegistryContract:
-    """Fresh registries with hand-registered variants."""
+    def test_unknown_kernel(self):
+        with pytest.raises(UnknownKernelError) as err:
+            resolve("nope")
+        assert err.value.kernel == "nope"
+        for name in DISPATCHED:
+            assert name in str(err.value)
 
     def test_unknown_tier_everywhere(self):
-        reg = KernelRegistry()
-        with pytest.raises(UnknownTierError):
-            reg.register("k", "turbo", _stub)
-        with pytest.raises(UnknownTierError):
-            reg.resolve("k", "turbo")
-        with pytest.raises(UnknownTierError):
-            reg.mark_tier_unavailable("turbo", "no such tier")
-        with pytest.raises(UnknownTierError):
-            reg.tier_status("turbo")
-        with pytest.raises(UnknownTierError):
-            validate_tier("turbo")
-        assert validate_tier("fused") == "fused"
-
-    def test_unknown_kernel(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True  # keep the instance hermetic
-        with pytest.raises(UnknownKernelError):
-            reg.resolve("no.such.kernel")
-        with pytest.raises(UnknownKernelError):
-            reg.variants("no.such.kernel")
-
-    def test_fallback_walks_past_unregistered_tiers(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True
-        reg.register("k", "reference", _stub)
-        # fused falls back to reference; compiled falls all the way.
-        assert reg.resolve("k", "fused").tier == "reference"
-        assert reg.resolve("k", "compiled").tier == "reference"
-        # The cheaper tier never upgrades: reference resolves reference.
-        reg.register("k", "fused", _stub)
-        assert reg.resolve("k", "reference").tier == "reference"
-        assert reg.resolve("k", "fused").tier == "fused"
-
-    def test_fallback_walks_past_unavailable_tier(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True
-        reg.register("k", "fused", _stub)
-        reg.register("k", "compiled", _stub)
-        reg.mark_tier_unavailable("compiled", "numba is not installed")
-        assert reg.resolve("k", "compiled").tier == "fused"
-        available, reason = reg.tier_status("compiled")
-        assert not available and "numba" in reason
-
-    def test_strict_resolution_raises_with_reason(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True
-        reg.register("k", "fused", _stub)
-        with pytest.raises(TierUnavailableError, match="no k variant"):
-            reg.resolve("k", "compiled", fallback=False)
-        reg.mark_tier_unavailable("compiled", "numba is not installed")
-        with pytest.raises(TierUnavailableError, match="numba"):
-            reg.resolve("k", "compiled", fallback=False)
-
-    def test_nonzero_tolerance_requires_note(self):
-        reg = KernelRegistry()
-        with pytest.raises(ValueError, match="note"):
-            reg.register("k", "fused", _stub, tolerance=1e-12)
-        with pytest.raises(ValueError, match=">= 0"):
-            reg.register("k", "fused", _stub, tolerance=-1.0)
-        variant = reg.register("k", "fused", _stub, tolerance=1e-12,
-                               note="documented departure")
-        assert variant.tolerance == 1e-12
-
-    def test_reregistration_replaces(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True
-        reg.register("k", "fused", _stub)
-        reg.register("k", "fused", len)  # module re-import pattern
-        assert reg.resolve("k", "fused").fn is len
-
-    def test_coverage_reports_serves(self):
-        reg = KernelRegistry()
-        reg._providers_loaded = True
-        reg.register("k", "fused", _stub)
-        reg.register("k", "compiled", _stub)
-        reg.mark_tier_unavailable("compiled", "numba is not installed")
-        cov = reg.coverage()
-        assert cov["kernels"] == ["k"]
-        assert cov["tiers"]["fused"]["default"]
-        assert not cov["tiers"]["compiled"]["available"]
-        # The registered-but-unavailable compiled variant serves fused.
-        assert cov["tiers"]["compiled"]["kernels"]["k"]["serves"] == "fused"
+        """No site that used to take a tier still takes one."""
+        with pytest.raises(TypeError):
+            resolve("mg.resid", "fused")
+        with pytest.raises(TypeError):
+            ExecutionPlan(2, kernel_backend="fused")
+        with pytest.raises(TypeError):
+            run_benchmark("CG", "S", kernel_backend="fused")
+        with pytest.raises(TypeError):
+            BenchService(kernel_backend="fused")
+        with pytest.raises(TypeError):
+            ShardCoordinator({"a": "http://127.0.0.1:1"},
+                             default_kernel_backend="fused")
 
 
 class TestGlobalRegistry:
-    """The process-wide registry with the real providers loaded."""
-
     def test_suite_kernels_registered(self):
-        kernels = REGISTRY.kernels()
-        for kernel in ("mg.resid", "mg.psinv", "mg.rprj3", "mg.interp",
-                       "mg.norm2u3", "cg.matvec", "cg.update_zr",
-                       "cg.norm_diff", "cfd.fields", "cfd.rhs"):
-            assert kernel in kernels
-        for kernel in kernels:
-            # Every kernel must serve every tier via fallback.
-            for tier in TIERS:
-                assert REGISTRY.resolve(kernel, tier).fn is not None
+        assert sorted(KERNELS) == sorted(DISPATCHED)
+        assert len(KERNELS) == 10
+
+    @pytest.mark.parametrize("name", sorted(DISPATCHED))
+    def test_resolves_to_the_dispatched_function(self, name):
+        kernel = resolve(name)
+        assert kernel.name == name
+        assert kernel.fn is DISPATCHED[name]
+
+    @pytest.mark.parametrize("name", sorted(DISPATCHED))
+    def test_module_level_and_picklable(self, name):
+        """ProcessTeam ships slab functions by qualified name."""
+        fn = resolve(name).fn
+        assert fn.__qualname__ == fn.__name__
+        assert pickle.loads(pickle.dumps(fn)) is fn
+
+    def test_drivers_dispatch_the_catalogued_functions(self):
+        """MG, CG, BT and SP hand every catalogued function to
+        ``parallel_for`` themselves."""
+        with _RecordingTeam() as team:
+            for name in ("MG", "CG", "BT", "SP"):
+                assert get_benchmark(name)("S", team).run().verified
+                team.reset()
+            catalogued = {kernel.fn for kernel in KERNELS.values()}
+            assert catalogued <= team.dispatched
+
 
     def test_declared_tolerances_carry_notes(self):
-        for kernel in REGISTRY.kernels():
-            for variant in REGISTRY.variants(kernel).values():
-                if variant.tolerance > 0.0:
-                    assert variant.note, (
-                        f"{kernel}/{variant.tier} has a bare tolerance")
+        """The one kernel that is not bit-identical to its oracle says
+        so, with the bound the equivalence suite holds it to."""
+        assert "1e-13" in mg._norm_slab.__doc__
 
 
 class TestTeamPlumbing:
-    """Tier selection through make_team / set_kernel_backend."""
-
-    @pytest.mark.parametrize("backend,workers",
-                             [("serial", 1), ("threads", 2), ("process", 2)])
-    def test_parallel_kernel_honors_tier(self, backend, workers):
-        m = 10
-        rng = np.random.default_rng(9)
-        a = (-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0)
-        with make_team(backend, workers, kernel_backend="reference") as team:
-            assert team.kernel_backend == "reference"
-            assert team.plan.kernel_backend == "reference"
-            u = team.shared((m, m, m))
-            v = team.shared((m, m, m))
-            r = team.shared((m, m, m))
-            for arr, seed in ((u, 1), (v, 2), (r, 3)):
-                arr[...] = np.random.default_rng(seed).standard_normal(
-                    (m, m, m))
-            r_ref = r.copy()
-            mg._resid_slab_reference(0, m - 2, u, v, r_ref, a)
-            team.parallel_kernel("mg.resid", m - 2, u, v, r, a)
-            assert r.tobytes() == r_ref.tobytes()
-            # Retier mid-life: the resolution memo must not leak across.
-            team.set_kernel_backend("fused")
-            assert team.kernel_backend == "fused"
-            rng.shuffle(r.reshape(-1))
-            r_ref = r.copy()
-            mg._resid_slab_reference(0, m - 2, u, v, r_ref, a)
-            team.parallel_kernel("mg.resid", m - 2, u, v, r, a)
-            assert r.tobytes() == r_ref.tobytes()
-
     def test_unknown_tier_rejected_at_construction(self):
-        with pytest.raises(UnknownTierError):
-            make_team("serial", 1, kernel_backend="turbo")
+        for backend, workers in (("serial", 1), ("threads", 2),
+                                 ("process", 2)):
+            with pytest.raises(TypeError):
+                make_team(backend, workers, kernel_backend="fused")
 
     def test_unknown_tier_rejected_at_retier(self):
+        """A live team has nothing to re-tier or resolve by name."""
         with make_team("serial", 1) as team:
-            assert team.kernel_backend == DEFAULT_TIER
-            with pytest.raises(UnknownTierError):
-                team.set_kernel_backend("turbo")
-            assert team.kernel_backend == DEFAULT_TIER
+            for gone in ("kernel_backend", "set_kernel_backend",
+                         "_resolve_kernel", "parallel_kernel",
+                         "reduce_kernel"):
+                assert not hasattr(team, gone)
+            assert not hasattr(team.plan, "kernel_backend")
 
 
 class TestJobSpecFingerprint:
-    def test_kernel_backend_changes_fingerprint(self):
-        fused = JobSpec.create("CG", "S", kernel_backend="fused")
-        compiled = JobSpec.create("CG", "S", kernel_backend="compiled")
-        again = JobSpec.create("CG", "S", kernel_backend="fused")
-        assert fused.fingerprint() != compiled.fingerprint()
-        assert fused.fingerprint() == again.fingerprint()
-        assert fused.as_dict()["kernel_backend"] == "fused"
-
     def test_unknown_tier_rejected(self):
-        with pytest.raises(UnknownTierError):
-            JobSpec.create("CG", "S", kernel_backend="turbo")
+        with pytest.raises(TypeError):
+            JobSpec.create("CG", "S", kernel_backend="fused")
 
     def test_round_trips_through_dict(self):
-        spec = JobSpec.create("MG", "S", kernel_backend="compiled")
+        spec = JobSpec.create("MG", "S")
+        assert len(spec.as_dict()) == 9
+        assert "kernel_backend" not in spec.as_dict()
         assert JobSpec.from_dict(spec.as_dict()) == spec
 
 
 class TestBenchCellGrammar:
     def test_default_tier_keeps_historical_cell_id(self):
-        cell = BenchCell.parse("CG:S:serial:1")
-        assert cell.kernel_backend == "fused"
-        assert cell.cell_id == "CG.S.serial.x1"
-
-    def test_tier_suffix_for_non_default(self):
-        assert (BenchCell.parse("CG:S:serial:1:reference").cell_id
-                == "CG.S.serial.x1.reference")
-        assert (BenchCell.parse("mg:s:threads:2:compiled").cell_id
-                == "MG.S.threads.x2.compiled")
+        """Cell ids are what the committed BENCH_ records match on."""
+        assert BenchCell.parse("CG:S:serial:1").cell_id == "CG.S.serial.x1"
+        assert BenchCell.parse("mg:s:threads:2").cell_id == "MG.S.threads.x2"
+        assert MixEntry.parse("cg:s:threads:2").cell_id == "CG.S.threads.x2"
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             BenchCell.parse("CG:S:serial")
-        with pytest.raises(ValueError):
-            BenchCell.parse("CG:S:serial:1:compiled:extra")
+        with pytest.raises(ValueError,
+                           match="BENCHMARK:CLASS:BACKEND:WORKERS$"):
+            BenchCell.parse("CG:S:serial:1:compiled")
+        with pytest.raises(ValueError, match=r"WORKERS\]\]\]\[@WEIGHT\]$"):
+            MixEntry.parse("CG:S:serial:1:compiled")
 
 
 class TestSchemaV5Migration:
-    def _v4_record(self):
-        return {
-            "kind": "npb-bench-record",
-            "schema_version": 4,
-            "cells": [
-                {"kind": "benchmark", "cell_id": "CG.S.serial.x1",
-                 "faults": 0, "fault_counts": {},
-                 "job_id": None, "cache_hit": False,
-                 "queue_wait_seconds": 0.0},
-                {"kind": "basic_op", "cell_id": "basic_op.stencil1"},
-            ],
-        }
-
-    def test_v4_gains_kernel_backend(self):
-        record = _migrate_record(self._v4_record(), 4)
-        assert record["schema_version"] == SCHEMA_VERSION
-        bench, basic = record["cells"]
-        assert bench["kernel_backend"] == "fused"
-        assert "kernel_backend" not in basic  # basic ops have no tier
-
     def test_v1_chains_to_v5(self):
+        """...and on to the current schema, where the tier column the
+        v5 step used to backfill no longer exists."""
         record = {"schema_version": 1,
                   "cells": [{"kind": "benchmark",
                              "cell_id": "CG.S.serial.x1",
                              "regions": {"total": {}}}]}
         record = _migrate_record(record, 1)
         cell = record["cells"][0]
-        # Every fill-in along the v1->v5 chain is present.
         assert cell["faults"] == 0 and cell["fault_counts"] == {}
         assert cell["regions"]["total"]["alloc_bytes"] == 0
         assert cell["job_id"] is None
-        assert cell["kernel_backend"] == "fused"
+        assert "kernel_backend" not in cell
         assert record["schema_version"] == SCHEMA_VERSION
 
-    def test_load_record_migrates_from_disk(self, tmp_path):
+    def test_load_record_migrates_from_disk(self, tmp_path, capsys):
+        """The one kept step: v6 -> current drops the tier column, and
+        a cell measured at a removed tier with it."""
         path = tmp_path / "BENCH_0001.json"
-        path.write_text(json.dumps(self._v4_record()))
+        path.write_text(json.dumps({
+            "kind": "npb-bench-record",
+            "schema_version": 6,
+            "cells": [
+                {"kind": "benchmark", "id": "CG.S.serial.x1",
+                 "kernel_backend": "fused"},
+                {"kind": "benchmark", "id": "CG.S.serial.x1.compiled",
+                 "kernel_backend": "compiled"},
+                {"kind": "basic_op", "id": "basic_op.stencil1"},
+            ],
+        }))
         record = load_record(str(path))
-        assert record["schema_version"] == SCHEMA_VERSION
-        assert record["cells"][0]["kernel_backend"] == "fused"
-
-
-class TestBackendsCommand:
-    def test_text_listing(self, capsys):
-        assert cli.main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for tier in TIERS:
-            assert tier in out
-        assert "mg.resid" in out
-        assert "default" in out
-
-    def test_json_listing(self, capsys):
-        assert cli.main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kernels"] == REGISTRY.kernels()
-        assert set(payload["tiers"]) == set(TIERS)
-        assert payload["tiers"]["fused"]["default"] is True
+        assert record["schema_version"] == SCHEMA_VERSION == 7
+        assert [cell["id"] for cell in record["cells"]] == [
+            "CG.S.serial.x1", "basic_op.stencil1"]
+        assert all("kernel_backend" not in cell for cell in record["cells"])
+        assert "CG.S.serial.x1.compiled" in capsys.readouterr().err

@@ -310,6 +310,78 @@ class TestCoalescing:
         assert service.scheduler.duplicate_executions == 0
 
 
+class TestCoalescingKeyMatchesTheSpec:
+    """Two payloads coalesce iff ``BenchService.submit`` would build
+    equal specs: a payload naming no ``backend``/``workers`` runs on the
+    pool's, so that is what the in-flight key must assume -- not the
+    literal ``serial``/``1``.  (Regression: on a ``threads x2`` service
+    the explicit-serial twin of a bare payload was answered with the
+    threads job, and the explicit-threads twin executed a second time.)
+    """
+
+    BARE = {"benchmark": "FT", "problem_class": "S", "wait": True}
+
+    def _race(self, tmp_path, monkeypatch, twin: dict, settled):
+        """Hold a bare payload in flight, post ``twin`` beside it, open
+        the gate once ``settled(service)``; returns both responses."""
+        gate = threading.Event()
+        _gate_benchmark(monkeypatch, gate)
+        service = _service(tmp_path, backend="threads", workers=2)
+
+        async def main():
+            frontend = AsyncFrontEnd(service, window=2)
+            try:
+                first = asyncio.create_task(_post(frontend, dict(self.BARE)))
+                await _until(lambda: service.pool.leases == 1)
+                second = asyncio.create_task(
+                    _post(frontend, dict(self.BARE, **twin)))
+                await _until(lambda: settled(service), timeout=10.0)
+                gate.set()
+                return await asyncio.gather(first, second)
+            finally:
+                frontend.uninstall()
+
+        try:
+            return service, asyncio.run(main())
+        finally:
+            gate.set()
+            service.drain()
+
+    def test_explicit_serial_twin_runs_under_its_own_spec(
+        self, tmp_path, monkeypatch
+    ):
+        service, ((code1, bare, _), (code2, serial, _)) = self._race(
+            tmp_path, monkeypatch, {"backend": "serial", "workers": 1},
+            settled=lambda service: service.pool.leases == 2)
+        assert (code1, code2) == (200, 200)
+        assert (bare["job_id"], serial["job_id"]) == (
+            "job-000001", "job-000002")
+        assert bare["spec"]["backend"] == "threads"
+        assert bare["spec"]["workers"] == 2
+        assert serial["spec"]["backend"] == "serial"
+        assert serial["spec"]["workers"] == 1
+        assert serial["result"]["coalesced_with"] is None
+        assert serial["result"]["backend"] == "serial"
+        assert service.coalesced == 0
+        assert service.pool.leases == 2  # one warm, one cold serial team
+        assert service.pool.cold_spawns == 1
+
+    def test_explicit_pool_shape_twin_coalesces(self, tmp_path, monkeypatch):
+        service, ((code1, bare, _), (code2, twin, _)) = self._race(
+            tmp_path, monkeypatch, {"backend": "threads", "workers": 2},
+            settled=lambda service: service.coalesced == 1)
+        assert (code1, code2) == (200, 200)
+        assert bare["job_id"] == twin["job_id"] == "job-000001"
+        assert bare["result"]["coalesced_with"] is None
+        assert twin["result"]["coalesced_with"] == "job-000001"
+        assert twin["spec"] == bare["spec"]
+        assert twin["spec"]["backend"] == "threads"
+        assert twin["spec"]["workers"] == 2
+        assert service.pool.leases == 1  # one execution, one lease
+        assert service.scheduler.executed == 1
+        assert service.scheduler.duplicate_executions == 0
+
+
 class TestIdempotency:
     def test_replay_returns_the_original_job(self, tmp_path, daemon_url):
         with _service(tmp_path) as service:

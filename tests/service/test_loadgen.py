@@ -42,14 +42,16 @@ class TestPercentile:
 class TestMixes:
     def test_parse_shorthand_and_full_spec(self):
         assert MixEntry.parse("CG") == MixEntry("CG")
-        entry = MixEntry.parse("mg:s:threads:2:compiled@3")
-        assert entry == MixEntry("MG", "S", "threads", 2, "compiled", 3.0)
-        assert entry.cell_id == "MG.S.threads.x2.compiled"
+        entry = MixEntry.parse("mg:s:threads:2@3")
+        assert entry == MixEntry("MG", "S", "threads", 2, 3.0)
+        assert entry.cell_id == "MG.S.threads.x2"
+        assert entry.payload() == {"benchmark": "MG", "problem_class": "S",
+                                   "backend": "threads", "workers": 2}
         assert MixEntry.parse("CG").cell_id == "CG.S.serial.x1"
 
     def test_parse_rejects_malformed_specs(self):
-        with pytest.raises(ValueError):
-            MixEntry.parse("CG:S:serial:1:fused:extra")
+        with pytest.raises(ValueError):  # four fields; a fifth was the tier
+            MixEntry.parse("CG:S:serial:1:fused")
         with pytest.raises(ValueError):
             MixEntry.parse("@2")
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import pytest
 
 from repro import run_benchmark
 from repro.core.benchmark import RUN_RECORD_SCHEMA_VERSION
-from repro.service import AdmissionRejected, BenchService, ServiceClient
+from repro.service import (AdmissionRejected, BenchService, ServiceClient,
+                           ShardCoordinator)
 
 
 def _service(tmp_path, **kwargs) -> BenchService:
@@ -166,11 +167,41 @@ class TestHTTPFrontEnd:
         assert code == 404
         assert "error" in body
 
-    def test_bad_spec_is_400(self, served):
-        _, client = served
-        code, body = client.submit({"benchmark": "NOPE"})
+    def test_bad_spec_is_400(self, served, coordinator_url):
+        """...on the daemon and through a coordinator in front of it;
+        the removed kernel-tier input is refused, never ignored."""
+        service, client = served
+        coordinator = ShardCoordinator({"s0": client.url},
+                                       health_interval=60.0)
+        via_coordinator = ServiceClient(coordinator_url(coordinator))
+        try:
+            for payload, named in (
+                ({"benchmark": "NOPE"}, "NOPE"),
+                ({"benchmark": "CG", "kernel_backend": "fused"},
+                 "kernel_backend"),
+            ):
+                for surface in (client, via_coordinator):
+                    code, body = surface.submit(payload)
+                    assert code == 400
+                    assert "bad job spec" in body["error"]
+                    assert named in body["error"]
+        finally:
+            coordinator.close()
+        assert service.jobs() == []
+
+    def test_stray_field_cannot_ride_a_twin_in_flight(self, tmp_path,
+                                                      daemon_url):
+        """The in-flight registry matches on the run-affecting fields
+        only; an unknown field must be refused before it gets there."""
+        service = _service(tmp_path, autostart=False)  # CG stays queued
+        client = ServiceClient(daemon_url(service, drain_timeout=5))
+        code, job = client.submit({"benchmark": "CG"})
+        assert code == 202
+        code, body = client.submit({"benchmark": "CG",
+                                    "kernel_backend": "compiled"})
         assert code == 400
-        assert "bad job spec" in body["error"]
+        assert "kernel_backend" in body["error"]
+        assert service.coalesced == 0
 
     def test_full_queue_is_429(self, tmp_path, daemon_url):
         service = _service(tmp_path, queue_depth=1, autostart=False)
