@@ -33,7 +33,7 @@ import numpy as np
 from repro import run_benchmark
 from repro.core import basic_ops
 from repro.harness import records
-from repro.harness.stats import summarize, time_callable
+from repro.harness.stats import band_verdict, noise_band, summarize, time_callable
 
 #: Version of the BENCH_*.json record layout.
 #: v2: benchmark cells carry ``faults`` (total fault events over the
@@ -176,7 +176,8 @@ FULL_KERNELS: tuple[KernelCell, ...] = (
 # ===================================================================== #
 
 
-def _git_sha() -> str:
+def git_sha() -> str:
+    """HEAD of the working tree (``"unknown"`` outside a checkout)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -199,7 +200,7 @@ def environment_fingerprint() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "hostname": platform.node(),
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
     }
 
 
@@ -458,34 +459,6 @@ class Comparison:
         }
 
 
-def cell_threshold(
-    base: dict,
-    cand: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-    mad_multiplier: float = DEFAULT_MAD_MULTIPLIER,
-    abs_slack: float = DEFAULT_ABS_SLACK,
-) -> float:
-    """Relative slowdown a cell may show before it counts as a regression.
-
-    ``max(tolerance, k * MAD / best, abs_slack / best)``: the static
-    tolerance, widened by the measured run-to-run noise of whichever
-    record is noisier, widened again for cells so short that a single
-    scheduler quantum dwarfs them.  A cell whose repeats scatter (small
-    class-S kernels, shared runners) thereby gates itself more loosely
-    instead of flapping.
-    """
-    base_best = max(float(base["best_seconds"]), 1e-12)
-    noise = max(
-        float(base.get("mad_seconds", 0.0)),
-        float(cand.get("mad_seconds", 0.0)),
-    )
-    return max(
-        tolerance,
-        mad_multiplier * noise / base_best,
-        abs_slack / base_best,
-    )
-
-
 def compare_records(
     baseline: dict,
     candidate: dict,
@@ -501,22 +474,21 @@ def compare_records(
         cand = cand_cells.get(cell_id)
         if cand is None:
             continue
-        threshold = cell_threshold(base, cand, tolerance, mad_multiplier, abs_slack)
-        base_best = max(float(base["best_seconds"]), 1e-12)
-        ratio = float(cand["best_seconds"]) / base_best
-        if ratio > 1.0 + threshold:
-            verdict = "regression"
-        elif ratio < 1.0 - threshold:
-            verdict = "improved"
-        else:
-            verdict = "ok"
+        base_best = float(base["best_seconds"])
+        cand_best = float(cand["best_seconds"])
+        # the MAD of whichever record's repeats scatter more is the noise
+        noise = max(
+            float(base.get("mad_seconds", 0.0)),
+            float(cand.get("mad_seconds", 0.0)),
+        )
+        threshold = noise_band(base_best, noise, tolerance, mad_multiplier, abs_slack)
         deltas.append(
             CellDelta(
                 cell_id=cell_id,
-                base_seconds=float(base["best_seconds"]),
-                cand_seconds=float(cand["best_seconds"]),
+                base_seconds=base_best,
+                cand_seconds=cand_best,
                 threshold=threshold,
-                verdict=verdict,
+                verdict=band_verdict(cand_best / max(base_best, 1e-12), threshold),
             )
         )
     return Comparison(

@@ -265,7 +265,7 @@ def _serve_until_signal(app, args, announce, draining: str, on_stop):
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import AsyncFrontEnd, BenchService
+    from repro.service import AsyncFrontEnd, BenchService, http
 
     weights = {}
     for spec in args.tenant_weight or []:
@@ -299,10 +299,10 @@ def _cmd_serve(args) -> int:
                              quota=args.tenant_quota, weights=weights or None)
 
     def announce(url: str) -> None:
-        print(f"npb service listening on {url} "
-              f"(pool {args.pool}x {args.backend} x{args.workers}, "
-              f"queue depth {args.queue_depth}, cache {args.cache_dir})",
-              flush=True)
+        http.announce(
+            "service", url,
+            f"pool {args.pool}x {args.backend} x{args.workers}, "
+            f"queue depth {args.queue_depth}, cache {args.cache_dir}")
         if chaos is not None:
             print(f"npb service chaos enabled (seed {args.chaos_seed}, "
                   f"preset {args.chaos_preset}, "
@@ -320,69 +320,10 @@ def _cmd_serve(args) -> int:
     return EXIT_OK if clean else EXIT_FAILURE
 
 
-def _spawn_shard(name: str, args, chaos_seed: int | None = None,
-                 chaos_preset: str = "service"):
-    """Spawn one ``npb serve`` child daemon; returns ``(child, url)``.
-
-    Spawned shards are real ``npb serve`` child processes on loopback
-    ports of the OS's choosing; each announces its address on stdout
-    exactly like a hand-started daemon, and we read it from there
-    (``url`` is None if the child exited before announcing).  Shared by
-    ``npb shard-serve`` and ``npb chaos``.
-    """
-    import os
-    import re
-    import subprocess
-
-    cmd = [sys.executable, "-m", "repro", "serve",
-           "--host", "127.0.0.1", "--port", "0",
-           "--backend", args.backend, "--workers", str(args.workers),
-           "--pool", str(args.pool),
-           "--queue-depth", str(args.queue_depth),
-           "--cache-dir", os.path.join(args.cache_dir, name),
-           "--drain-timeout", str(args.drain_timeout)]
-    if getattr(args, "trace_sample", 0.0):
-        cmd += ["--trace-sample", str(args.trace_sample)]
-    if chaos_seed is not None:
-        cmd += ["--chaos-seed", str(chaos_seed),
-                "--chaos-preset", chaos_preset]
-    child = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
-    announce = re.compile(r"listening on (http://\S+)")
-    url = None
-    for line in child.stdout:
-        match = announce.search(line)
-        if match:
-            url = match.group(1)
-            break
-    return child, url
-
-
-def _drain_children(children, timeout: float) -> bool:
-    """SIGTERM spawned shard daemons so they run their own graceful
-    drain, wait for each, SIGKILL stragglers; True when none was killed."""
-    import signal
-    import subprocess
-
-    for child in children:
-        if child.poll() is None:
-            child.send_signal(signal.SIGTERM)
-    clean = True
-    for child in children:
-        try:
-            child.wait(timeout=max(timeout, 1.0))
-        except subprocess.TimeoutExpired:
-            child.kill()
-            child.wait()
-            clean = False
-        if child.stdout is not None:
-            child.stdout.close()
-    return clean
-
-
 def _cmd_shard_serve(args) -> int:
     import asyncio
 
-    from repro.service.shard import ShardCoordinator
+    from repro.service import ServiceUnavailable, http, shard
 
     shards = {}
     for i, spec in enumerate(args.shard or []):
@@ -398,36 +339,35 @@ def _cmd_shard_serve(args) -> int:
     children = []
     for i in range(args.spawn):
         name = f"shard{len(shards)}"
-        child, url = _spawn_shard(name, args)
-        children.append(child)
-        if url is None:
-            print(f"npb shard-serve: spawned shard {name} exited before "
-                  f"announcing its address", file=sys.stderr)
-            _drain_children(children, args.drain_timeout)
+        try:
+            child, shards[name] = shard.spawn_shard(
+                name, trace_sample=args.trace_sample, **_pool_options(args))
+        except ServiceUnavailable as exc:
+            print(f"npb shard-serve: {exc}", file=sys.stderr)
+            shard.drain_children(children, args.drain_timeout)
             return EXIT_USAGE
-        shards[name] = url
+        children.append(child)
     if not shards:
         print("npb shard-serve: no shards (pass --shard URL and/or "
               "--spawn N)", file=sys.stderr)
         return EXIT_USAGE
 
-    coordinator = ShardCoordinator(
+    coordinator = shard.ShardCoordinator(
         shards, replicas=args.replicas,
         health_interval=args.health_interval,
-        trace_sample=getattr(args, "trace_sample", 0.0))
+        trace_sample=args.trace_sample)
     coordinator.start()
     roster = ", ".join(f"{name}={url}" for name, url in shards.items())
 
     clean = _serve_until_signal(
         coordinator, args,
-        lambda url: print(f"npb coordinator listening on {url} "
-                          f"(shards: {roster})", flush=True),
+        lambda url: http.announce("coordinator", url, f"shards: {roster}"),
         "npb coordinator draining (stopping routing, signaling spawned "
         "shards)...",
         # the spawned shards' own drains answer the submissions still
         # parked on them (external --shard daemons are not ours to stop)
         on_stop=lambda: asyncio.to_thread(
-            _drain_children, children, args.drain_timeout))
+            shard.drain_children, children, args.drain_timeout))
     coordinator.close()
     print(f"npb coordinator drained "
           f"{'cleanly' if clean else 'with killed shards'}", flush=True)
@@ -435,140 +375,23 @@ def _cmd_shard_serve(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    import threading
-    import time
+    from repro.service import ServiceUnavailable, chaos
 
-    from repro.service import loadgen
-    from repro.service import chaos as chaos_mod
-    from repro.service.client import ServiceClient, ServiceUnavailable
-    from repro.service.shard import ShardCoordinator
-
-    say = (lambda *a, **k: None) if args.json else print
-
-    # 1. Spawn the shard daemons, each running in-daemon chaos under a
-    #    sub-seed derived from the run seed (pure function, so the plan
-    #    recorded here matches what the daemon actually compiled).
-    children: list = []
-    shards: dict[str, str] = {}
-    shard_plans: dict[str, chaos_mod.ChaosPlan] = {}
-    service_spec = chaos_mod.PRESETS["service"]()
-    for i in range(args.shards):
-        name = f"shard{i}"
-        sub_seed = chaos_mod.derive_seed(args.seed, name)
-        shard_plans[name] = chaos_mod.ChaosPlan.compile(
-            service_spec, sub_seed)
-        child, url = _spawn_shard(name, args, chaos_seed=sub_seed,
-                                  chaos_preset="service")
-        children.append(child)
-        if url is None:
-            print(f"npb chaos: spawned shard {name} exited before "
-                  f"announcing its address", file=sys.stderr)
-            _drain_children(children, args.drain_timeout)
-            return EXIT_USAGE
-        shards[name] = url
-        say(f"npb chaos: {name} at {url} (seed {sub_seed}, "
-            f"{len(shard_plans[name].faults())} planned faults)")
-
-    # 2. Coordinator (in-process) with the coordinator-level injector.
-    ordinal = 1 % args.shards
-    plan = chaos_mod.ChaosPlan.compile(
-        chaos_mod.coordinator_preset(kill_shard_after=args.kill_at,
-                                     kill_shard_ordinal=ordinal),
-        args.seed)
-    injector = chaos_mod.ChaosInjector(plan)
-    coordinator = ShardCoordinator(shards, health_interval=0.5)
-    injector.install_coordinator(coordinator)
-    coordinator.start()
-    say(f"npb chaos: coordinator up over {args.shards} shards "
-        f"(seed {args.seed}, {len(plan.faults())} planned faults, "
-        f"kill {'shard%d' % ordinal} at submission {args.kill_at})")
-
-    # 3. Drive the loadgen mix; every submission first consumes one
-    #    chaos.submit index, which is where the planned SIGKILL of a
-    #    whole shard daemon lands mid-traffic.
-    kills: list[dict] = []
-    kill_lock = threading.Lock()
-
-    def submit(payload):
-        fault = injector.on_chaos_submit()
-        if fault is not None and fault.kind == "kill_shard":
-            victim = int(fault.param or 0) % len(children)
-            with kill_lock:
-                pid = chaos_mod.kill_process(children[victim])
-            if pid is not None:
-                kills.append({"kind": "kill_shard", "index": fault.index,
-                              "shard": f"shard{victim}", "pid": pid,
-                              "at": time.time()})
-                say(f"npb chaos: SIGKILLed shard{victim} (pid {pid}) "
-                    f"at submission {fault.index}")
-        return coordinator.submit(payload)
-
-    profile = loadgen.PROFILES[args.profile]
-    sampler = loadgen.RequestSampler(profile, seed=args.seed)
-    ledger, elapsed = chaos_mod.drive_traffic(
-        submit, sampler, total_requests=args.requests,
-        concurrency=args.concurrency, retries=args.retries)
-    say(f"npb chaos: {len(ledger)} requests in {elapsed:.1f}s, "
-        f"{len(injector.events)} coordinator faults injected")
-
-    # 4. Settle: surviving shards must reach all-terminal job listings
-    #    (anything stuck is an invariant violation, not a race).
-    deadline = time.monotonic() + args.settle_timeout
-    shard_jobs: dict[str, list[dict]] = {}
-    while True:
-        pending = 0
-        shard_jobs = {}
-        for name, url in shards.items():
-            try:
-                _, body = ServiceClient(url, timeout=10.0).jobs()
-            except ServiceUnavailable:
-                continue  # the killed shard: its jobs died with it
-            listing = body.get("jobs", [])
-            shard_jobs[name] = listing
-            pending += sum(1 for job in listing
-                           if job.get("state")
-                           not in ("done", "cached", "failed"))
-        if pending == 0 or time.monotonic() > deadline:
-            break
-        time.sleep(0.2)
-
-    shard_chaos: dict[str, dict | None] = {}
-    for name, url in shards.items():
-        try:
-            _, status = ServiceClient(url, timeout=10.0).status()
-            shard_chaos[name] = status.get("chaos")
-        except ServiceUnavailable:
-            shard_chaos[name] = None
-
-    # 5. The invariant, the record, teardown.
-    verdict = chaos_mod.InvariantChecker(ledger, shard_jobs).check()
-    record = chaos_mod.build_record(
-        seed=args.seed,
-        config={
-            "shards": args.shards, "requests": args.requests,
-            "concurrency": args.concurrency, "profile": args.profile,
-            "backend": args.backend, "workers": args.workers,
-            "pool": args.pool, "queue_depth": args.queue_depth,
-            "kill_at": args.kill_at, "retries": args.retries,
-        },
-        coordinator_plan=plan,
-        shard_plans=shard_plans,
-        injected={
-            "coordinator": injector.summary()["events"],
-            "runner": kills,
-            "shards": shard_chaos,
-        },
-        traffic=chaos_mod.summarize_ledger(ledger, elapsed),
-        invariant=verdict,
-    )
-    record["ledger"] = [entry.as_dict() for entry in ledger]
-    path = chaos_mod.write_record(record, directory=args.dir, path=args.out)
-
-    coordinator.close()
-    _drain_children(children, args.drain_timeout)
+    try:
+        record = chaos.run_chaos(
+            seed=args.seed, shards=args.shards, requests=args.requests,
+            concurrency=args.concurrency, profile=args.profile,
+            kill_at=args.kill_at, retries=args.retries,
+            settle_timeout=args.settle_timeout, spawn=_pool_options(args),
+            say=(lambda line: None) if args.json else print)
+    except ServiceUnavailable as exc:
+        print(f"npb chaos: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    path = chaos.write_record(record, directory=args.dir, path=args.out)
+    verdict = record["invariant"]
 
     if args.json:
-        print(json.dumps(chaos_mod.load_record(path), indent=2))
+        print(json.dumps(chaos.load_record(path), indent=2))
     else:
         for check in verdict["checks"]:
             flag = "ok  " if check["pass"] else "FAIL"
@@ -672,8 +495,9 @@ def _cmd_jobs(args) -> int:
     try:
         if args.job_id:
             code, body = client.job(args.job_id)
-            if code == 404:
-                print(f"npb jobs: unknown job {args.job_id!r}",
+            if code in (404, 410):
+                gone = "expired" if code == 410 else "unknown"
+                print(f"npb jobs: {gone} job {args.job_id!r}",
                       file=sys.stderr)
                 return EXIT_FAILURE
             print(json.dumps(body, indent=2) if args.json
@@ -765,7 +589,7 @@ def _cmd_trace(args) -> int:
     except ServiceUnavailable as exc:
         print(f"npb trace: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if code == 404:
+    if code in (404, 410):
         print(f"npb trace: {body.get('error')}", file=sys.stderr)
         return EXIT_FAILURE
     if code != 200:
@@ -1099,26 +923,10 @@ def build_parser() -> argparse.ArgumentParser:
                       "admission queue, warm team pool, content-addressed "
                       "result cache, HTTP API)")
     _common(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8642,
-                       help="listen port (0 picks a free one; the chosen "
-                            "address is printed on startup)")
-    serve.add_argument("--pool", type=int, default=2, metavar="N",
-                       help="warm teams kept alive and reused across jobs "
-                            "(also the number of concurrent jobs; "
-                            "default 2)")
-    serve.add_argument("--queue-depth", type=int, default=64, metavar="D",
-                       help="admitted-but-unstarted jobs held before "
-                            "submissions are rejected with HTTP 429 "
-                            "(default 64)")
-    serve.add_argument("--cache-dir", default=".npb-service-cache",
-                       help="directory of the content-addressed result "
-                            "cache (default .npb-service-cache)")
+    _listen_arguments(serve, 8642)
+    _pool_arguments(serve, ".npb-service-cache", 60.0, backend=False)
     serve.add_argument("--cache-entries", type=int, default=256,
                        help="LRU bound on cached results (default 256)")
-    serve.add_argument("--drain-timeout", type=float, default=60.0,
-                       help="seconds to wait for running jobs on "
-                            "SIGTERM/SIGINT before giving up (default 60)")
     serve.add_argument("--admission-window", type=int, default=None,
                        metavar="N",
                        help="jobs admitted but not yet terminal before "
@@ -1142,15 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(CHAOS_PRESETS),
                        help="fault-rule preset for --chaos-seed "
                             "(default service)")
-    serve.add_argument("--trace-sample", type=float, default=0.0,
-                       metavar="RATE",
-                       help="trace this fraction of submissions end-to-"
-                            "end (0..1; default 0 = off; explicit "
-                            "'npb submit --trace' jobs are always "
-                            "traced); spans show at GET /jobs/<id>/trace "
-                            "and 'npb trace'")
-    serve.add_argument("-v", "--verbose", action="store_true",
-                       help="log every HTTP request to stderr")
     serve.set_defaults(fn=_cmd_serve)
 
     submit = sub.add_parser(
@@ -1209,44 +1008,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="spawn N 'npb serve' child daemons on "
                                   "free loopback ports and front them "
                                   "(default 0)")
-    shard_serve.add_argument("--host", default="127.0.0.1")
-    shard_serve.add_argument("--port", type=int,
-                             default=DEFAULT_COORDINATOR_PORT,
-                             help=f"coordinator listen port (default "
-                                  f"{DEFAULT_COORDINATOR_PORT}; 0 picks a "
-                                  f"free one)")
+    _listen_arguments(shard_serve, DEFAULT_COORDINATOR_PORT)
     shard_serve.add_argument("--replicas", type=int, default=128,
                              help="virtual points per shard on the hash "
                                   "ring (default 128)")
     shard_serve.add_argument("--health-interval", type=float, default=2.0,
                              help="seconds between background shard "
                                   "health probes (default 2)")
-    shard_serve.add_argument("--backend", default="serial",
-                             choices=["serial", "threads", "process"],
-                             help="backend of spawned shards (default "
-                                  "serial)")
-    shard_serve.add_argument("--workers", type=int, default=1,
-                             help="workers per spawned-shard team")
-    shard_serve.add_argument("--pool", type=int, default=2,
-                             help="warm teams per spawned shard")
-    shard_serve.add_argument("--queue-depth", type=int, default=64,
-                             help="admission queue depth per spawned shard")
-    shard_serve.add_argument("--cache-dir", default=".npb-service-cache",
-                             help="base cache directory; spawned shards "
-                                  "use <dir>/shardN subdirectories")
-    shard_serve.add_argument("--drain-timeout", type=float, default=60.0,
-                             help="seconds to wait for spawned shards to "
-                                  "drain on SIGTERM/SIGINT (default 60)")
-    shard_serve.add_argument("--trace-sample", type=float, default=0.0,
-                             metavar="RATE",
-                             help="trace this fraction of submissions "
-                                  "(0..1; default 0); applied at the "
-                                  "coordinator edge and passed through "
-                                  "to spawned shards so one decision "
-                                  "covers routing, scheduling, and "
-                                  "kernel regions")
-    shard_serve.add_argument("-v", "--verbose", action="store_true",
-                             help="log every HTTP request to stderr")
+    _pool_arguments(shard_serve, ".npb-service-cache", 60.0)
     shard_serve.set_defaults(fn=_cmd_shard_serve)
 
     chaos = sub.add_parser(
@@ -1272,28 +1041,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--kill-at", type=int, default=6, metavar="INDEX",
                        help="submission index at which the planned "
                             "shard SIGKILL fires (default 6)")
-    chaos.add_argument("--backend", default="serial",
-                       choices=["serial", "threads", "process"],
-                       help="backend of spawned shards (default serial)")
-    chaos.add_argument("--workers", type=int, default=1,
-                       help="workers per spawned-shard team")
-    chaos.add_argument("--pool", type=int, default=2,
-                       help="warm teams per spawned shard")
-    chaos.add_argument("--queue-depth", type=int, default=64,
-                       help="admission queue depth per spawned shard")
-    chaos.add_argument("--cache-dir", default=".npb-chaos-cache",
-                       help="base cache directory; shards use "
-                            "<dir>/shardN subdirectories "
-                            "(default .npb-chaos-cache)")
+    _pool_arguments(chaos, ".npb-chaos-cache", 30.0)
     chaos.add_argument("--retries", type=int, default=3,
                        help="429 retries per request (default 3)")
     chaos.add_argument("--settle-timeout", type=float, default=30.0,
                        help="seconds to wait for surviving shards to "
                             "reach all-terminal job listings "
                             "(default 30)")
-    chaos.add_argument("--drain-timeout", type=float, default=30.0,
-                       help="seconds to wait for shards to drain at "
-                            "teardown (default 30)")
     chaos.add_argument("--min-fault-kinds", type=int, default=4,
                        metavar="K",
                        help="fail unless at least K distinct fault "
@@ -1499,6 +1253,61 @@ def _common(sub_parser) -> None:
                             help="transport failures tolerated per dispatch "
                                  "before degrading to inline serial "
                                  "execution (default 2)")
+
+
+def _listen_arguments(sub_parser, port: int) -> None:
+    """What ``serve`` and ``shard-serve``, the two servers, both take."""
+    sub_parser.add_argument("--host", default="127.0.0.1")
+    sub_parser.add_argument("--port", type=int, default=port,
+                            help=f"listen port (default {port}; 0 picks a "
+                                 f"free one; the chosen address is printed "
+                                 f"on startup)")
+    sub_parser.add_argument("--trace-sample", type=float, default=0.0,
+                            metavar="RATE",
+                            help="fraction of submissions traced end to end "
+                                 "(0..1; default 0 = off; 'npb submit --trace' "
+                                 "jobs always are): one decision at the edge "
+                                 "covers routing, spawned shards, scheduling "
+                                 "and kernel regions; read with 'npb trace'")
+    sub_parser.add_argument("-v", "--verbose", action="store_true",
+                            help="log every HTTP request to stderr")
+
+
+#: The pool-shape options ``serve``, ``shard-serve`` and ``chaos`` share
+#: (what each daemon -- the one served, or every spawned shard -- runs).
+_POOL_OPTIONS = ("backend", "workers", "pool", "queue_depth", "cache_dir",
+                 "drain_timeout")
+
+
+def _pool_arguments(sub_parser, cache_dir: str, drain_timeout: float,
+                    backend: bool = True) -> None:
+    """Declare :data:`_POOL_OPTIONS` (``backend=False`` where
+    :func:`_common` already declared ``--backend``/``--workers``)."""
+    if backend:
+        sub_parser.add_argument("--backend", default="serial",
+                                choices=["serial", "threads", "process"],
+                                help="backend of every pooled team "
+                                     "(default serial)")
+        sub_parser.add_argument("--workers", type=int, default=1,
+                                help="workers per pooled team (default 1)")
+    sub_parser.add_argument("--pool", type=int, default=2, metavar="N",
+                            help="warm teams a daemon keeps and reuses across "
+                                 "jobs, so also its concurrent jobs (default 2)")
+    sub_parser.add_argument("--queue-depth", type=int, default=64, metavar="D",
+                            help="admitted-but-unstarted jobs a daemon holds "
+                                 "before it answers HTTP 429 (default 64)")
+    sub_parser.add_argument("--cache-dir", default=cache_dir,
+                            help=f"result cache directory; spawned shards use "
+                                 f"<dir>/shardN (default {cache_dir})")
+    sub_parser.add_argument("--drain-timeout", type=float, default=drain_timeout,
+                            help=f"seconds running jobs (and spawned shards) get "
+                                 f"to drain on SIGTERM/SIGINT or at teardown "
+                                 f"(default {drain_timeout:g})")
+
+
+def _pool_options(args) -> dict:
+    """:data:`_POOL_OPTIONS` of parsed ``args``, as ``spawn_shard`` takes them."""
+    return {name: getattr(args, name) for name in _POOL_OPTIONS}
 
 
 def main(argv: list[str] | None = None) -> int:

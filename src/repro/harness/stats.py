@@ -61,6 +61,31 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
+def noise_band(
+    base: float, noise: float, tolerance: float, k: float, abs_slack: float
+) -> float:
+    """Relative change of ``base`` tolerated before a verdict.
+
+    ``max(tolerance, k * noise / base, abs_slack / base)``: the static
+    tolerance, widened by the measured run-to-run noise (a MAD, in the
+    unit of ``base``), widened again for a ``base`` so small that one
+    scheduler quantum dwarfs it.  Both comparators (``npb bench`` and
+    ``npb loadgen --compare``) judge by it, so a measurement that
+    scatters gates itself more loosely instead of flapping.
+    """
+    base = max(float(base), 1e-12)
+    return max(tolerance, k * noise / base, abs_slack / base)
+
+
+def band_verdict(ratio: float, band: float, higher_is_better: bool = False) -> str:
+    """regression | improved | ok: candidate/base ``ratio`` vs its noise band."""
+    if higher_is_better:
+        worse, better = ratio < 1.0 / (1.0 + band), ratio > 1.0 + band
+    else:
+        worse, better = ratio > 1.0 + band, ratio < 1.0 - band
+    return "regression" if worse else "improved" if better else "ok"
+
+
 @dataclass(frozen=True)
 class TimingSummary:
     """Min-of-k timing of one measured cell, with a robust noise bar."""

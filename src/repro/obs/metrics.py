@@ -80,6 +80,12 @@ class Counter:
         with self._lock:
             return self._values.get(_labels_key(labels), 0.0)
 
+    def total(self, **labels) -> float:
+        """Sum over every series whose labels include ``labels``."""
+        wanted = set(_labels_key(labels))
+        with self._lock:
+            return sum(v for key, v in self._values.items() if wanted <= set(key))
+
     def collect(self) -> list[str]:
         with self._lock:
             items = sorted(self._values.items())
@@ -274,6 +280,10 @@ class MetricsRegistry:
         return self._register(
             name, lambda: Histogram(name, help_text, buckets), Histogram
         )
+
+    def register(self, metric):
+        """Adopt an instrument its owner built and counts on itself."""
+        return self._register(metric.name, lambda: metric, type(metric))
 
     def _register(self, name: str, factory, expected):
         with self._lock:

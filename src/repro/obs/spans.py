@@ -67,6 +67,9 @@ class Span:
             return 0.0
         return max(0.0, self.ended_at - self.started_at)
 
+    def set(self, **attrs) -> None:
+        self.attrs.update(attrs)
+
     def add_event(self, name: str, **attrs) -> None:
         self.events.append({"name": name, "at": time.time(), **attrs})
 
@@ -103,6 +106,23 @@ class Span:
             attrs=dict(data.get("attrs") or {}),
             events=list(data.get("events") or []),
         )
+
+
+class _NoopSpan:
+    """The span of an unsampled context: one shared instance, nothing
+    allocated or stored, every write discarded -- so the service opens
+    spans unconditionally and both kinds of request run the same code."""
+
+    __slots__ = ()
+    span_id = started_at = None
+
+    def _discard(self, *args, **kwargs) -> None:
+        pass
+
+    set = add_event = end = _discard
+
+
+NOOP_SPAN = _NoopSpan()
 
 
 class SpanStore:
@@ -179,17 +199,21 @@ class SpanStore:
         ctx: TraceContext | None = None,
         attrs: dict | None = None,
         started_at: float | None = None,
-    ) -> tuple[Span, TraceContext]:
+    ) -> tuple["Span | _NoopSpan", TraceContext]:
         """Open a span under ``ctx`` (or the ambient context, or a new
         root trace) and return it with the child context for callees.
 
         The span is added to the store immediately so an in-flight
-        trace is visible; ``Span.end`` just stamps the end time.
+        trace is visible; ``Span.end`` just stamps the end time.  An
+        unsampled context gets :data:`NOOP_SPAN` and itself back (no
+        span exists, so there is no child context to hand on).
         """
         if ctx is None:
             ctx = current_trace()
         if ctx is None:
             ctx = TraceContext(trace_id=new_trace_id(), parent_span_id=None)
+        if not ctx.sampled:
+            return NOOP_SPAN, ctx
         span = Span(
             name=name,
             trace_id=ctx.trace_id,
@@ -198,8 +222,7 @@ class SpanStore:
             started_at=time.time() if started_at is None else started_at,
             attrs=dict(attrs or {}),
         )
-        if ctx.sampled:
-            self.add(span)
+        self.add(span)
         return span, ctx.child(span.span_id)
 
 

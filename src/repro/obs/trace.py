@@ -72,6 +72,11 @@ class TraceContext:
         )
 
 
+#: The context of a request nobody traces (a ``Job`` whose ``trace`` is
+#: None runs under it): ``start_span`` gives it the shared no-op span.
+UNSAMPLED = TraceContext(trace_id="0" * 32, sampled=False)
+
+
 def format_traceparent(ctx: TraceContext) -> str:
     """Render ``ctx`` as an outgoing ``traceparent`` header value."""
     flags = _FLAG_SAMPLED if ctx.sampled else 0

@@ -6,12 +6,20 @@ scheduler, and a job registry -- behind ``submit`` / ``wait`` /
 path without opening a socket.  The HTTP surface of ``npb serve`` is
 :class:`repro.service.async_api.AsyncFrontEnd` on the one server in
 :mod:`repro.service.http`; the client is :mod:`repro.service.client`.
+
+The registry is bounded: every job not yet terminal plus the
+:data:`TERMINAL_RETENTION` most recently finished.  An older job is
+*expired*: its id answers a structured "expired" body (HTTP 410; an id
+never issued is a 404) and its idempotency key admits a new job.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
 import time
+from collections import OrderedDict
+from functools import partial
 
 from repro.obs.metrics import MetricsRegistry, process_rss_bytes
 from repro.obs.spans import TraceSampler
@@ -24,6 +32,16 @@ from repro.service.scheduler import Scheduler
 
 #: Default on-disk location of the content-addressed result cache.
 DEFAULT_CACHE_DIR = ".npb-service-cache"
+
+#: Terminal jobs the registry keeps for lookup by id or idempotency key.
+#: One terminal class-S job measures 10 KB (IS, CG) to 16 KB (LU) deep
+#: -- the ``Job``, its completion and mostly its run record, whose size
+#: is set by the region table, not the problem class -- so the bound
+#: costs 40-64 MB however long the daemon lives.  At the ~1200 jobs/s a
+#: daemon answers from its cache (``benchmarks/e2e`` ``service_cached``)
+#: a no-wait client still has ~3 s to fetch its result; executed work
+#: (<= 50 jobs/s) stays for minutes.
+TERMINAL_RETENTION = 4096
 
 
 class BenchService:
@@ -54,17 +72,18 @@ class BenchService:
         self.queue = JobQueue(maxdepth=queue_depth)
         self.pool = TeamPool(backend, workers, size=pool_size, policy=policy)
         self.cache = ResultCache(cache_dir, max_entries=cache_entries)
-        self.scheduler = Scheduler(
-            self.queue, self.pool, self.cache, on_update=self._on_update
-        )
+        self.scheduler = Scheduler(self.queue, self.pool, self.cache)
         #: optional ChaosInjector wired into every seam (fault-injection
         #: tests and ``npb serve --chaos-seed``); None = off
         self.chaos = chaos
         if chaos is not None:
             chaos.install(self)
-        self._jobs: dict[str, Job] = {}
+        #: jobs not yet terminal, and the last TERMINAL_RETENTION that
+        #: are (oldest first); a job moves over when it finishes
+        self._live: dict[str, Job] = {}
+        self._kept: OrderedDict[str, Job] = OrderedDict()
         self._by_key: dict[str, Job] = {}
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._counter = 0
         self._draining = False
         #: dedup counters (schema v6 status block): replays of an
@@ -72,10 +91,8 @@ class BenchService:
         #: in-flight job instead of re-queueing
         self.idempotent_replays = 0
         self.coalesced = 0
-        #: external observers of job state changes (the front end
-        #: registers one to resolve waiter futures); called outside the
-        #: service lock from dispatcher threads, must be cheap
-        self._listeners: list = []
+        #: lookups of an id this service issued and no longer holds
+        self.expired_lookups = 0
         self.started_at = time.time()
         self._register_metrics()
         if autostart:
@@ -89,8 +106,9 @@ class BenchService:
         Gauges are callback-backed -- a scrape reads the queue, pool,
         cache, and scheduler directly instead of the service mirroring
         every change -- so metrics cost nothing between scrapes.  Only
-        the per-job counter/histogram pair is push-style, fed by a
-        state-change listener on terminal transitions.
+        the per-job pair is push-style: ``npb_jobs_total`` is the
+        scheduler's own tally, adopted here, and the latency histogram
+        is fed by a done-callback on each job's completion.
         """
         reg = self.metrics
         reg.gauge("npb_queue_depth", "jobs waiting in the admission queue",
@@ -128,53 +146,35 @@ class BenchService:
                   callback=process_rss_bytes)
         reg.gauge("npb_uptime_seconds", "seconds since service start",
                   callback=lambda: time.time() - self.started_at)
-        self._jobs_total = reg.counter(
-            "npb_jobs_total", "terminal jobs by state and benchmark")
+        reg.register(self.scheduler.jobs_total)
         self._http_responses = reg.counter(
             "npb_http_responses_total", "front-end responses by status code")
         self._job_latency = reg.histogram(
             "npb_job_latency_seconds",
             "submit-to-terminal latency by benchmark")
-        self.add_listener(self._observe_job)
 
-    def _observe_job(self, job: Job) -> None:
-        if not job.terminal:
-            return
-        benchmark = job.spec.benchmark
-        self._jobs_total.inc(state=job.state, benchmark=benchmark)
-        if job.finished_at is not None:
-            self._job_latency.observe(
-                job.finished_at - job.submitted_at, benchmark=benchmark
-            )
+    def _on_terminal(self, job_id: str, _completion) -> None:
+        """Done-callback of every admitted job's completion: keep it,
+        expire the oldest kept beyond the bound, observe its latency.
+        (Bound to the id: holding the job would tie it to its own
+        completion, and an expired job must die by refcount.)"""
+        with self._lock:
+            job = self._kept[job_id] = self._live.pop(job_id)
+            if len(self._kept) > TERMINAL_RETENTION:
+                _, old = self._kept.popitem(last=False)
+                if self._by_key.get(old.job_key) is old:
+                    del self._by_key[old.job_key]
+        self._job_latency.observe(
+            job.finished_at - job.submitted_at, benchmark=job.spec.benchmark
+        )
 
     def note_http_response(self, code: int) -> None:
         """Count one HTTP response (the server calls this per reply)."""
         self._http_responses.inc(code=str(code))
 
-    def _on_update(self, job: Job) -> None:
-        with self._cond:
-            self._cond.notify_all()
-            listeners = list(self._listeners)
-        for listener in listeners:
-            try:
-                listener(job)
-            except Exception:
-                # A broken observer must never take a dispatcher down.
-                pass
-
-    def add_listener(self, listener) -> None:
-        """Register ``listener(job)`` to run after every state change."""
-        with self._cond:
-            self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        with self._cond:
-            if listener in self._listeners:
-                self._listeners.remove(listener)
-
     def note_coalesced(self, count: int = 1) -> None:
         """Count waiters a front end attached to an in-flight job."""
-        with self._cond:
+        with self._lock:
             self.coalesced += count
 
     def submit(
@@ -212,10 +212,7 @@ class BenchService:
             trace = self.sampler.decide()
         if job_key is not None:
             job_key = str(job_key)
-            with self._cond:
-                existing = self._by_key.get(job_key)
-                if existing is not None:
-                    self.idempotent_replays += 1
+            existing = self.replay(job_key)
             if existing is not None:
                 return existing
         spec = JobSpec.create(
@@ -226,7 +223,7 @@ class BenchService:
             dispatch_timeout=dispatch_timeout,
             max_retries=max_retries,
         )
-        with self._cond:
+        with self._lock:
             if job_key is not None:
                 # Re-check under the lock: a concurrent duplicate may
                 # have registered the key while the spec was validated.
@@ -246,20 +243,31 @@ class BenchService:
             )
             if job_key is not None:
                 self._by_key[job_key] = job
+            self._live[job.job_id] = job
         try:
             self.queue.put(job)  # may raise AdmissionRejected
         except AdmissionRejected:
-            with self._cond:
+            with self._lock:
+                del self._live[job.job_id]
                 if job_key is not None and self._by_key.get(job_key) is job:
                     del self._by_key[job_key]
             raise
-        with self._cond:
-            self._jobs[job.job_id] = job
+        job.completion.add_done_callback(partial(self._on_terminal, job.job_id))
         return job
 
     def job(self, job_id: str) -> Job | None:
-        with self._cond:
-            return self._jobs.get(job_id)
+        with self._lock:
+            return self._live.get(job_id) or self._kept.get(job_id)
+
+    def expired(self, job_id: str) -> bool:
+        """Whether this service issued ``job_id`` and no longer holds the
+        job (counted in ``/status``), as opposed to never having."""
+        serial = job_id.removeprefix("job-")
+        issued = serial.isdecimal() and 0 < int(serial) <= self._counter
+        gone = issued and self.job(job_id) is None
+        with self._lock:
+            self.expired_lookups += gone
+        return gone
 
     def replay(self, job_key: str) -> Job | None:
         """The job admitted under ``job_key``, counted as a replay.
@@ -268,42 +276,42 @@ class BenchService:
         request is an idempotent replay and must bypass fair-queueing
         (replaying a key adds no work, so it must not consume quota).
         """
-        with self._cond:
+        with self._lock:
             job = self._by_key.get(str(job_key))
             if job is not None:
                 self.idempotent_replays += 1
             return job
 
     def jobs(self) -> list[Job]:
-        with self._cond:
-            return list(self._jobs.values())
+        """Every held job: the kept ones, oldest first, then the live."""
+        with self._lock:
+            return [*self._kept.values(), *self._live.values()]
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until the job reaches a terminal state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while True:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    raise KeyError(f"unknown job {job_id!r}")
-                if job.terminal:
-                    return job
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} not terminal within {timeout}s "
-                        f"(state {job.state})"
-                    )
-                self._cond.wait(remaining)
+        job = self.job(job_id)
+        if job is None:
+            raise KeyError(f"unknown (or expired) job {job_id!r}")
+        try:
+            job.completion.result(timeout)
+        except concurrent.futures.TimeoutError:
+            raise TimeoutError(
+                f"job {job_id} not terminal within {timeout}s "
+                f"(state {job.state})"
+            ) from None
+        return job
 
     # ------------------------------------------------------------------ #
 
     def status(self) -> dict:
-        with self._cond:
-            by_state: dict[str, int] = {}
-            for job in self._jobs.values():
+        # terminal states from the scheduler's tally, the live ones counted
+        by_state = {
+            state: count
+            for state in ("done", "cached", "failed")
+            if (count := self.scheduler.finished(state))
+        }
+        with self._lock:
+            for job in self._live.values():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
             draining = self._draining
             coalesced = self.coalesced
@@ -326,6 +334,7 @@ class BenchService:
             "cache": self.cache.stats(),
             "scheduler": self.scheduler.stats(),
             "jobs": by_state,
+            "expired_lookups": self.expired_lookups,
             # duplicate-work ledger: requests absorbed without executing
             # (coalesced waiters, idempotent replays) vs duplicate work
             # that actually ran (in-flight twins submitted in process,
@@ -343,7 +352,7 @@ class BenchService:
     def drain(self, timeout: float | None = 30.0) -> bool:
         """Graceful shutdown: finish admitted jobs, reject new ones,
         close every team.  Returns True on a clean drain."""
-        with self._cond:
+        with self._lock:
             if self._draining:
                 return True
             self._draining = True

@@ -8,9 +8,10 @@ loop while the execution core -- ``BenchService``/``Scheduler``/
 ``TeamPool`` -- stays exactly as it is, bridged through the loop's
 default thread pool for the few short blocking calls (``status``,
 ``jobs``, ``drain``).  Waiting, which is what clients mostly do, is
-fully event-driven: a dispatcher thread finishing a job wakes the loop
-once (``call_soon_threadsafe``), and the loop fans the result out to
-every connection that was parked on an ``asyncio.Future``.
+fully event-driven and needs no machinery of the front end's own: a
+connection parks on ``asyncio.wrap_future(job.completion)``, and the
+dispatcher thread whose ``Job.finish`` resolves that completion wakes
+the loop for it.
 
 ``POST /jobs``
     Submit a job.  Body: ``{"benchmark": "CG", "problem_class": "S",
@@ -24,7 +25,8 @@ every connection that was parked on an ``asyncio.Future``.
     quota, or draining); 400 on a malformed spec or a field
     ``BenchService.submit`` does not take.
 ``GET /jobs`` / ``GET /jobs/<id>`` / ``GET /jobs/<id>/trace``
-    Job listing / one job / its span tree (404 when unknown).
+    Job listing / one job / its span tree (404 when unknown; 410 with
+    ``"expired": true`` once the bounded registry has let the job go).
 ``GET /status`` / ``GET /metrics``
     Queue depth, pool occupancy, cache hit rate, scheduler counters,
     jobs by state, the ``dedup`` counters and the ``frontend`` block
@@ -39,11 +41,13 @@ Three capabilities ride on it:
 ``BenchService.submit`` fills them -- within one daemon the environment
 is pinned, so equal routing keys partition submissions exactly like
 equal fingerprints) tracks every cache-eligible job between admission
-and its terminal state.  A second identical request attaches
-an ``asyncio.Future`` to the registered entry instead of re-queueing;
-when the primary completes, one result fans out to all attached waiters.
-Waiter responses carry ``coalesced_with: <primary job_id>`` (also
-stamped into the run record -- schema v6), and each attachment increments
+and its terminal state.  A second identical request waits for the
+registered primary's :class:`Job` instead of re-queueing, then parks on
+that job's completion like the primary's own connection does, so one
+result fans out to all of them.  Waiter responses carry
+``coalesced_with: <primary job_id>`` (also stamped into the run record
+-- schema v6) and the waiter's own arrival and attach times
+(:meth:`Job.coalesced_dict`), and each attachment increments
 the ``dedup.coalesced`` counter in ``/status``.  Requests with
 ``no_cache`` asked for a private execution and never coalesce, in either
 direction.  The registry entry dies with the job: a request arriving
@@ -73,13 +77,16 @@ bounded-queue/429 backpressure stays the outermost layer underneath.
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
+import time
 from collections import deque
 
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.obs.spans import get_span_store
 from repro.obs.trace import parse_traceparent
-from repro.service.api import BenchService
+from repro.service.api import TERMINAL_RETENTION, BenchService
+from repro.service.http import parse_route
 from repro.service.jobs import (
     RETRY_AFTER_SECONDS,
     AdmissionRejected,
@@ -95,42 +102,6 @@ from repro.service.jobs import (
 _SUBMIT_FIELDS = frozenset(
     inspect.signature(BenchService.submit).parameters
 ) - {"self", "trace"}
-
-
-def begin_submit_trace(service: BenchService, payload: dict, header_value: str | None):
-    """Edge tracing for one submit request.
-
-    Pops the explicit ``trace`` flag from the payload, continues an
-    incoming ``traceparent`` (or lets the sampler decide), and -- when
-    sampled -- opens the ``http.submit`` span.  Returns
-    ``(span_or_None, context_to_submit_with)``; the caller ends the
-    span when the response goes out and passes the context to
-    ``service.submit(trace=...)`` so the scheduler's spans nest under
-    the HTTP one.
-    """
-    forced = bool(payload.pop("trace", False))
-    incoming = parse_traceparent(header_value)
-    ctx = service.sampler.decide(incoming, forced=forced)
-    if not ctx.sampled:
-        return None, ctx
-    return get_span_store().start_span("http.submit", ctx=ctx)
-
-
-def job_trace_response(service: BenchService, job_id: str) -> tuple[int, dict]:
-    """``GET /jobs/<id>/trace`` body: this process's spans of the job's
-    trace (the coordinator merges its own on top when proxying)."""
-    job = service.job(job_id)
-    if job is None:
-        return 404, {"error": "unknown job"}
-    trace_id = job.trace_id
-    if trace_id is None:
-        return 404, {"error": f"job {job_id!r} was not traced"}
-    spans = get_span_store().trace(trace_id)
-    return 200, {
-        "trace_id": trace_id,
-        "job_id": job_id,
-        "spans": [span.to_dict() for span in spans],
-    }
 
 
 class TenantQuotaExceeded(AdmissionRejected):
@@ -327,43 +298,15 @@ class FairAdmission:
         }
 
 
-class _InflightEntry:
-    """One cache-eligible job between admission and terminal state.
-
-    ``admitted`` resolves to the :class:`Job` once ``service.submit``
-    returns (or to its exception); ``done`` resolves to the same job in
-    its terminal state -- done, failed, or cached alike, so a waiter on
-    a failed primary gets the structured failure, never a hang.
-    """
-
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self.admitted: asyncio.Future = loop.create_future()
-        self.done: asyncio.Future = loop.create_future()
-        # Exceptions fan out to waiters, but an entry may have none;
-        # mark them observed so a waiterless failure does not warn.
-        self.admitted.add_done_callback(_observe)
-        self.done.add_done_callback(_observe)
-
-    def fail(self, exc: BaseException) -> None:
-        if not self.admitted.done():
-            self.admitted.set_exception(exc)
-        if not self.done.done():
-            self.done.set_exception(exc)
-
-
-def _observe(fut: asyncio.Future) -> None:
-    if not fut.cancelled():
-        fut.exception()
-
-
 class AsyncFrontEnd:
     """The daemon's routes, admission and coalescing over one
     :class:`BenchService` -- the app :func:`repro.service.http.serve`
     serves for ``npb serve``.
 
-    All mutable state (registry, watches, admission) is touched only on
-    the event-loop thread; dispatcher threads reach it exclusively via
-    ``call_soon_threadsafe`` from the service listener.
+    All mutable state (registry, parked futures, admission) is touched
+    only on the event-loop thread; dispatcher threads reach it
+    exclusively through the ``call_soon_threadsafe`` inside
+    ``asyncio.wrap_future``.
     """
 
     def __init__(
@@ -380,45 +323,22 @@ class AsyncFrontEnd:
             weights=weights,
         )
         self.draining = False
-        #: the serving loop, learned when the first watch is parked on it
-        self._loop: asyncio.AbstractEventLoop | None = None
-        #: routing_key -> in-flight entry (cache-eligible jobs only)
-        self._registry: dict[str, _InflightEntry] = {}
-        #: job_id -> futures parked until that job is terminal
-        self._watches: dict[str, list[asyncio.Future]] = {}
-        service.add_listener(self._on_job_update)
-
-    # ------------------------------------------------------------------ #
-    # service bridge
-    # ------------------------------------------------------------------ #
-
-    def uninstall(self) -> None:
-        """Stop observing job state changes (idempotent; drain does it)."""
-        self.service.remove_listener(self._on_job_update)
+        #: routing_key -> future of the primary's admission: its
+        #: :class:`Job`, or the exception that refused it (cache-eligible
+        #: requests only, from arrival to terminal state)
+        self._registry: dict[str, asyncio.Future] = {}
+        #: loop-side views of job completions somebody is parked on;
+        #: kept only so the drain can fail the ones it lost, loudly
+        self._parked: set[asyncio.Future] = set()
 
     def note_http_response(self, code: int) -> None:
         self.service.note_http_response(code)
 
-    def _on_job_update(self, job: Job) -> None:
-        """Service listener -- runs on a dispatcher thread."""
-        loop = self._loop
-        if job.terminal and loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self._resolve_job, job)
-
-    def _resolve_job(self, job: Job) -> None:
-        """Loop thread: fan a terminal job out to every parked future."""
-        for fut in self._watches.pop(job.job_id, []):
-            if not fut.done():
-                fut.set_result(job)
-
-    def _watch_job(self, job: Job) -> asyncio.Future:
-        """Future resolving to ``job`` once terminal (loop thread only)."""
-        self._loop = asyncio.get_running_loop()
-        fut = self._loop.create_future()
-        self._watches.setdefault(job.job_id, []).append(fut)
-        if job.terminal:
-            # The listener may have fired before this watch registered.
-            self._resolve_job(job)
+    def _terminal(self, job: Job) -> asyncio.Future:
+        """``job.completion`` as a future of the running loop."""
+        fut = asyncio.wrap_future(job.completion)
+        self._parked.add(fut)
+        fut.add_done_callback(self._parked.discard)
         return fut
 
     # ------------------------------------------------------------------ #
@@ -433,20 +353,24 @@ class AsyncFrontEnd:
             return 400, {"error": f"bad job spec: {exc}"}, {}
         wait = bool(payload.pop("wait", False))
         wait_timeout = payload.pop("wait_timeout", None)
-        span, ctx = begin_submit_trace(
-            self.service, payload, headers.get("traceparent")
+        # Edge tracing: continue an incoming traceparent, else the sampler
+        # decides; the scheduler's spans nest under http.submit via ``ctx``.
+        ctx = self.service.sampler.decide(
+            parse_traceparent(headers.get("traceparent")),
+            forced=bool(payload.pop("trace", False)),
         )
+        span, ctx = get_span_store().start_span("http.submit", ctx=ctx)
         try:
             result = await self._admit(payload, wait, wait_timeout, ctx)
+        except AdmissionRejected as exc:  # the drain lost the job it waited on
+            result = self._refused(exc)
         except BaseException:
-            if span is not None:
-                span.end("error")
+            span.end("error")
             raise
-        if span is not None:
-            code, response = result[0], result[1]
-            if isinstance(response, dict) and response.get("job_id"):
-                span.attrs["job_id"] = response["job_id"]
-            span.end("error" if code >= 400 else "ok")
+        code, response = result[0], result[1]
+        if response.get("job_id"):
+            span.set(job_id=response["job_id"])
+        span.end("error" if code >= 400 else "ok")
         return result
 
     async def _admit(
@@ -463,7 +387,11 @@ class AsyncFrontEnd:
         if job_key is not None:
             existing = self.service.replay(job_key)
             if existing is not None:
-                return await self._respond_job(existing, wait, wait_timeout)
+                if not wait:
+                    code = 200 if existing.terminal else 202
+                    return code, existing.as_dict(), {}
+                done = self._terminal(existing)
+                return await self._wait(done, wait_timeout, existing.as_dict)
 
         if self.draining:
             return self._refused(
@@ -480,12 +408,10 @@ class AsyncFrontEnd:
         key = routing_key(payload, pool.backend, pool.workers)
         entry = None
         if eligible:
-            existing_entry = self._registry.get(key)
-            if existing_entry is not None:
-                return await self._attach(
-                    existing_entry, wait, wait_timeout, tenant
-                )
-            entry = _InflightEntry(asyncio.get_running_loop())
+            primary = self._registry.get(key)
+            if primary is not None:
+                return await self._attach(primary, wait, wait_timeout, tenant)
+            entry = asyncio.get_running_loop().create_future()
             self._registry[key] = entry
 
         # Layer 3: weighted-fair admission, then real submission.
@@ -500,40 +426,26 @@ class AsyncFrontEnd:
             granted = True
             job = self.service.submit(**payload, trace=trace)
         except Exception as exc:
-            self._abort_entry(key, entry, exc)
+            if entry is not None:
+                del self._registry[key]
+                entry.set_result(exc)
             if granted:
                 self.admission.release()
             return self._refused(exc)
 
-        done = self._watch_job(job)
+        done = self._terminal(job)
         done.add_done_callback(lambda _f: self._retire(key, entry))
         if entry is not None:
-            entry.admitted.set_result(job)
-            if not entry.done.done():
+            entry.set_result(job)
+        if not wait:
+            return 202, job.as_dict(), {}
+        return await self._wait(done, wait_timeout, job.as_dict)
 
-                def _forward(fut: asyncio.Future, entry=entry) -> None:
-                    if not entry.done.done() and not fut.cancelled():
-                        entry.done.set_result(fut.result())
-
-                done.add_done_callback(_forward)
-        if wait:
-            return await self._await_terminal(job, done, wait_timeout)
-        return 202, job.as_dict(), {}
-
-    def _retire(self, key: str, entry: _InflightEntry | None) -> None:
+    def _retire(self, key: str, entry: asyncio.Future | None) -> None:
         """Terminal job: free its admission slot and registry entry."""
         self.admission.release()
         if entry is not None and self._registry.get(key) is entry:
             del self._registry[key]
-
-    def _abort_entry(
-        self, key: str, entry: _InflightEntry | None, exc: BaseException
-    ) -> None:
-        if entry is None:
-            return
-        if self._registry.get(key) is entry:
-            del self._registry[key]
-        entry.fail(exc)
 
     @staticmethod
     def _refused(exc: Exception) -> tuple:
@@ -550,71 +462,43 @@ class AsyncFrontEnd:
         return 429, {"error": str(exc), **detail}, retry
 
     async def _attach(
-        self,
-        entry: _InflightEntry,
-        wait: bool,
-        wait_timeout,
-        tenant: str | None = None,
+        self, entry: asyncio.Future, wait: bool, wait_timeout, tenant: str | None
     ) -> tuple:
-        """Coalesce onto an in-flight entry instead of re-queueing.
+        """Coalesce onto an in-flight primary instead of re-queueing.
 
         ``asyncio.shield`` is what keeps a waiter's disconnect from
         cancelling the shared job: cancellation kills this coroutine,
-        never the entry's futures.
+        never the futures the others wait on.  The response carries this
+        request's own stamps: it arrived now and is admitted the moment
+        the primary's :class:`Job` exists.
         """
+        arrived = time.time()
         self.service.note_coalesced()
-        try:
-            primary: Job = await asyncio.shield(entry.admitted)
-        except Exception as exc:  # whatever refused the primary
-            return self._refused(exc)
+        primary = await asyncio.shield(entry)
+        if isinstance(primary, Exception):  # whatever refused the primary
+            return self._refused(primary)
+        attached = time.time()
+        tenant = None if tenant is None else str(tenant)
+        describe = functools.partial(primary.coalesced_dict, arrived, attached, tenant)
         if not wait:
-            body = primary.as_dict()
-            body["coalesced_with"] = primary.job_id
-            return 202, body, {}
-        try:
-            terminal: Job = await self._shielded_wait(entry.done, wait_timeout)
-        except TimeoutError as exc:
-            return 504, {"error": str(exc), "job": primary.as_dict()}, {}
-        except AdmissionRejected as exc:
-            return self._refused(exc)
-        body = terminal.as_dict()
-        body["coalesced_with"] = primary.job_id
-        if body.get("result") is not None:
-            # The record is per-response provenance: this waiter's
-            # tenant, coalesced onto the primary's computation.
-            record = dict(body["result"])
-            record["coalesced_with"] = primary.job_id
-            record["tenant"] = None if tenant is None else str(tenant)
-            body["result"] = record
-        return 200, body, {}
+            return 202, describe(), {}
+        return await self._wait(self._terminal(primary), wait_timeout, describe)
 
-    async def _shielded_wait(self, fut: asyncio.Future, timeout) -> Job:
+    async def _wait(self, done: asyncio.Future, wait_timeout, describe) -> tuple:
+        """Park on ``done`` (a job's completion on this loop), then
+        answer with ``describe()``: 200 once it resolves, 504 when
+        ``wait_timeout`` passes first."""
+        timeout = None if wait_timeout is None else float(wait_timeout)
         try:
-            return await asyncio.wait_for(
-                asyncio.shield(fut),
-                None if timeout is None else float(timeout),
-            )
+            await asyncio.wait_for(asyncio.shield(done), timeout)
         except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"job not terminal within {timeout}s"
-            ) from None
-
-    async def _await_terminal(
-        self, job: Job, done: asyncio.Future, wait_timeout
-    ) -> tuple:
-        try:
-            terminal = await self._shielded_wait(done, wait_timeout)
-        except TimeoutError as exc:
-            return 504, {"error": str(exc), "job": job.as_dict()}, {}
-        return 200, terminal.as_dict(), {}
-
-    async def _respond_job(self, job: Job, wait: bool, wait_timeout) -> tuple:
-        """Respond with an already-known job (idempotent replay)."""
-        if not wait:
-            code = 200 if job.terminal else 202
-            return code, job.as_dict(), {}
-        done = self._watch_job(job)
-        return await self._await_terminal(job, done, wait_timeout)
+            error = f"job not terminal within {wait_timeout}s"
+            return 504, {"error": error, "job": describe()}, {}
+        except asyncio.CancelledError:
+            if not done.cancelled():
+                raise  # our caller gave up on us, not the drain on the job
+            raise AdmissionRejected("service drained before completion") from None
+        return 200, describe(), {}
 
     # ------------------------------------------------------------------ #
     # routes
@@ -623,38 +507,39 @@ class AsyncFrontEnd:
     async def route(self, method: str, path: str, headers: dict, body: bytes) -> tuple:
         service = self.service
         loop = asyncio.get_running_loop()
-        if method == "POST" and path == "/jobs":
+        name, job_id = parse_route(method, path)
+        if name == "submit":
             return await self.handle_post_jobs(headers, body)
-        if method == "GET" and path == "/status":
+        if name == "status":
             status = await loop.run_in_executor(None, service.status)
             status["frontend"] = {
                 "inflight": len(self._registry),
                 "admission": self.admission.stats(),
             }
             return 200, status, {}
-        if method == "GET" and path == "/metrics":
-            return (
-                200,
-                service.metrics.render(),
-                {"Content-Type": METRICS_CONTENT_TYPE},
-            )
-        if method == "GET" and path == "/jobs":
+        if name == "metrics":
+            content_type = {"Content-Type": METRICS_CONTENT_TYPE}
+            return 200, service.metrics.render(), content_type
+        if name == "jobs":
             jobs = await loop.run_in_executor(None, service.jobs)
             return 200, {"jobs": [job.as_dict() for job in jobs]}, {}
-        if (
-            method == "GET"
-            and path.startswith("/jobs/")
-            and path.endswith("/trace")
-        ):
-            job_id = path[len("/jobs/") : -len("/trace")]
-            code, payload = job_trace_response(service, job_id)
-            return code, payload, {}
-        if method == "GET" and path.startswith("/jobs/"):
-            job = service.job(path[len("/jobs/") :])
-            if job is None:
-                return 404, {"error": "unknown job"}, {}
+        if name is None:
+            return 404, {"error": f"no such resource {path!r}"}, {}
+        job = service.job(job_id)
+        if job is None and service.expired(job_id):
+            error = f"job expired (the {TERMINAL_RETENTION} latest are kept)"
+            return 410, {"error": error, "expired": True, "job_id": job_id}, {}
+        if job is None:
+            return 404, {"error": "unknown job"}, {}
+        if name == "job":
             return 200, job.as_dict(), {}
-        return 404, {"error": f"no such resource {path!r}"}, {}
+        # this process's spans of the job's trace (the coordinator merges
+        # its own on top when proxying)
+        trace_id = job.trace_id
+        if trace_id is None:
+            return 404, {"error": f"job {job_id!r} was not traced"}, {}
+        spans = [span.to_dict() for span in get_span_store().trace(trace_id)]
+        return 200, {"trace_id": trace_id, "job_id": job_id, "spans": spans}, {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -668,23 +553,11 @@ class AsyncFrontEnd:
         clean = await loop.run_in_executor(
             None, lambda: self.service.drain(timeout)
         )
-        # Admitted jobs are terminal now; their listeners have resolved
-        # every watch.  Anything still parked belongs to a job the drain
-        # lost -- fail it loudly rather than hang the connection.
-        for job_id, futures in list(self._watches.items()):
-            job = self.service.job(job_id)
-            for fut in futures:
-                if fut.done():
-                    continue
-                if job is not None and job.terminal:
-                    fut.set_result(job)
-                else:
-                    fut.set_exception(
-                        AdmissionRejected("service drained before completion")
-                    )
-            self._watches.pop(job_id, None)
-        for key, entry in list(self._registry.items()):
-            entry.fail(AdmissionRejected("service drained before completion"))
-            self._registry.pop(key, None)
-        self.uninstall()
+        # Every job the drain finished has resolved its completion, and
+        # with it whatever was parked on it (those wake-ups were queued
+        # on this loop before the drain's own).  What is still parked
+        # waits on a job the drain lost: cancel it, which ``_wait``
+        # turns into a loud refusal rather than a hung connection.
+        for fut in list(self._parked):
+            fut.cancel()
         return clean

@@ -56,7 +56,9 @@ import time
 from dataclasses import dataclass
 
 from repro.harness import records
-from repro.service.client import ServiceUnavailable
+from repro.service.client import ServiceClient, ServiceUnavailable
+from repro.service.loadgen import PROFILES, RequestSampler, closed_loop
+from repro.service.shard import ShardCoordinator, drain_children, spawn_shard
 
 #: Version of the CHAOS_*.json record layout.
 SCHEMA_VERSION = 1
@@ -596,57 +598,34 @@ def drive_traffic(
     exception is recorded on the entry -- the invariant checker decides
     whether it is structured -- never swallowed.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     if total_requests < 1:
         raise ValueError("total_requests must be >= 1")
-    ledger: list[LedgerEntry | None] = [None] * total_requests
-    cursor = [0]
-    lock = threading.Lock()
-    started = time.perf_counter()
 
-    def worker() -> None:
-        while True:
-            with lock:
-                index = cursor[0]
-                if index >= total_requests:
-                    return
-                cursor[0] = index + 1
-            _, payload = sampler.next_request()
-            begun = time.perf_counter()
-            code = body = None
-            error = None
-            attempt = 0
-            try:
-                for attempt in range(retries + 1):
-                    code, body = submit(dict(payload))
-                    if code != 429 or attempt == retries:
-                        break
-                    time.sleep(retry_sleep)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-            ledger[index] = LedgerEntry(
-                index=index,
-                payload=payload,
-                code=code,
-                body=body,
-                error=error,
-                retries=attempt,
-                elapsed_seconds=time.perf_counter() - begun,
-            )
+    def one(index: int) -> LedgerEntry:
+        _, payload = sampler.next_request()
+        begun = time.perf_counter()
+        code = body = None
+        error = None
+        attempt = 0
+        try:
+            for attempt in range(retries + 1):
+                code, body = submit(dict(payload))
+                if code != 429 or attempt == retries:
+                    break
+                time.sleep(retry_sleep)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        return LedgerEntry(
+            index=index,
+            payload=payload,
+            code=code,
+            body=body,
+            error=error,
+            retries=attempt,
+            elapsed_seconds=time.perf_counter() - begun,
+        )
 
-    threads = [
-        threading.Thread(target=worker, daemon=True, name=f"npb-chaos-{i}")
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return (
-        [entry for entry in ledger if entry is not None],
-        time.perf_counter() - started,
-    )
+    return closed_loop(one, total_requests, concurrency)
 
 
 def summarize_ledger(ledger: list[LedgerEntry], elapsed: float) -> dict:
@@ -883,3 +862,143 @@ def write_record(
 def load_record(path: str) -> dict:
     """Load and sanity-check one chaos record."""
     return records.load_record(path, RECORD_KIND, SCHEMA_VERSION, "npb chaos")
+
+
+# ===================================================================== #
+# the scenario (``npb chaos``)
+# ===================================================================== #
+
+
+def _settle(shards: dict[str, str], timeout: float) -> dict[str, list[dict]]:
+    """The surviving shards' job listings once every job is terminal
+    (one still stuck at the deadline is a violation, not a race)."""
+    terminal = ("done", "cached", "failed")
+    deadline = time.monotonic() + timeout
+    while True:
+        pending = 0
+        shard_jobs: dict[str, list[dict]] = {}
+        for name, url in shards.items():
+            try:
+                _, body = ServiceClient(url, timeout=10.0).jobs()
+            except ServiceUnavailable:
+                continue  # the killed shard: its jobs died with it
+            jobs = shard_jobs[name] = body.get("jobs", [])
+            pending += sum(job.get("state") not in terminal for job in jobs)
+        if pending == 0 or time.monotonic() > deadline:
+            return shard_jobs
+        time.sleep(0.2)
+
+
+def run_chaos(
+    *,
+    seed: int,
+    shards: int,
+    requests: int,
+    concurrency: int,
+    profile: str,
+    kill_at: int,
+    retries: int,
+    settle_timeout: float,
+    spawn: dict,
+    say=print,
+) -> dict:
+    """One seeded chaos run against a spawned fleet (torn down however
+    it ends); returns the record, whose ``"invariant"`` is the verdict.
+    ``spawn`` holds :func:`spawn_shard`'s options, ``say`` gets progress."""
+    children: list = []
+    urls: dict[str, str] = {}
+    coordinator = None
+    try:
+        # 1. Spawn the shard daemons, each running in-daemon chaos under
+        #    a sub-seed derived from the run seed (pure function, so the
+        #    plan recorded here matches what the daemon compiled).
+        shard_plans: dict[str, ChaosPlan] = {}
+        for i in range(shards):
+            name = f"shard{i}"
+            sub_seed = derive_seed(seed, name)
+            plan = ChaosPlan.compile(PRESETS["service"](), sub_seed)
+            child, urls[name] = spawn_shard(name, chaos_seed=sub_seed, **spawn)
+            children.append(child)
+            shard_plans[name] = plan
+            say(f"npb chaos: {name} at {urls[name]} (seed {sub_seed}, "
+                f"{len(plan.faults())} planned faults)")
+
+        # 2. Coordinator (in-process) with the coordinator-level injector.
+        ordinal = 1 % shards
+        plan = ChaosPlan.compile(
+            coordinator_preset(
+                kill_shard_after=kill_at, kill_shard_ordinal=ordinal
+            ),
+            seed,
+        )
+        injector = ChaosInjector(plan)
+        coordinator = ShardCoordinator(urls, health_interval=0.5)
+        injector.install_coordinator(coordinator)
+        coordinator.start()
+        say(f"npb chaos: coordinator up over {shards} shards "
+            f"(seed {seed}, {len(plan.faults())} planned faults, "
+            f"kill shard{ordinal} at submission {kill_at})")
+
+        # 3. Drive the loadgen mix; every submission first consumes one
+        #    chaos.submit index, which is where the planned SIGKILL of a
+        #    whole shard daemon lands mid-traffic.
+        kills: list[dict] = []
+        kill_lock = threading.Lock()
+
+        def submit(payload):
+            fault = injector.on_chaos_submit()
+            if fault is not None and fault.kind == "kill_shard":
+                victim = int(fault.param or 0) % len(children)
+                with kill_lock:
+                    pid = kill_process(children[victim])
+                if pid is not None:
+                    kills.append({"kind": "kill_shard", "index": fault.index,
+                                  "shard": f"shard{victim}", "pid": pid,
+                                  "at": time.time()})
+                    say(f"npb chaos: SIGKILLed shard{victim} (pid {pid}) "
+                        f"at submission {fault.index}")
+            return coordinator.submit(payload)
+
+        sampler = RequestSampler(PROFILES[profile], seed=seed)
+        ledger, elapsed = drive_traffic(
+            submit, sampler, requests, concurrency=concurrency, retries=retries
+        )
+        say(f"npb chaos: {len(ledger)} requests in {elapsed:.1f}s, "
+            f"{len(injector.events)} coordinator faults injected")
+
+        # 4. Settle, then read each survivor's own injected-fault trail.
+        shard_jobs = _settle(urls, settle_timeout)
+        shard_chaos: dict[str, dict | None] = {}
+        for name, url in urls.items():
+            try:
+                _, status = ServiceClient(url, timeout=10.0).status()
+                shard_chaos[name] = status.get("chaos")
+            except ServiceUnavailable:
+                shard_chaos[name] = None
+
+        # 5. The invariant and the record.
+        record = build_record(
+            seed=seed,
+            config={
+                "shards": shards, "requests": requests,
+                "concurrency": concurrency, "profile": profile,
+                "backend": spawn["backend"], "workers": spawn["workers"],
+                "pool": spawn["pool"], "queue_depth": spawn["queue_depth"],
+                "kill_at": kill_at, "retries": retries,
+            },
+            coordinator_plan=plan,
+            shard_plans=shard_plans,
+            injected={
+                "coordinator": injector.summary()["events"],
+                "runner": kills,
+                "shards": shard_chaos,
+            },
+            traffic=summarize_ledger(ledger, elapsed),
+            invariant=InvariantChecker(ledger, shard_jobs).check(),
+        )
+        record["ledger"] = [entry.as_dict() for entry in ledger]
+        return record
+    finally:
+        if coordinator is not None:
+            coordinator.close()
+        drain_children(children, spawn["drain_timeout"])

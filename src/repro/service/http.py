@@ -15,12 +15,12 @@ object with
 :class:`~repro.service.async_api.AsyncFrontEnd` (admission, coalescing,
 the daemon's routes) and :class:`~repro.service.shard.ShardCoordinator`
 (routing, failover) are the two apps.  Everything about the wire lives
-here and only here: request parsing and its bounds, keep-alive, the
-response writer, access logging, and the bind / announce / stop / drain
-loop -- so there is one place to harden each of them.  (asyncio already
-sets ``TCP_NODELAY`` on accepted sockets and each response goes out in
-one ``write``, so no keep-alive client stalls in the delayed-ACK
-window.)
+here and only here: request parsing and its bounds, the API's six routes
+(:func:`parse_route`), keep-alive, the response writer, access logging,
+and the bind / announce / stop / drain loop -- so there is one place to
+harden each of them.  (asyncio already sets ``TCP_NODELAY`` on accepted
+sockets and each response goes out in one ``write``, so no keep-alive
+client stalls in the delayed-ACK window.)
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import re
 import sys
 import threading
 import time
@@ -43,6 +44,16 @@ MAX_HEADERS = 256
 #: Seconds :func:`serve` lets requests already being answered finish
 #: writing after ``on_stop`` returns, before the loop is torn down.
 FLUSH_SECONDS = 5.0
+
+
+#: How whoever started a server (a coordinator its shard, benchmarks/e2e,
+#: tests) finds its address: the line :func:`announce` prints, unchanged.
+ANNOUNCE = re.compile(r"listening on (http://\S+)")
+
+
+def announce(role: str, url: str, detail: str) -> None:
+    """Print the line :data:`ANNOUNCE` matches (the socket is bound)."""
+    print(f"npb {role} listening on {url} ({detail})", flush=True)
 
 
 class RequestRejected(Exception):
@@ -99,6 +110,22 @@ async def read_request(reader: asyncio.StreamReader):
         )
     body = await reader.readexactly(length) if length else b""
     return method, target, version, headers, body
+
+
+def parse_route(method: str, path: str) -> tuple[str | None, str | None]:
+    """The API's six routes as ``(name, job_id)``: ``submit``, ``status``,
+    ``metrics``, ``jobs``, and ``job`` / ``trace`` with the id they
+    carry.  The name is None for anything else (the apps answer 404)."""
+    if method == "POST" and path == "/jobs":
+        return "submit", None
+    if method == "GET" and path in ("/status", "/metrics", "/jobs"):
+        return path[1:], None
+    if method == "GET" and path.startswith("/jobs/"):
+        job_id = path[len("/jobs/") :]
+        if job_id.endswith("/trace"):
+            return "trace", job_id[: -len("/trace")]
+        return "job", job_id
+    return None, None
 
 
 def _keep_alive(version: str, headers: dict) -> bool:

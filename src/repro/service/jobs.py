@@ -15,6 +15,9 @@ wall-clock time::
     submitted -> queued -> running -> done | failed
                         \\-> cached              (fingerprint hit, no run)
 
+The terminal transition, :meth:`Job.finish`, resolves ``Job.completion``:
+the one object every waiter and observer of the verdict hangs off.
+
 :class:`JobQueue` is the admission point: FIFO within each priority lane
 (``high`` drains before ``normal``), bounded total depth.  A full queue
 rejects *explicitly* (:class:`AdmissionRejected`, surfaced as HTTP 429 /
@@ -50,7 +53,8 @@ import platform
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -108,9 +112,9 @@ def _git_sha() -> str:
     # process: the tree cannot change under a running daemon, and paying
     # a `git rev-parse` subprocess on every submission would dominate
     # the front end's admission latency.
-    from repro.harness.bench import _git_sha as sha
+    from repro.harness.bench import git_sha
 
-    return sha()
+    return git_sha()
 
 
 def routing_key(
@@ -268,6 +272,29 @@ class JobSpec:
         return FaultPolicy(**kwargs)
 
 
+def _pending() -> Future:
+    """A future only :meth:`Job.finish` resolves: marked running, so no
+    waiter's ``cancel()`` (``wrap_future`` hands it on) can take it away."""
+    future: Future = Future()
+    future.set_running_or_notify_cancel()
+    return future
+
+
+def stamp(record: dict, job: "Job", coalesced_with: str | None = None) -> dict:
+    """``record``, stamped in place as the response for ``job`` carries
+    it: the only writer of a record's per-response provenance, for the
+    cached hit, the executed run and the coalesced fan-out alike.  The
+    cache stores records unstamped, so a hit inherits no tenant or trace."""
+    record["job_id"] = job.job_id
+    record["cache_hit"] = job.cache_hit
+    record["queue_wait_seconds"] = job.queue_wait_seconds
+    record["tenant"] = job.tenant
+    record["coalesced_with"] = coalesced_with
+    if job.trace_id is not None:
+        record["trace_id"] = job.trace_id
+    return record
+
+
 @dataclass
 class Job:
     """One tracked submission: spec + state machine + result."""
@@ -301,6 +328,20 @@ class Job:
     #: minted); the scheduler activates it around execution.  None means
     #: the request predates tracing or sampling is off entirely.
     trace: TraceContext | None = None
+    #: resolved when :meth:`finish` makes the job terminal (to None, so
+    #: that job and future form no cycle): what ``BenchService.wait``,
+    #: parked connections, coalesced waiters and observers all hang off
+    completion: Future = field(default_factory=_pending, repr=False, compare=False)
+
+    def finish(
+        self, state: str, result: dict | None = None, error: str | None = None
+    ) -> None:
+        """The terminal transition: stamp it, then resolve ``completion``."""
+        self.result = result
+        self.error = error
+        self.finished_at = time.time()
+        self.state = state
+        self.completion.set_result(None)
 
     @property
     def trace_id(self) -> str | None:
@@ -352,6 +393,32 @@ class Job:
             "error": self.error,
             "result": self.result,
         }
+
+    def coalesced_dict(
+        self, submitted_at: float, queued_at: float, tenant: str | None
+    ) -> dict:
+        """:meth:`as_dict` for a request coalesced onto this job.
+
+        The execution is shared, the request is not: it arrived at
+        ``submitted_at``, attached at ``queued_at``, and the shared
+        ``started_at``/``finished_at`` never precede that, so the five
+        stamps are non-decreasing and inside the waiter's own request.
+        """
+
+        def shared(at: float | None) -> float | None:
+            return None if at is None else max(at, queued_at)
+
+        view = replace(
+            self,
+            submitted_at=submitted_at,
+            queued_at=queued_at,
+            started_at=shared(self.started_at),
+            finished_at=shared(self.finished_at),
+            tenant=tenant,
+        )
+        if self.result is not None:
+            view.result = stamp(dict(self.result), view, self.job_id)
+        return {**view.as_dict(), "tenant": self.tenant, "coalesced_with": self.job_id}
 
 
 class JobQueue:

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.harness import records
-from repro.harness.stats import mad, median, percentile
+from repro.harness.stats import band_verdict, mad, median, noise_band, percentile
 from repro.service.client import ServiceClient, ServiceUnavailable
 
 #: Version of the LOADGEN_*.json record layout.
@@ -294,6 +294,42 @@ def issue_request(submit, cell_id: str, payload: dict) -> RequestOutcome:
     )
 
 
+def closed_loop(
+    one, total: int, concurrency: int, duration_seconds: float | None = None
+) -> tuple[list, float]:
+    """The closed loop under :func:`run_closed_loop` and
+    ``chaos.drive_traffic``: ``concurrency`` threads each take the next
+    index of ``range(total)`` and call ``one(index)``, back to back,
+    until the indices (or the optional duration) run out.  Returns what
+    ``one`` returned, in index order, and the wall time."""
+    if concurrency < 1:
+        raise ValueError("concurrency must be >= 1")
+    results: list = [None] * max(total, 0)
+    indices = iter(range(total))
+    lock = threading.Lock()
+    started = time.perf_counter()
+    deadline = None if duration_seconds is None else started + duration_seconds
+
+    def worker() -> None:
+        while deadline is None or time.perf_counter() < deadline:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            results[index] = one(index)
+
+    threads = [
+        threading.Thread(target=worker, daemon=True, name=f"npb-closed-loop-{i}")
+        for i in range(concurrency)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    done = [result for result in results if result is not None]
+    return done, time.perf_counter() - started
+
+
 def run_closed_loop(
     submit,
     sampler: RequestSampler,
@@ -306,36 +342,11 @@ def run_closed_loop(
     Stops after ``total_requests`` (or the optional duration cap,
     whichever comes first) and returns the outcomes plus wall time.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    outcomes: list[RequestOutcome] = []
-    lock = threading.Lock()
-    remaining = [total_requests]
-    started = time.perf_counter()
-    deadline = None if duration_seconds is None else started + duration_seconds
 
-    def worker() -> None:
-        while True:
-            with lock:
-                if remaining[0] <= 0:
-                    return
-                if deadline is not None and time.perf_counter() >= deadline:
-                    return
-                remaining[0] -= 1
-            cell_id, payload = sampler.next_request()
-            outcome = issue_request(submit, cell_id, payload)
-            with lock:
-                outcomes.append(outcome)
+    def one(_index: int) -> RequestOutcome:
+        return issue_request(submit, *sampler.next_request())
 
-    threads = [
-        threading.Thread(target=worker, daemon=True, name=f"npb-loadgen-{i}")
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes, time.perf_counter() - started
+    return closed_loop(one, total_requests, concurrency, duration_seconds)
 
 
 def run_open_loop(
@@ -631,14 +642,14 @@ def slowest_traced_request(outcomes: list[RequestOutcome]) -> dict | None:
     slowest one's ids lets ``npb trace <job_id>`` answer "where did the
     p100 go" without hunting through the span store.
     """
-    traced = [
+    candidates = [
         outcome
         for outcome in outcomes
         if outcome.status == "ok" and outcome.trace_id is not None
     ]
-    if not traced:
+    if not candidates:
         return None
-    slowest = max(traced, key=lambda outcome: outcome.latency_seconds)
+    slowest = max(candidates, key=lambda outcome: outcome.latency_seconds)
     return {
         "job_id": slowest.job_id,
         "trace_id": slowest.trace_id,
@@ -742,33 +753,6 @@ def _migrate_record(record: dict, version: int) -> dict:
 # ===================================================================== #
 
 
-def _step_threshold(
-    base: dict,
-    cand: dict,
-    tolerance: float,
-    mad_multiplier: float,
-    abs_slack: float,
-) -> float:
-    """Relative change a step may show before it counts as a regression.
-
-    Same philosophy as the bench comparator
-    (:func:`repro.harness.bench.cell_threshold`): the static tolerance,
-    widened by the measured latency scatter (MAD over the per-request
-    samples) of whichever record is noisier, widened again for steps so
-    fast that scheduler jitter dwarfs them.
-    """
-    base_p50 = max(float((base.get("latency_seconds") or {}).get("p50", 0.0)), 1e-9)
-    noise = max(
-        float((base.get("latency_seconds") or {}).get("mad", 0.0)),
-        float((cand.get("latency_seconds") or {}).get("mad", 0.0)),
-    )
-    return max(
-        tolerance,
-        mad_multiplier * noise / base_p50,
-        abs_slack / base_p50,
-    )
-
-
 def compare_records(
     baseline: dict,
     candidate: dict,
@@ -795,47 +779,41 @@ def compare_records(
         cand = cand_steps.get(key)
         if cand is None:
             continue
-        threshold = _step_threshold(
-            base, cand, tolerance, mad_multiplier, abs_slack
+        base_latency = base.get("latency_seconds") or {}
+        cand_latency = cand.get("latency_seconds") or {}
+        # the latency MAD of whichever record scatters more is the noise
+        noise = max(
+            float(base_latency.get("mad", 0.0)), float(cand_latency.get("mad", 0.0))
+        )
+        threshold = noise_band(
+            base_latency.get("p50", 0.0), noise, tolerance, mad_multiplier, abs_slack
         )
         metrics = []
         for name in ("p50", "p95", "p99"):
-            base_value = (base.get("latency_seconds") or {}).get(name)
-            cand_value = (cand.get("latency_seconds") or {}).get(name)
+            base_value = base_latency.get(name)
+            cand_value = cand_latency.get(name)
             if base_value is None or cand_value is None:
                 continue
             ratio = cand_value / max(base_value, 1e-9)
-            if ratio > 1.0 + threshold:
-                verdict = "regression"
-            elif ratio < 1.0 - threshold:
-                verdict = "improved"
-            else:
-                verdict = "ok"
             metrics.append(
                 {
                     "metric": f"latency_{name}",
                     "base": base_value,
                     "candidate": cand_value,
                     "ratio": ratio,
-                    "verdict": verdict,
+                    "verdict": band_verdict(ratio, threshold),
                 }
             )
         base_rps = float(base["throughput_rps"])
         cand_rps = float(cand["throughput_rps"])
         ratio = cand_rps / max(base_rps, 1e-9)
-        if ratio < 1.0 / (1.0 + threshold):
-            verdict = "regression"
-        elif ratio > 1.0 + threshold:
-            verdict = "improved"
-        else:
-            verdict = "ok"
         metrics.append(
             {
                 "metric": "throughput_rps",
                 "base": base_rps,
                 "candidate": cand_rps,
                 "ratio": ratio,
-                "verdict": verdict,
+                "verdict": band_verdict(ratio, threshold, higher_is_better=True),
             }
         )
         step_regressions = sum(

@@ -42,6 +42,10 @@ import asyncio
 import bisect
 import functools
 import hashlib
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +57,7 @@ from repro.obs.spans import TraceSampler, get_span_store
 from repro.obs.trace import (TRACEPARENT_HEADER, TraceContext,
                              format_traceparent, parse_traceparent)
 from repro.service.client import ServiceClient, ServiceUnavailable
+from repro.service.http import ANNOUNCE, parse_route
 from repro.service.jobs import RETRY_AFTER_SECONDS, routing_key, submission_payload
 
 #: Virtual points per shard on the hash ring.  More replicas smooth the
@@ -182,6 +187,50 @@ class HashRing:
                 if len(order) == len(self._nodes):
                     break
         return order
+
+
+def spawn_shard(
+    name: str, *, cache_dir: str, drain_timeout: float, **options
+) -> tuple[subprocess.Popen, str]:
+    """Spawn one ``npb serve`` child daemon; returns ``(child, url)``.
+
+    The child listens on a loopback port of the OS's choosing and caches
+    under ``<cache_dir>/<name>``; ``options`` are its other flags
+    (``queue_depth=8`` is ``--queue-depth 8``, None is left out).  Its
+    address is read off the line it announces on stdout like any daemon;
+    one that exits without announcing raises ``ServiceUnavailable``.
+    """
+    options.update(cache_dir=os.path.join(cache_dir, name), drain_timeout=drain_timeout)
+    cmd = [sys.executable, "-m", "repro", "serve", "--host=127.0.0.1", "--port=0"]
+    for option, value in options.items():
+        if value is not None:
+            cmd += ["--" + option.replace("_", "-"), str(value)]
+    child = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    for line in child.stdout:
+        match = ANNOUNCE.search(line)
+        if match:
+            return child, match.group(1)
+    drain_children([child], drain_timeout)
+    raise ServiceUnavailable(f"spawned shard {name} exited before announcing itself")
+
+
+def drain_children(children, timeout: float) -> bool:
+    """SIGTERM spawned shard daemons so they run their own graceful
+    drain, wait for each, SIGKILL stragglers; True when none was killed."""
+    for child in children:
+        if child.poll() is None:
+            child.send_signal(signal.SIGTERM)
+    clean = True
+    for child in children:
+        try:
+            child.wait(timeout=max(timeout, 1.0))
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+            clean = False
+        if child.stdout is not None:
+            child.stdout.close()
+    return clean
 
 
 @dataclass
@@ -402,11 +451,11 @@ class ShardCoordinator:
         SLO) can tell a clean run from a survived outage.
 
         ``trace`` is the edge sampling decision (made by :meth:`route`
-        from the incoming ``traceparent``); when sampled, the
-        route is recorded as a ``coordinator.route`` span whose child
-        context is forwarded to the chosen shard, so a failover keeps
-        the same trace id and shows up as a ``failover`` span event
-        rather than a fresh trace.
+        from the incoming ``traceparent``).  The route is recorded as a
+        ``coordinator.route`` span (the no-op span unless sampled); a
+        sampled one forwards its child context to the chosen shard, so
+        a failover keeps the same trace id and shows up as a
+        ``failover`` span event rather than a fresh trace.
         """
         payload = dict(payload)
         key = routing_key(payload)
@@ -425,14 +474,15 @@ class ShardCoordinator:
             trace = self.sampler.decide(
                 forced=bool(payload.get("trace", False))
             )
-        route_span = None
+        route_span, child_ctx = get_span_store().start_span(
+            "coordinator.route",
+            ctx=trace,
+            attrs={"routing_key": key, "intended": intended},
+        )
+        # An unsampled request forwards no header: the shard's own
+        # sampler still gets its say, as for a direct submission.
         fwd_headers = None
-        if trace.sampled:
-            route_span, child_ctx = get_span_store().start_span(
-                "coordinator.route",
-                ctx=trace,
-                attrs={"routing_key": key, "intended": intended},
-            )
+        if child_ctx.sampled:
             fwd_headers = {TRACEPARENT_HEADER: format_traceparent(child_ctx)}
         attempts: list[dict] = []
 
@@ -465,10 +515,7 @@ class ShardCoordinator:
             except ServiceUnavailable as exc:
                 self._mark_unreachable(name, str(exc))
                 attempts.append({"shard": name, "error": str(exc)})
-                if route_span is not None:
-                    route_span.add_event(
-                        "failover", shard=name, error=str(exc)
-                    )
+                route_span.add_event("failover", shard=name, error=str(exc))
                 continue
             with self._lock:
                 self.routed += 1
@@ -483,16 +530,13 @@ class ShardCoordinator:
                 else None
             )
             body["routing"] = routing(name, degraded, reason)
-            if route_span is not None:
-                route_span.attrs["served_by"] = name
-                route_span.attrs["degraded"] = degraded
-                route_span.end("error" if code >= 400 else "ok")
+            route_span.set(served_by=name, degraded=degraded)
+            route_span.end("error" if code >= 400 else "ok")
             return code, body
         with self._lock:
             self.unroutable += 1
-        if route_span is not None:
-            route_span.attrs["served_by"] = None
-            route_span.end("error")
+        route_span.set(served_by=None)
+        route_span.end("error")
         return 503, {
             "error": "no shard reachable",
             "routing": routing(None, True, "every shard unreachable"),
@@ -636,7 +680,8 @@ class ShardCoordinator:
         API mapped onto the coordinator.  Every call below blocks on a
         shard, so none runs on the loop (see :data:`SUBMIT_THREADS`)."""
         loop = asyncio.get_running_loop()
-        if method == "POST" and path == "/jobs":
+        name, job_id = parse_route(method, path)
+        if name == "submit":
             try:
                 payload = submission_payload(headers, body)
             except ValueError as exc:
@@ -657,20 +702,16 @@ class ShardCoordinator:
                 # re-issue the standard backoff hint at the coordinator edge.
                 extra["Retry-After"] = f"{RETRY_AFTER_SECONDS:g}"
             return code, reply, extra
-        lookup = None
-        if method == "GET":
-            if path == "/metrics":
-                content_type = {"Content-Type": METRICS_CONTENT_TYPE}
-                return 200, self.metrics.render(), content_type
-            if path == "/status":
-                return 200, await loop.run_in_executor(None, self.status), {}
-            if path == "/jobs":
-                lookup = self.jobs
-            elif path.startswith("/jobs/") and path.endswith("/trace"):
-                job_id = path[len("/jobs/") : -len("/trace")]
-                lookup = functools.partial(self.trace, job_id)
-            elif path.startswith("/jobs/"):
-                lookup = functools.partial(self.job, path[len("/jobs/") :])
+        if name == "metrics":
+            content_type = {"Content-Type": METRICS_CONTENT_TYPE}
+            return 200, self.metrics.render(), content_type
+        if name == "status":
+            return 200, await loop.run_in_executor(None, self.status), {}
+        lookup = {
+            "jobs": self.jobs,
+            "job": functools.partial(self.job, job_id),
+            "trace": functools.partial(self.trace, job_id),
+        }.get(name)
         if lookup is None:
             return 404, {"error": f"no such resource {path!r}"}, {}
         code, reply = await loop.run_in_executor(None, lookup)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.harness import bench, records
 from repro.harness.cli import main
-from repro.harness.stats import mad, median, summarize, time_callable
+from repro.harness.stats import (band_verdict, mad, median, noise_band,
+                                 summarize, time_callable)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,6 +86,20 @@ class TestStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_noise_band_is_the_widest_of_its_three_terms(self):
+        """The one band both comparators (bench, loadgen) judge by."""
+        assert noise_band(1.0, 0.0, 0.10, 3.0, 0.005) == 0.10   # tolerance
+        assert noise_band(1.0, 0.1, 0.10, 3.0, 0.005) == pytest.approx(0.3)
+        assert noise_band(0.01, 0.0, 0.10, 3.0, 0.005) == 0.5   # abs slack
+        assert noise_band(0.0, 0.0, 0.10, 3.0, 0.005) > 1e6     # no division by 0
+
+    def test_band_verdict_reads_the_ratio_in_the_metrics_direction(self):
+        assert [band_verdict(r, 0.25) for r in (0.7, 0.8, 1.2, 1.3)] == [
+            "improved", "ok", "ok", "regression"]
+        assert [band_verdict(r, 0.25, higher_is_better=True)
+                for r in (0.7, 0.81, 1.2, 1.3)] == [
+            "regression", "ok", "ok", "improved"]
 
 
 class TestRecordSchema:

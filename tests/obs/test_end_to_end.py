@@ -87,6 +87,45 @@ class TestTracedDaemon:
         assert "npb_process_rss_bytes" in text
         assert "npb_job_latency_seconds_bucket" in text
 
+    def test_sampled_job_yields_the_pinned_tree(self, tmp_path):
+        """Names, nesting and attrs of a traced job's spans, executed
+        then cached -- the tree the unconditional (no-op when unsampled)
+        span calls must keep producing."""
+        def tree(ctx):
+            spans = get_span_store().trace(ctx.trace_id)
+            names = {span.span_id: span.name for span in spans}
+            assert all(span.status == "ok" for span in spans)
+            return spans, sorted(
+                (names.get(span.parent_span_id, "-"), span.name)
+                for span in spans if not span.name.startswith("worker."))
+
+        with BenchService(backend="serial",
+                          cache_dir=str(tmp_path / "cache")) as service:
+            traces = [TraceContext(trace_id=new_trace_id()) for _ in range(2)]
+            for ctx in traces:
+                job = service.submit("CG", "S", trace=ctx)
+                assert service.wait(job.job_id, timeout=300).terminal
+        spans, executed = tree(traces[0])
+        regions = sorted(("run", span.name) for span in spans
+                         if span.name.startswith("region:"))
+        assert regions
+        assert executed == sorted([
+            ("-", "schedule"), ("schedule", "cache.probe"),
+            ("schedule", "pool.lease"), ("schedule", "queue.wait"),
+            ("schedule", "run"), *regions])
+        attrs = {span.name: span.attrs for span in spans}
+        assert attrs["schedule"] == {
+            "job_id": "job-000001", "benchmark": "CG", "problem_class": "S",
+            "backend": "serial", "workers": 1}
+        assert attrs["cache.probe"] == {"hit": False}
+        assert attrs["pool.lease"] == {"pooled": True, "team": "SerialTeam"}
+        assert attrs["run"] == {"benchmark": "CG", "backend": "serial",
+                                "workers": 1, "verified": True}
+        spans, cached = tree(traces[1])
+        assert cached == [("-", "schedule"), ("schedule", "cache.probe"),
+                          ("schedule", "queue.wait")]
+        assert {s.name: s.attrs for s in spans}["cache.probe"] == {"hit": True}
+
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 1), ("threads", 2), ("process", 2)])
     def test_worker_spans_under_every_team_backend(self, tmp_path,

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro.obs.spans import Span, SpanStore, TraceSampler
-from repro.obs.trace import TraceContext, new_span_id, new_trace_id
+from repro.obs.spans import NOOP_SPAN, Span, SpanStore, TraceSampler
+from repro.obs.trace import UNSAMPLED, TraceContext, new_span_id, new_trace_id
 
 
 def _span(trace_id: str, name: str = "s") -> Span:
@@ -65,6 +65,25 @@ class TestSpanStore:
         assert len(store) == 0
         assert child.sampled is False
         assert child.parent_span_id == span.span_id
+
+    def test_unsampled_start_span_is_the_shared_noop(self):
+        """The rule the service's straight-line tracing rests on: an
+        unsampled context costs no allocation, no store slot and no
+        eviction, and hands the same context on."""
+        store = SpanStore(capacity=4)
+        sampled = TraceContext(trace_id=new_trace_id())
+        kept, _ = store.start_span("kept", ctx=sampled)
+        for ctx in (UNSAMPLED, TraceContext(new_trace_id(), sampled=False)):
+            for _ in range(5000):
+                span, child = store.start_span(
+                    "x", ctx=ctx, attrs={"k": 1}, started_at=1.0)
+                assert span is NOOP_SPAN and child is ctx
+                span.set(hit=True)
+                span.add_event("evt", detail="d")
+                span.end("error")
+        assert len(store) == 1 and store.dropped == 0
+        assert store.trace(sampled.trace_id) == [kept]
+        assert not hasattr(NOOP_SPAN, "__dict__")  # nowhere to write to
 
     def test_start_span_mints_a_root_without_context(self):
         store = SpanStore(capacity=16)

@@ -182,18 +182,15 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            try:
-                waiters = [
-                    asyncio.create_task(
-                        _post(frontend, dict(PAYLOAD, wait=True)))
-                    for _ in range(6)
-                ]
-                # 1 primary running + 5 attached, *then* let it finish
-                await _until(lambda: service.coalesced == 5)
-                gate.set()
-                return await asyncio.gather(*waiters)
-            finally:
-                frontend.uninstall()
+            waiters = [
+                asyncio.create_task(
+                    _post(frontend, dict(PAYLOAD, wait=True)))
+                for _ in range(6)
+            ]
+            # 1 primary running + 5 attached, *then* let it finish
+            await _until(lambda: service.coalesced == 5)
+            gate.set()
+            return await asyncio.gather(*waiters)
 
         responses = asyncio.run(main())
         service.drain()
@@ -222,17 +219,14 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            try:
-                waiters = [
-                    asyncio.create_task(
-                        _post(frontend, dict(PAYLOAD, wait=True)))
-                    for _ in range(3)
-                ]
-                await _until(lambda: service.coalesced == 2)
-                gate.set()
-                return await asyncio.gather(*waiters)
-            finally:
-                frontend.uninstall()
+            waiters = [
+                asyncio.create_task(
+                    _post(frontend, dict(PAYLOAD, wait=True)))
+                for _ in range(3)
+            ]
+            await _until(lambda: service.coalesced == 2)
+            gate.set()
+            return await asyncio.gather(*waiters)
 
         responses = asyncio.run(main())
         service.drain()
@@ -254,22 +248,19 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service)
-            try:
-                code, body, _ = await _post(frontend, dict(PAYLOAD))
-                assert code == 202
-                doomed = asyncio.create_task(
-                    _post(frontend, dict(PAYLOAD, wait=True)))
-                await _until(lambda: service.coalesced == 1)
-                doomed.cancel()  # waiter disconnects mid-wait
-                with pytest.raises(asyncio.CancelledError):
-                    await doomed
-                survivor = asyncio.create_task(
-                    _post(frontend, dict(PAYLOAD, wait=True)))
-                await _until(lambda: service.coalesced == 2)
-                gate.set()
-                return body["job_id"], await survivor
-            finally:
-                frontend.uninstall()
+            code, body, _ = await _post(frontend, dict(PAYLOAD))
+            assert code == 202
+            doomed = asyncio.create_task(
+                _post(frontend, dict(PAYLOAD, wait=True)))
+            await _until(lambda: service.coalesced == 1)
+            doomed.cancel()  # waiter disconnects mid-wait
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            survivor = asyncio.create_task(
+                _post(frontend, dict(PAYLOAD, wait=True)))
+            await _until(lambda: service.coalesced == 2)
+            gate.set()
+            return body["job_id"], await survivor
 
         primary_id, (code, body, _) = asyncio.run(main())
         service.drain()
@@ -279,6 +270,50 @@ class TestCoalescing:
         assert body["result"]["coalesced_with"] == primary_id
         assert service.scheduler.executed == 1
 
+    def test_a_coalesced_response_carries_its_own_timestamps(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: a waiter's body was the twin's, timestamps and all
+        -- a request sent long after the primary started reported a
+        ``submitted_at`` from before it was sent, so its latency and
+        spans were another request's."""
+        gate = threading.Event()
+        _gate_benchmark(monkeypatch, gate)
+        service = _service(tmp_path)
+
+        async def main():
+            frontend = AsyncFrontEnd(service)
+            primary = asyncio.create_task(
+                _post(frontend, dict(PAYLOAD, wait=True)))
+            await _until(lambda: service.pool.leases == 1)  # it is running
+            await asyncio.sleep(0.06)
+            sent = time.time()
+            waiter = asyncio.create_task(
+                _post(frontend, dict(PAYLOAD, wait=True),
+                      {"x-npb-tenant": "late"}))
+            await _until(lambda: service.coalesced == 1)
+            await asyncio.sleep(0.02)
+            gate.set()
+            bodies = [body for _, body, _ in
+                      await asyncio.gather(primary, waiter)]
+            return sent, time.time(), bodies
+
+        sent, received, (first, late) = asyncio.run(main())
+        service.drain()
+        assert late["coalesced_with"] == late["job_id"] == first["job_id"]
+        assert first["started_at"] + 0.05 <= late["submitted_at"]
+        stamps = [sent, late["submitted_at"], late["queued_at"],
+                  late["started_at"], late["finished_at"], received]
+        assert stamps == sorted(stamps), stamps
+        # the execution is shared: same end, and the record says whose
+        # request this was
+        assert late["finished_at"] == first["finished_at"]
+        assert late["queue_wait_seconds"] == late["result"]["queue_wait_seconds"]
+        assert late["queue_wait_seconds"] == 0.0  # attached to a running job
+        assert late["result"]["tenant"] == "late"
+        assert first["result"]["tenant"] is None
+        assert first["result"]["coalesced_with"] is None
+
     def test_no_cache_requests_never_coalesce(self, tmp_path, monkeypatch):
         gate = threading.Event()
         _gate_benchmark(monkeypatch, gate)
@@ -286,20 +321,17 @@ class TestCoalescing:
 
         async def main():
             frontend = AsyncFrontEnd(service, window=2)
-            try:
-                waiters = [
-                    asyncio.create_task(
-                        _post(frontend,
-                              dict(PAYLOAD, wait=True, no_cache=True)))
-                    for _ in range(2)
-                ]
-                await _until(
-                    lambda: service.scheduler._executing == {}
-                    and service.pool.leases == 2)
-                gate.set()
-                return await asyncio.gather(*waiters)
-            finally:
-                frontend.uninstall()
+            waiters = [
+                asyncio.create_task(
+                    _post(frontend,
+                          dict(PAYLOAD, wait=True, no_cache=True)))
+                for _ in range(2)
+            ]
+            await _until(
+                lambda: service.scheduler._executing == {}
+                and service.pool.leases == 2)
+            gate.set()
+            return await asyncio.gather(*waiters)
 
         responses = asyncio.run(main())
         service.drain()
@@ -330,16 +362,13 @@ class TestCoalescingKeyMatchesTheSpec:
 
         async def main():
             frontend = AsyncFrontEnd(service, window=2)
-            try:
-                first = asyncio.create_task(_post(frontend, dict(self.BARE)))
-                await _until(lambda: service.pool.leases == 1)
-                second = asyncio.create_task(
-                    _post(frontend, dict(self.BARE, **twin)))
-                await _until(lambda: settled(service), timeout=10.0)
-                gate.set()
-                return await asyncio.gather(first, second)
-            finally:
-                frontend.uninstall()
+            first = asyncio.create_task(_post(frontend, dict(self.BARE)))
+            await _until(lambda: service.pool.leases == 1)
+            second = asyncio.create_task(
+                _post(frontend, dict(self.BARE, **twin)))
+            await _until(lambda: settled(service), timeout=10.0)
+            gate.set()
+            return await asyncio.gather(first, second)
 
         try:
             return service, asyncio.run(main())
@@ -438,16 +467,51 @@ class TestDrain:
         assert body["state"] == "done"
         assert body["result"]["verified"] is True
 
+    def test_a_job_the_drain_lost_fails_its_waiters_loudly(
+        self, tmp_path, monkeypatch
+    ):
+        """A drain that times out on a stuck job must answer whoever is
+        parked on it -- submitter, coalesced twin, idempotent replay --
+        with a structured refusal, never leave the connection hanging."""
+        gate = threading.Event()  # never opened while the drain runs
+        _gate_benchmark(monkeypatch, gate)
+        service = _service(tmp_path)
+
+        async def main():
+            frontend = AsyncFrontEnd(service)
+            key = {"idempotency-key": "stuck"}
+            parked = [
+                asyncio.create_task(_post(frontend, dict(PAYLOAD, wait=True), key)),
+                asyncio.create_task(_post(frontend, dict(PAYLOAD, wait=True))),
+            ]
+            await _until(lambda: service.coalesced == 1
+                         and service.pool.leases == 1)
+            parked.append(asyncio.create_task(
+                _post(frontend, dict(PAYLOAD, wait=True), key)))
+            await _until(lambda: service.idempotent_replays == 1)
+            clean = await frontend.drain(timeout=0.2)
+            return clean, await asyncio.wait_for(asyncio.gather(*parked), 10)
+
+        try:
+            clean, responses = asyncio.run(main())
+        finally:
+            gate.set()  # let the stuck dispatcher go
+        assert clean is False
+        for code, body, headers in responses:
+            assert code == 429, body
+            assert body["error"] == "service drained before completion"
+            assert "Retry-After" in headers
+        # the job itself still reaches its one verdict, late
+        job = service.wait("job-000001", timeout=30)
+        assert job.state == "done"
+
     def test_draining_frontend_rejects_new_jobs(self, tmp_path):
         service = _service(tmp_path)
 
         async def main():
             frontend = AsyncFrontEnd(service)
             frontend.draining = True
-            try:
-                return await _post(frontend, dict(PAYLOAD))
-            finally:
-                frontend.uninstall()
+            return await _post(frontend, dict(PAYLOAD))
 
         code, body, headers = asyncio.run(main())
         service.drain()
@@ -466,27 +530,24 @@ class TestTenantQuotaHTTP:
 
         async def main():
             frontend = AsyncFrontEnd(service, window=1, quota=1)
-            try:
-                # distinct no_cache specs so nothing coalesces: the
-                # first occupies the window, the second parks (quota 1),
-                # the third must bounce
-                running = asyncio.create_task(_post(
-                    frontend, dict(PAYLOAD, no_cache=True, wait=True),
-                    {"x-npb-tenant": "acme"}))
-                await _until(lambda: frontend.admission.in_flight == 1)
-                parked = asyncio.create_task(_post(
-                    frontend, dict(PAYLOAD, workers=1, no_cache=True),
-                    {"x-npb-tenant": "acme"}))
-                await _until(
-                    lambda: frontend.admission.stats()["queued"] == {"acme": 1})
-                code, body, headers = await _post(
-                    frontend, dict(PAYLOAD, workers=4, no_cache=True),
-                    {"x-npb-tenant": "acme"})
-                gate.set()
-                await asyncio.gather(running, parked)
-                return code, body, headers
-            finally:
-                frontend.uninstall()
+            # distinct no_cache specs so nothing coalesces: the
+            # first occupies the window, the second parks (quota 1),
+            # the third must bounce
+            running = asyncio.create_task(_post(
+                frontend, dict(PAYLOAD, no_cache=True, wait=True),
+                {"x-npb-tenant": "acme"}))
+            await _until(lambda: frontend.admission.in_flight == 1)
+            parked = asyncio.create_task(_post(
+                frontend, dict(PAYLOAD, workers=1, no_cache=True),
+                {"x-npb-tenant": "acme"}))
+            await _until(
+                lambda: frontend.admission.stats()["queued"] == {"acme": 1})
+            code, body, headers = await _post(
+                frontend, dict(PAYLOAD, workers=4, no_cache=True),
+                {"x-npb-tenant": "acme"})
+            gate.set()
+            await asyncio.gather(running, parked)
+            return code, body, headers
 
         code, body, headers = asyncio.run(main())
         service.drain()

@@ -17,7 +17,8 @@ import pytest
 
 from repro.harness import cli
 from repro.service import BenchService, ServiceClient, ShardCoordinator
-from repro.service.http import MAX_BODY_BYTES, MAX_HEADERS
+from repro.service.http import (ANNOUNCE, MAX_BODY_BYTES, MAX_HEADERS, announce,
+                                parse_route)
 
 
 @pytest.fixture(params=["daemon", "coordinator"])
@@ -133,6 +134,25 @@ class TestAccessLog:
 
 
 class TestOneServingPath:
+    def test_the_six_routes_are_parsed_once_for_both_apps(self):
+        assert parse_route("POST", "/jobs") == ("submit", None)
+        assert parse_route("GET", "/jobs") == ("jobs", None)
+        assert parse_route("GET", "/status") == ("status", None)
+        assert parse_route("GET", "/metrics") == ("metrics", None)
+        assert parse_route("GET", "/jobs/job-000001") == ("job", "job-000001")
+        assert parse_route("GET", "/jobs/s0:job-000001/trace") == (
+            "trace", "s0:job-000001")
+        for method, path in (("GET", "/"), ("GET", "/job"), ("POST", "/status"),
+                             ("DELETE", "/jobs/job-000001"), ("PUT", "/jobs")):
+            assert parse_route(method, path) == (None, None)
+
+    def test_the_announce_line_is_the_one_its_regex_reads(self, capsys):
+        announce("service", "http://127.0.0.1:8642", "pool 2x serial x1")
+        line = capsys.readouterr().out
+        assert line == ("npb service listening on http://127.0.0.1:8642 "
+                        "(pool 2x serial x1)\n")
+        assert ANNOUNCE.search(line).group(1) == "http://127.0.0.1:8642"
+
     @pytest.mark.parametrize("command", ["serve", "shard-serve"])
     def test_help_never_mentions_the_async_flag(self, command, capsys):
         # benchmarks/e2e appends the flag whenever `serve --help`

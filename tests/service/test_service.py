@@ -92,6 +92,24 @@ class TestResultCacheIntegration:
         assert executed == 2
 
 
+class TestFailedJobs:
+    def test_a_bad_fault_policy_fails_the_job_not_the_pool(self, tmp_path):
+        """Regression: ``spec.fault_policy()`` ran between the lease and
+        the try that releases it, so a spec whose knobs ``FaultPolicy``
+        refuses kept its team forever -- ``pool_size`` such submissions
+        wedged the service."""
+        with _service(tmp_path, pool_size=1) as service:
+            bad = service.wait(
+                service.submit("IS", "S", dispatch_timeout=-1.0).job_id,
+                timeout=60)
+            assert bad.state == "failed"
+            assert "dispatch_timeout must be positive" in bad.error
+            assert service.pool.occupancy()["in_use"] == 0
+            good = service.wait(service.submit("IS", "S").job_id, timeout=60)
+            assert good.state == "done"
+            assert service.status()["jobs"] == {"done": 1, "failed": 1}
+
+
 class TestBackpressure:
     def test_admission_rejection_when_queue_is_full(self, tmp_path):
         # autostart=False: nothing drains the queue, so admission

@@ -16,9 +16,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro import run_benchmark
-from repro.service import BenchService, ServiceClient
+from repro.service import BenchService, ServiceClient, ServiceUnavailable
 from repro.service.jobs import JobSpec, routing_key
-from repro.service.shard import BALANCE_BOUND, HashRing, ShardCoordinator
+from repro.service.shard import (BALANCE_BOUND, HashRing, ShardCoordinator,
+                                 drain_children, spawn_shard)
 
 
 class TestHashRing:
@@ -437,3 +438,30 @@ class TestClientRetryAfter:
             assert _FlakyHandler.seen == 3  # initial try + 2 retries
         finally:
             _FlakyHandler.rejections = 2
+
+
+class TestSpawnedShards:
+    """``spawn_shard``/``drain_children``: what ``npb shard-serve --spawn``
+    and ``npb chaos`` run, importable."""
+
+    OPTIONS = dict(backend="serial", workers=1, pool=1, queue_depth=4,
+                   drain_timeout=30.0)
+
+    def test_spawn_announce_serve_drain(self, tmp_path):
+        child, url = spawn_shard("shard0", cache_dir=str(tmp_path),
+                                 **self.OPTIONS)
+        try:
+            code, status = ServiceClient(url, timeout=30).status()
+            assert code == 200
+            assert status["pool"]["size"] == 1
+            assert status["queue"]["capacity"] == 4
+            assert (tmp_path / "shard0").is_dir()  # <cache_dir>/<name>
+        finally:
+            assert drain_children([child], timeout=30.0) is True
+        assert child.returncode == 0  # its own graceful drain, not a kill
+
+    def test_a_child_that_never_announces_is_reaped_and_reported(
+            self, tmp_path):
+        with pytest.raises(ServiceUnavailable, match="shard7 exited before announcing"):
+            spawn_shard("shard7", cache_dir=str(tmp_path),
+                        **dict(self.OPTIONS, backend="no-such-backend"))
