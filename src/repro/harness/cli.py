@@ -18,7 +18,7 @@ Subcommands::
                                        URL); same HTTP API as serve
     npb submit CG -c S --url URL       submit a job to a running service
     npb jobs [JOB_ID] --url URL        service status / job inspection
-    npb loadgen --url URL -C 1,2,4     closed/open-loop traffic harness;
+    npb loadgen --url URL -C 1,2,4     closed-loop traffic harness;
                                        appends LOADGEN_<seq>.json records
     npb loadgen --compare BASE.json    noise-aware SLO/latency gate
     npb chaos --seed 7 --shards 2      deterministic fault-injection run:
@@ -61,7 +61,7 @@ from repro.common.params import CLASS_ORDER
 from repro.harness.bench import (DEFAULT_ABS_SLACK, DEFAULT_MAD_MULTIPLIER,
                                  DEFAULT_TOLERANCE)
 from repro.harness.report import format_table, region_profile_table
-from repro.harness.tables import TABLES, generate_table
+from repro.harness.tables import MEASURED_TABLES, TABLES, generate_table
 from repro.runtime.dispatch import FaultPolicy, WorkerError
 
 #: Exit-code table (documented in the module docstring above; keep the
@@ -710,12 +710,11 @@ def _cmd_loadgen(args) -> int:
     try:
         levels = tuple(
             float(part)
-            for part in (args.rate if args.mode == "open"
-                         else args.concurrency).split(",") if part.strip())
+            for part in args.concurrency.split(",") if part.strip())
     except ValueError:
         levels = ()
     if not levels:
-        print("npb loadgen: --concurrency/--rate must be a comma-"
+        print("npb loadgen: --concurrency must be a comma-"
               "separated list of numbers", file=sys.stderr)
         return EXIT_USAGE
 
@@ -727,7 +726,7 @@ def _cmd_loadgen(args) -> int:
         min_dedup_ratio=args.slo_min_dedup_ratio,
         min_ok=args.slo_min_ok)
     config = loadgen.LoadgenConfig(
-        profile=profile, mode=args.mode, levels=levels,
+        profile=profile, levels=levels,
         requests_per_step=args.requests,
         duration_seconds=args.duration, seed=args.seed,
         retries=args.retries, slo=policy, tenant=args.tenant,
@@ -751,7 +750,8 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_table(args) -> int:
     mode = "measured" if args.measured else "simulated"
-    numbers = [args.number] if args.number else list(TABLES)
+    every = MEASURED_TABLES if args.measured else TABLES
+    numbers = [args.number] if args.number else every
     for n in numbers:
         table = generate_table(n, mode, args.problem_class)
         print(format_table(table))
@@ -760,45 +760,32 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_speedup(args) -> int:
-    import time
-
-    from repro.core.registry import get_benchmark
     from repro.harness.report import Table
     from repro.machines import MACHINES, speedup_curve
-    from repro.team import make_team
     from repro.team.base import team_worker_counts
 
     name = args.benchmark.upper()
-    cls = get_benchmark(name)
-    counts = team_worker_counts(args.max_workers)
-
     rows = Table(
         f"Speedup study: {name}.{args.problem_class}",
         ["Configuration", "seconds", "speedup"],
     )
-    bench = cls(args.problem_class)
-    bench.setup()
-    t0 = time.perf_counter()
-    bench._iterate()
-    serial = time.perf_counter() - t0
-    rows.add_row("serial (this host)", serial, 1.0)
-    for workers in counts:
-        with make_team(args.backend, workers) as team:
-            parallel = cls(args.problem_class, team)
-            parallel.setup()
-            t0 = time.perf_counter()
-            parallel._iterate()
-            elapsed = time.perf_counter() - t0
-            verification = parallel.verify()
-        if not verification.verified:
+    configs = [("serial", 1)]
+    configs += [(args.backend, w)
+                for w in team_worker_counts(args.max_workers)]
+    serial = None
+    for backend, workers in configs:
+        label = backend if backend == "serial" else f"{backend} x{workers}"
+        result = run_benchmark(name, args.problem_class, backend, workers)
+        if not result.verified:
             print(format_table(rows))
-            print(verification.summary())
-            print(f"FAIL: {name}.{args.problem_class} under "
-                  f"{args.backend} x{workers} did not verify; "
-                  f"speedups above are not trustworthy", file=sys.stderr)
+            print(result.verification.summary())
+            print(f"FAIL: {name}.{args.problem_class} under {label} did "
+                  f"not verify; speedups above are not trustworthy",
+                  file=sys.stderr)
             return 1
-        rows.add_row(f"{args.backend} x{workers} (this host)", elapsed,
-                     serial / elapsed)
+        serial = serial or result.time_seconds
+        rows.add_row(f"{label} (this host)", result.time_seconds,
+                     serial / result.time_seconds)
     print(format_table(rows))
     print()
     modeled = Table(
@@ -1098,9 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen = sub.add_parser(
         "loadgen", help="generate service traffic (closed-loop "
-                        "concurrency sweep or open-loop Poisson "
-                        "arrivals), append a LOADGEN_<seq>.json record, "
-                        "and verdict it against an SLO; or gate a "
+                        "concurrency sweep), append a LOADGEN_<seq>.json "
+                        "record, and verdict it against an SLO; or gate a "
                         "candidate record against a baseline (--compare)")
     loadgen.add_argument("candidate", nargs="?", default=None,
                          help="candidate record for --compare (default: "
@@ -1108,11 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--url", default=DEFAULT_SERVICE_URL,
                          help=f"service or coordinator address (default "
                               f"{DEFAULT_SERVICE_URL})")
-    loadgen.add_argument("--mode", default="closed",
-                         choices=["closed", "open"],
-                         help="closed: fixed concurrent clients issuing "
-                              "back-to-back; open: Poisson arrivals at a "
-                              "fixed rate (default closed)")
     loadgen.add_argument("--profile", default="smoke",
                          choices=list(LOADGEN_PROFILES),
                          help="built-in traffic mix (default smoke)")
@@ -1129,20 +1110,13 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("-C", "--concurrency", default="2",
                          help="closed-loop concurrency levels, one curve "
                               "step each (comma-separated, default 2)")
-    loadgen.add_argument("--rate", default="4",
-                         help="open-loop arrival rates in req/s, one "
-                              "curve step each (comma-separated, "
-                              "default 4)")
     loadgen.add_argument("-n", "--requests", type=int, default=20,
                          help="requests per closed-loop step (default 20)")
     loadgen.add_argument("--duration", type=float, default=None,
-                         help="seconds per step: the open-loop window "
-                              "(required for --mode open), or an optional "
-                              "closed-loop cap")
+                         help="optional cap on a step's seconds")
     loadgen.add_argument("--seed", type=int, default=0,
-                         help="RNG seed for the traffic mix and arrival "
-                              "process (default 0; same seed, same "
-                              "request stream)")
+                         help="RNG seed for the traffic mix (default 0; "
+                              "same seed, same request stream)")
     loadgen.add_argument("--retries", type=int, default=3,
                          help="429 retries per request, honoring "
                               "Retry-After (default 3)")

@@ -1,4 +1,4 @@
-"""Timing statistics shared by the bench trajectory and pytest-benchmark.
+"""Timing statistics: the one repeat-and-summarise loop of the repository.
 
 The NPB tradition (and the source paper's methodology) reports the *best*
 of k repeats: the minimum is the run least perturbed by the OS, and on an
@@ -7,10 +7,12 @@ median-absolute-deviation (MAD) of the repeats is kept alongside as the
 noise bar -- unlike the standard deviation it is robust to the occasional
 descheduled outlier that shared CI runners produce.
 
-Everything that times code in this repository (``npb bench`` cells, the
-``benchmarks/`` pytest-benchmark modules) summarizes its repeats through
-:func:`summarize`, so records from both paths carry the same fields and
-the regression comparator can reason about either.
+Everything that times code in this repository summarizes its repeats
+through :func:`summarize`: ``npb bench`` cells, and through them the
+measured ``npb table``s, take whole-benchmark times from
+``NPBenchmark.run()``; every smaller callable (Table 1 operations, Table 7
+factorizations, the JGF kernels) goes through :func:`time_callable`, the
+only ``perf_counter`` pair of the harness.
 """
 
 from __future__ import annotations

@@ -12,19 +12,17 @@ Every table exists in two modes:
     The real NumPy ("Fortran" role) and interpreted-Python ("Java" role)
     implementations run on the local host, including the team backends.
     Absolute numbers are host-dependent; ratios mirror the paper's
-    methodology.
+    methodology.  Tables 2-6 are one table per machine in the paper and
+    this host is one machine, so any of them measured is the same host
+    table; every cell is taken by ``npb bench``'s own cell runners.
 """
 
 from __future__ import annotations
 
-import time
+import os
 
-from repro.core.basic_ops import (
-    OPERATIONS,
-    SMALL_GRID,
-    make_workload,
-    run_operation,
-)
+from repro.core.basic_ops import OPERATIONS, SMALL_GRID
+from repro.harness import bench
 from repro.harness.report import Table
 from repro.harness.stats import time_callable
 from repro.lufact import (
@@ -37,11 +35,15 @@ from repro.lufact import (
 )
 from repro.machines import machine, predict_basic_op, predict_benchmark
 from repro.machines.spec import OpCategory
+from repro.team.base import team_worker_counts
 
 #: Benchmarks in the paper's table order.
 TABLE_BENCHMARKS = ["BT", "SP", "LU", "FT", "IS", "CG", "MG"]
 
 TABLES = (1, 2, 3, 4, 5, 6, 7)
+
+#: The distinct measured tables (2 stands for the host table, 2-6).
+MEASURED_TABLES = (1, 2, 7)
 
 
 def generate_table(number: int, mode: str = "simulated",
@@ -94,22 +96,21 @@ def _table1(mode: str, problem_class: str, grid=None) -> Table:
         return table
 
     grid = grid or SMALL_GRID
-    w = make_workload(grid)
     table = Table(
         f"Table 1 (measured on this host; seconds, grid {grid})",
         ["Operation", "numpy (f77 role)", "python (Java role)",
          "ratio", "python multidim", "multidim/linear"],
     )
     for op in OPERATIONS:
-        times = {}
-        for style in ("numpy", "python", "python_multidim"):
-            # min-of-k, like the bench subsystem: a single cold call
-            # would charge the numpy styles their one-time warm-up
-            # (ufunc loop selection, arena pool allocation) and swamp
-            # the tiny-grid ratios.
-            summary = time_callable(
-                lambda style=style: run_operation(op, style, w), repeat=3)
-            times[style] = summary.best
+        # min-of-3, the `npb bench` kernel cell: a single cold call would
+        # charge the numpy styles their one-time warm-up (ufunc loop
+        # selection, arena pool allocation) and swamp the tiny-grid ratios.
+        times = {
+            style: bench.run_kernel_cell(
+                bench.KernelCell(op, style, grid), repeat=3
+            )["best_seconds"]
+            for style in ("numpy", "python", "python_multidim")
+        }
         table.add_row(
             _OP_LABELS[op], times["numpy"], times["python"],
             times["python"] / times["numpy"], times["python_multidim"],
@@ -156,29 +157,34 @@ def _benchmark_table(mode: str, machine_key: str, title: str,
                 "FT capped at 4 CPUs by the JVM's big-heap limit "
                 "(FT.A ~ 350 MB)")
         return table
+    return _host_table(problem_class)
 
-    # measured mode: run the real implementations on this host
-    from repro import run_benchmark
 
-    counts = [t for t in thread_counts if t <= 4]
+def _host_table(problem_class: str) -> Table:
+    """Tables 2-6, measured: the paper has one table per machine, and
+    this host is one machine -- serial plus the process backend at the
+    paper's worker counts up to the host's CPUs, each cell run once."""
+    cpus = os.cpu_count() or 1
+    counts = team_worker_counts(cpus)
     table = Table(
-        f"{title} (measured on this host; class {problem_class}, seconds)",
+        f"Tables 2-6 (measured on this {cpus}-CPU host; "
+        f"class {problem_class}, seconds)",
         ["Benchmark", "Serial"]
         + [f"proc x{t}" for t in counts] + ["verified"],
     )
     for name in TABLE_BENCHMARKS:
-        serial = run_benchmark(name, problem_class)
-        row = [serial.time_seconds]
-        verified = serial.verified
-        for t in counts:
-            result = run_benchmark(name, problem_class, "process", t)
-            row.append(result.time_seconds)
-            verified = verified and result.verified
-        table.add_row(f"{name}.{problem_class} Python", *row,
-                      "yes" if verified else "NO")
+        cells = [bench.BenchCell(name, problem_class, "serial", 1)]
+        cells += [bench.BenchCell(name, problem_class, "process", t)
+                  for t in counts]
+        runs = [bench.run_bench_cell(cell, repeat=1) for cell in cells]
+        table.add_row(f"{name}.{problem_class} Python",
+                      *[run["best_seconds"] for run in runs],
+                      "yes" if all(run["verified"] for run in runs)
+                      else "NO")
     table.notes.append(
-        "measured with the multiprocessing backend; on a single-CPU host "
-        "no speedup is expected")
+        f"measured with the multiprocessing backend, one run per cell; "
+        f"worker counts stop at os.cpu_count() = {cpus}"
+        + (", so no speedup is expected" if cpus == 1 else ""))
     return table
 
 
@@ -265,17 +271,9 @@ def _table7(mode: str, problem_class: str, max_n: int = 1000) -> Table:
         if n > max_n:
             continue
         a, _ = make_system(n)
-        t0 = time.perf_counter()
-        if n <= 500:
-            lufact_loops(a)
-            loops_t = time.perf_counter() - t0
-        else:
-            loops_t = float("nan")
-        t0 = time.perf_counter()
-        lufact_numpy(a)
-        blas1_t = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dgetrf_blocked(a)
-        blas3_t = time.perf_counter() - t0
+        loops_t = (time_callable(lambda: lufact_loops(a), repeat=3).best
+                   if n <= 500 else float("nan"))
+        blas1_t = time_callable(lambda: lufact_numpy(a), repeat=3).best
+        blas3_t = time_callable(lambda: dgetrf_blocked(a), repeat=3).best
         table.add_row(str(n), loops_t, blas1_t, blas3_t, blas1_t / blas3_t)
     return table

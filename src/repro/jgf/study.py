@@ -10,11 +10,11 @@ regular-stride categories where Fortran compilers win big*.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.harness.stats import time_callable
 from repro.jgf.series import series_loops, series_numpy
 from repro.jgf.sor import sor_loops, sor_numpy
 from repro.jgf.sparsematmult import (
@@ -76,30 +76,21 @@ def measured_ratios(scale: float = 1.0) -> dict[str, float]:
     n_series = max(4, int(20 * scale))
     n_sor = max(64, int(120 * scale))
     n_sparse = max(100, int(2000 * scale))
-    results = {}
-
-    t0 = time.perf_counter()
-    series_numpy(n_series)
-    fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    series_loops(n_series)
-    results["series"] = (time.perf_counter() - t0) / fast
-
-    rng = np.random.default_rng(5)
-    grid = rng.random((n_sor, n_sor))
-    sor_numpy(grid, 1)  # warm-up (allocator, cache)
-    t0 = time.perf_counter()
-    sor_numpy(grid, 20)
-    fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sor_loops(grid, 20)
-    results["sor"] = (time.perf_counter() - t0) / fast
-
+    grid = np.random.default_rng(5).random((n_sor, n_sor))
     system = make_sparse_system(n_sparse)
-    t0 = time.perf_counter()
-    sparsematmult_numpy(*system, iterations=20)
-    fast = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sparsematmult_loops(*system, iterations=20)
-    results["sparsematmult"] = (time.perf_counter() - t0) / fast
-    return results
+
+    def ratio(loops, vectorized) -> float:
+        # min-of-3 like Table 1: a single cold call would charge the
+        # NumPy side its one-time warm-up (allocator, ufunc selection)
+        return (time_callable(loops, repeat=3).best
+                / time_callable(vectorized, repeat=3).best)
+
+    return {
+        "series": ratio(lambda: series_loops(n_series),
+                        lambda: series_numpy(n_series)),
+        "sor": ratio(lambda: sor_loops(grid, 20),
+                     lambda: sor_numpy(grid, 20)),
+        "sparsematmult": ratio(
+            lambda: sparsematmult_loops(*system, iterations=20),
+            lambda: sparsematmult_numpy(*system, iterations=20)),
+    }

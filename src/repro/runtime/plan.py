@@ -35,7 +35,7 @@ class ExecutionPlan:
     The cache is unbounded by design: a benchmark run touches a bounded
     set of extents (grid dimensions, wavefront sizes), so entries are a
     few dozen tuples at most.  ``hits``/``misses`` expose the memoization
-    behaviour to tests and to ``benchmarks/bench_dispatch_overhead.py``.
+    behaviour to tests and to ``npb profile --json`` (``plan_cache``).
 
     Crossover rule (see :meth:`observe`): a transported dispatch whose
     workers' summed execute time is below the dispatch's own wall time

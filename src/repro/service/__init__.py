@@ -37,7 +37,7 @@ state across them:
     the coordinator's routes), with health probes, route-around
     failover, and aggregated status.
 :mod:`~repro.service.loadgen`
-    closed/open-loop traffic harness (``npb loadgen``) appending
+    closed-loop traffic harness (``npb loadgen``) appending
     schema-versioned ``LOADGEN_<seq>.json`` records with an SLO verdict
     and a noise-aware baseline comparator.
 :mod:`~repro.service.chaos`

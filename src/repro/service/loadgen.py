@@ -3,15 +3,11 @@
 The paper's core result is a curve -- performance as load grows -- and
 the service layer deserves the same discipline as the kernels: not one
 number but a reproducible load-vs-latency trajectory.  This module
-generates service traffic in the two canonical shapes:
-
-* **closed-loop** -- a fixed number of concurrent clients, each issuing
-  its next request the moment the previous one completes.  Sweeping the
-  concurrency (``--concurrency 1,2,4``) traces the scaling curve the
-  gpaw benchmark methodology treats as *the* result.
-* **open-loop** -- Poisson arrivals at a fixed rate, independent of
-  completions, which is how production traffic actually behaves: the
-  service cannot slow its clients down, only queue or shed (429).
+generates **closed-loop** service traffic: a fixed number of concurrent
+clients, each issuing its next request the moment the previous one
+completes.  Sweeping the concurrency (``--concurrency 1,2,4``) traces
+the scaling curve the gpaw benchmark methodology treats as *the*
+result.
 
 Requests are drawn from a weighted :class:`TrafficProfile` mix of
 benchmark specs.  Each profile names a ``duplicate_fraction``: that
@@ -56,6 +52,10 @@ RECORD_KIND = "npb-loadgen-record"
 
 #: Trajectory file naming: LOADGEN_0001.json, LOADGEN_0002.json, ...
 RECORD_PREFIX = "LOADGEN"
+
+#: The one traffic shape.  Records and curve steps keep naming it (the
+#: comparator matches steps by ``(mode, level)``; schema v2 has the key).
+MODE = "closed"
 
 #: Relative change tolerated before the noise term kicks in.  Service
 #: latency is far noisier than best-of-k kernel timing (queueing, GC,
@@ -218,11 +218,6 @@ class RequestSampler:
         payload["no_cache"] = not duplicate
         return entry.cell_id, payload
 
-    def arrival_gap(self, rate: float) -> float:
-        """Exponential inter-arrival gap for open-loop Poisson traffic."""
-        with self._lock:
-            return self._rng.expovariate(rate)
-
 
 # ===================================================================== #
 # request execution and accounting
@@ -347,46 +342,6 @@ def run_closed_loop(
         return issue_request(submit, *sampler.next_request())
 
     return closed_loop(one, total_requests, concurrency, duration_seconds)
-
-
-def run_open_loop(
-    submit,
-    sampler: RequestSampler,
-    rate_rps: float,
-    duration_seconds: float,
-) -> tuple[list[RequestOutcome], float]:
-    """Open-loop Poisson traffic: arrivals never wait for completions.
-
-    One thread per in-flight request; the arrival clock keeps ticking
-    however slow the service gets, which is what makes queue growth and
-    shedding (429) visible instead of silently throttling the offered
-    load.
-    """
-    if rate_rps <= 0:
-        raise ValueError("rate must be > 0 requests/second")
-    outcomes: list[RequestOutcome] = []
-    lock = threading.Lock()
-    threads: list[threading.Thread] = []
-    started = time.perf_counter()
-    offset = sampler.arrival_gap(rate_rps)
-    while offset <= duration_seconds:
-        gap = started + offset - time.perf_counter()
-        if gap > 0:
-            time.sleep(gap)
-        cell_id, payload = sampler.next_request()
-
-        def one(cell_id=cell_id, payload=payload) -> None:
-            outcome = issue_request(submit, cell_id, payload)
-            with lock:
-                outcomes.append(outcome)
-
-        thread = threading.Thread(target=one, daemon=True)
-        thread.start()
-        threads.append(thread)
-        offset += sampler.arrival_gap(rate_rps)
-    for thread in threads:
-        thread.join()
-    return outcomes, time.perf_counter() - started
 
 
 def summarize_outcomes(
@@ -572,9 +527,8 @@ class LoadgenConfig:
     """Everything a run needs beyond the target URL."""
 
     profile: TrafficProfile
-    mode: str = "closed"  # "closed" | "open"
-    #: concurrency levels (closed) or arrival rates in rps (open); one
-    #: record step -- one point on the scaling curve -- per level
+    #: concurrency levels; one record step -- one point on the scaling
+    #: curve -- per level
     levels: tuple[float, ...] = (2,)
     requests_per_step: int = 20
     duration_seconds: float | None = None
@@ -591,7 +545,7 @@ class LoadgenConfig:
     def as_dict(self) -> dict:
         return {
             "profile": self.profile.as_dict(),
-            "mode": self.mode,
+            "mode": MODE,
             "levels": list(self.levels),
             "requests_per_step": self.requests_per_step,
             "duration_seconds": self.duration_seconds,
@@ -607,27 +561,15 @@ def run_step(submit, config: LoadgenConfig, index: int) -> dict:
     """Run one curve step (one level) and summarize it."""
     level = config.levels[index]
     sampler = RequestSampler(config.profile, seed=config.seed + index)
-    if config.mode == "closed":
-        outcomes, elapsed = run_closed_loop(
-            submit,
-            sampler,
-            concurrency=int(level),
-            total_requests=config.requests_per_step,
-            duration_seconds=config.duration_seconds,
-        )
-    elif config.mode == "open":
-        if config.duration_seconds is None:
-            raise ValueError("open-loop mode needs duration_seconds")
-        outcomes, elapsed = run_open_loop(
-            submit,
-            sampler,
-            rate_rps=float(level),
-            duration_seconds=config.duration_seconds,
-        )
-    else:
-        raise ValueError(f"unknown loadgen mode {config.mode!r}")
+    outcomes, elapsed = run_closed_loop(
+        submit,
+        sampler,
+        concurrency=int(level),
+        total_requests=config.requests_per_step,
+        duration_seconds=config.duration_seconds,
+    )
     metrics = summarize_outcomes(outcomes, elapsed)
-    metrics["mode"] = config.mode
+    metrics["mode"] = MODE
     metrics["level"] = level
     metrics["slo"] = evaluate_slo(metrics, config.slo)
     if config.trace:
@@ -686,7 +628,7 @@ def run_loadgen(
     for index, level in enumerate(config.levels):
         if progress is not None:
             progress(
-                f"  loadgen {config.mode} level={level:g} "
+                f"  loadgen {MODE} level={level:g} "
                 f"({config.profile.name}, step {index + 1}/"
                 f"{len(config.levels)})"
             )

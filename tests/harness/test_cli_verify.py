@@ -63,6 +63,16 @@ class TestExitCodeTable:
         assert exit_info.value.code == cli.EXIT_USAGE
         assert shown in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--mode", "open"], ["--rate", "4"]],
+                             ids=["mode", "rate"])
+    def test_removed_open_loop_options_are_argparse_errors(
+            self, capsys, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadgen"] + option)
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {option[0]}" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv,grammar", [
         (["bench", "--cells", "CG:S:serial:1:compiled"],
          "BENCHMARK:CLASS:BACKEND:WORKERS\n"),

@@ -1,10 +1,14 @@
 """Tests for the table harness and CLI."""
 
+import os
+
 import pytest
 
-from repro.harness import TABLES, format_table, generate_table
+from repro.harness import TABLES, bench, format_table, generate_table, tables
 from repro.harness.cli import build_parser, main
 from repro.harness.report import Table
+from repro.harness.stats import summarize
+from repro.team import team_worker_counts
 
 
 class TestReport:
@@ -67,6 +71,51 @@ class TestMeasuredTables:
     def test_table7_measured_small(self):
         table = generate_table(7, "measured", max_n=500)
         assert len(table.rows) >= 1
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The cells asked of ``run_bench_cell``, which runs nothing."""
+        asked = []
+
+        def record(cell, repeat):
+            asked.append((cell, repeat))
+            return {"best_seconds": 1.0, "verified": True}
+
+        monkeypatch.setattr(bench, "run_bench_cell", record)
+        return asked
+
+    def test_tables_2_to_6_are_one_host_table(self, asked, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        rendered = {format_table(generate_table(n, "measured", "S"))
+                    for n in (2, 3, 4, 5, 6)}
+        assert len(rendered) == 1
+        (text,) = rendered
+        assert "6-CPU host" in text and "os.cpu_count() = 6" in text
+        assert "proc x4  verified" in text and "proc x8" not in text
+        # five tables, each asking once for every cell of its own
+        once = [(name, backend, workers)
+                for name in tables.TABLE_BENCHMARKS
+                for backend, workers in (("serial", 1), ("process", 1),
+                                         ("process", 2), ("process", 4))]
+        assert [(c.benchmark, c.backend, c.workers)
+                for c, _ in asked] == once * 5
+        assert {(c.problem_class, repeat) for c, repeat in asked} == {
+            ("S", 1)}
+
+    def test_tables_measured_builds_the_host_table_once(
+            self, asked, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "run_kernel_cell",
+                            lambda cell, repeat: {"best_seconds": 1.0})
+        monkeypatch.setattr(tables, "time_callable",
+                            lambda fn, repeat: summarize([1.0]))
+        assert main(["tables", "--measured", "-c", "S"]) == 0
+        cells = [cell.cell_id for cell, _ in asked]
+        columns = 1 + len(team_worker_counts(os.cpu_count()))
+        assert len(cells) == len(set(cells)) == 7 * columns
+        assert max(cell.workers for cell, _ in asked) <= os.cpu_count()
+        out = capsys.readouterr().out
+        assert out.count("Tables 2-6 (measured") == 1
+        assert "Table 1 (measured" in out and "Table 7 (measured" in out
 
 
 class TestCLI:

@@ -16,7 +16,7 @@ from repro.service.loadgen import (LoadgenConfig, MixEntry, PROFILES,
                                    TrafficProfile, compare_records,
                                    evaluate_slo, latest_record_path,
                                    load_record, next_sequence, parse_mix,
-                                   run_closed_loop, run_loadgen, run_open_loop,
+                                   run_closed_loop, run_loadgen,
                                    summarize_outcomes, write_record)
 
 
@@ -248,16 +248,6 @@ class TestClosedLoop:
         assert outcomes[0].shard == "s1"
         assert outcomes[0].degraded is True
 
-    def test_open_loop_offers_poisson_arrivals(self):
-        profile = TrafficProfile("t", (MixEntry("CG"),), 1.0)
-        sampler = RequestSampler(profile, seed=3)
-        outcomes, elapsed = run_open_loop(
-            lambda payload: (200, {"state": "done"}), sampler,
-            rate_rps=200.0, duration_seconds=0.25)
-        # ~50 expected; Poisson scatter stays well inside [10, 150]
-        assert 10 <= len(outcomes) <= 150
-        assert elapsed >= 0.2
-
 
 class TestRecords:
     def _record(self, directory):
@@ -392,7 +382,7 @@ class TestEndToEnd:
         service = BenchService(backend="serial", pool_size=2,
                                cache_dir=str(tmp_path / "cache"))
         config = LoadgenConfig(
-            profile=PROFILES["cache-heavy"], mode="closed",
+            profile=PROFILES["cache-heavy"],
             levels=(2,), requests_per_step=8, seed=5,
             slo=SLOPolicy(min_cache_hit_ratio=0.1))
         record = run_loadgen(daemon_url(service), config)
