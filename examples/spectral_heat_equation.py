@@ -1,6 +1,6 @@
 """Using the FT substrate as a library: a spectral heat-equation solver.
 
-The FT benchmark's building blocks -- the from-scratch Stockham FFT and
+The FT benchmark's building blocks -- the from-scratch four-step FFT and
 the Gaussian damping factors -- form a general spectral solver for
 u_t = alpha * laplace(u) on a periodic box.  This example evolves a
 smooth initial condition whose exact solution is known and reports the

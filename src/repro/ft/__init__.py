@@ -5,9 +5,9 @@ grid of complex LCG deviates, transformed once forward, damped in Fourier
 space with precomputed Gaussian factors each time step, and transformed
 back to compute a 1024-point checksum per step.
 
-The FFT itself is a from-scratch vectorized Stockham (autosort) radix-2
-transform (:mod:`repro.ft.fft`) -- no ``numpy.fft`` -- matching the
-``cfftz`` kernel of ft.f.
+The FFT itself is a from-scratch four-step transform (:mod:`repro.ft.fft`:
+two small matrix multiplies per row) -- no ``numpy.fft`` -- in the place
+of the ``cfftz`` kernel of ft.f.
 
 FT is the benchmark whose 350 MB class-A footprint exposed the JVM's
 memory-driven processor cap on the SUN Enterprise (paper section 5.2).

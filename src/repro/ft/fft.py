@@ -1,9 +1,11 @@
-"""From-scratch vectorized Stockham FFT (the cfftz kernel of ft.f).
+"""From-scratch four-step FFT (the cfftz kernel of ft.f).
 
-The Stockham autosort algorithm avoids the bit-reversal permutation by
-ping-ponging between two buffers, which is why the NPB chose it for vector
-machines; the same property makes it a natural fit for NumPy, where every
-butterfly stage is a whole-array expression.
+Bailey's four-step views each length-n row as an (n1, n2) matrix with
+n = n1*n2: an n1-point DFT down its columns, one twiddle multiply, an
+n2-point DFT along its rows -- two small matrix multiplies per row.  The
+stacked ``matmul`` makes one GEMM per row (16 x 16 x 16 at n = 256), too
+small for BLAS to start threads of its own, so a transform runs on the
+calling thread.
 
 Only power-of-two lengths are supported (all NPB grids are powers of two).
 Conventions follow ft.f: ``sign=+1`` is the forward transform
@@ -16,42 +18,40 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Cache of butterfly root tables keyed by (n, L, sign).
-_ROOTS: dict[tuple[int, int, int], np.ndarray] = {}
+#: Cache of (n1-point DFT, n1 x n2 twiddles, n2-point DFT) keyed by (n, sign).
+_FACTORS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
-def _roots(n: int, L: int, sign: int) -> np.ndarray:
-    key = (n, L, sign)
-    table = _ROOTS.get(key)
-    if table is None:
-        table = np.exp(sign * 2j * np.pi * np.arange(L) / (2 * L))
-        _ROOTS[key] = table
-    return table
+def _roots(rows: int, cols: int, n: int, sign: int) -> np.ndarray:
+    """exp(sign*2*pi*i*j*k/n) for j < rows, k < cols, with jk reduced mod n."""
+    jk = np.outer(np.arange(rows), np.arange(cols)) % n
+    return np.exp(sign * 2j * np.pi * jk / n)
 
 
 def fft_rows(x: np.ndarray, sign: int) -> np.ndarray:
-    """DFT of each row of a 2-D complex array (Stockham, radix 2).
+    """DFT of each row of a 2-D complex array (four-step).
 
-    Invariant after stage t (block length L = 2**t): ``y[:, j, k]`` holds
-    the length-L DFT of the decimated subsequence ``x[:, j::R]`` at
-    frequency k, with R = n // L.  The decimation-in-time combine step
-    halves R and doubles L until R == 1.
+    With j = j1*n2 + j2 and k = k1 + n1*k2, w_n^(jk) factors into
+    w_n1^(j1 k1) * w_n^(j2 k1) * w_n2^(j2 k2): the two matmuls and the
+    twiddle between them; the second matmul writes in (k2, k1) order.
     """
     m, n = x.shape
     if n & (n - 1):
         raise ValueError("fft_rows requires a power-of-two length")
-    if n == 1:
-        return x.copy()
-    y = x.reshape(m, n, 1).copy()
-    L = 1
-    while L < n:
-        half = y.shape[1] // 2
-        w = _roots(n, L, sign)
-        even = y[:, :half, :]
-        odd = y[:, half:, :] * w
-        y = np.concatenate((even + odd, even - odd), axis=2)
-        L *= 2
-    return y.reshape(m, n)
+    factors = _FACTORS.get((n, sign))
+    if factors is None:
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = n // n1
+        factors = (_roots(n1, n1, n1, sign), _roots(n1, n2, n, sign),
+                   _roots(n2, n2, n2, sign))
+        _FACTORS[(n, sign)] = factors
+    f1, twiddle, f2 = factors
+    n1, n2 = twiddle.shape
+    b = np.matmul(f1, x.reshape(m, n1, n2))
+    b *= twiddle
+    out = np.empty((m, n), dtype=np.complex128)
+    np.matmul(b, f2, out=out.reshape(m, n2, n1).transpose(0, 2, 1))
+    return out
 
 
 def fft_along_axis(x: np.ndarray, axis: int, sign: int) -> np.ndarray:

@@ -15,16 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.randdp import Randlc
-from repro.ft.fft import fft_rows
+from repro.ft.fft import fft_along_axis
 from repro.ft.params import ALPHA, FT_SEED, ft_params
 from repro.mpi.comm import Communicator, mpi_run
 from repro.team.partition import block_partition, partition_bounds
-
-
-def _fft_axis_local(x: np.ndarray, axis: int, sign: int) -> np.ndarray:
-    moved = np.ascontiguousarray(np.moveaxis(x, axis, -1))
-    out = fft_rows(moved.reshape(-1, moved.shape[-1]), sign)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
 def _initial_slab(nx: int, ny: int, zlo: int, zhi: int) -> np.ndarray:
@@ -67,11 +61,11 @@ def _rank_program(comm: Communicator, problem_class: str) -> list[complex]:
 
     # local initial conditions + x/y transforms in the z-slab layout
     u = _initial_slab(nx, ny, zlo, zhi)
-    u = _fft_axis_local(u, 2, 1)
-    u = _fft_axis_local(u, 1, 1)
+    u = fft_along_axis(u, 2, 1)
+    u = fft_along_axis(u, 1, 1)
     # transpose and finish the forward transform along z
     u_hat = _transpose_z_to_y(comm, u, ny, nz)
-    u_hat = _fft_axis_local(u_hat, 0, 1)
+    u_hat = fft_along_axis(u_hat, 0, 1)
 
     # damping factors in the y-slab layout
     ap = -4.0 * ALPHA * np.pi * np.pi
@@ -93,10 +87,10 @@ def _rank_program(comm: Communicator, problem_class: str) -> list[complex]:
     for _ in range(niter):
         u_hat *= twiddle
         # inverse: z first (local in this layout), transpose, then y, x
-        u2 = _fft_axis_local(u_hat, 0, -1)
+        u2 = fft_along_axis(u_hat, 0, -1)
         u2 = _transpose_y_to_z(comm, u2, ny, nz)
-        u2 = _fft_axis_local(u2, 1, -1)
-        u2 = _fft_axis_local(u2, 2, -1)
+        u2 = fft_along_axis(u2, 1, -1)
+        u2 = fft_along_axis(u2, 2, -1)
         local = complex(u2[s[mine] - zlo, r[mine], q[mine]].sum())
         total = comm.allreduce(local, op=lambda a, b: a + b)
         checksums.append(total / params.ntotal)

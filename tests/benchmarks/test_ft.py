@@ -1,4 +1,6 @@
-"""Tests for the Stockham FFT and the FT benchmark."""
+"""Tests for the four-step FFT and the FT benchmark."""
+
+import time
 
 import numpy as np
 import pytest
@@ -90,8 +92,15 @@ class TestFTBenchmark:
         with ThreadTeam(3) as team:
             threaded = FT("S", team)
             threaded.run()
-        assert threaded.checksums == pytest.approx(serial.checksums,
-                                                   rel=1e-12)
+        assert threaded.checksums == serial.checksums
+
+    def test_class_w_runs_on_one_core(self):
+        bench = FT("W")
+        bench.setup()
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        assert bench.run().verified
+        wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+        assert cpu <= 1.3 * wall, (cpu, wall)
 
     def test_process_backend_verifies(self):
         with ProcessTeam(2) as team:

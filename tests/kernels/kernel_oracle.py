@@ -10,6 +10,11 @@ production kernels must match bit for bit (see
 and as the naive column of ``benchmarks/bench_alloc.py`` -- not as a
 second implementation: nothing under ``src/`` imports them, and they
 share only index helpers and constants with the production modules.
+
+The last, ``fft_rows_reference``, is the radix-2 Stockham that
+``repro.ft.fft.fft_rows`` was before the four-step; it is a different
+algorithm, so ``test_fft_rows.py`` holds the two to a declared relative
+error rather than to the bit.
 """
 
 from __future__ import annotations
@@ -401,3 +406,46 @@ def numpy_stencil2_slab_reference(lo: int, hi: int, a, out) -> None:
 def numpy_matvec5_slab_reference(lo: int, hi: int, matrices, vectors,
                                  out) -> None:
     out[lo:hi] = (matrices[lo:hi] @ vectors[lo:hi, ..., None])[..., 0]
+
+
+# --------------------------------------------------------------------- #
+# repro.ft.fft
+
+#: Cache of butterfly root tables keyed by (n, L, sign).
+_ROOTS: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def _roots(n: int, L: int, sign: int) -> np.ndarray:
+    key = (n, L, sign)
+    table = _ROOTS.get(key)
+    if table is None:
+        table = np.exp(sign * 2j * np.pi * np.arange(L) / (2 * L))
+        _ROOTS[key] = table
+    return table
+
+
+def fft_rows_reference(x: np.ndarray, sign: int) -> np.ndarray:
+    """DFT of each row of a 2-D complex array (Stockham, radix 2): the
+    butterfly form ``repro.ft.fft.fft_rows`` had before the four-step,
+    one allocating ``np.concatenate`` per stage.
+
+    Invariant after stage t (block length L = 2**t): ``y[:, j, k]`` holds
+    the length-L DFT of the decimated subsequence ``x[:, j::R]`` at
+    frequency k, with R = n // L.  The decimation-in-time combine step
+    halves R and doubles L until R == 1.
+    """
+    m, n = x.shape
+    if n & (n - 1):
+        raise ValueError("fft_rows requires a power-of-two length")
+    if n == 1:
+        return x.copy()
+    y = x.reshape(m, n, 1).copy()
+    L = 1
+    while L < n:
+        half = y.shape[1] // 2
+        w = _roots(n, L, sign)
+        even = y[:, :half, :]
+        odd = y[:, half:, :] * w
+        y = np.concatenate((even + odd, even - odd), axis=2)
+        L *= 2
+    return y.reshape(m, n)

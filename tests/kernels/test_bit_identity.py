@@ -1,13 +1,19 @@
-"""Verification values of MG, CG, BT and SP, to the last bit.
+"""Verification values of MG, CG, BT, SP and FT, to the last bit.
 
-These are the four benchmarks whose drivers dispatch the catalogued slab
-kernels (``repro.kernels.registry``).  The constants below are their
-class-S verification values as ``float.hex()``, captured at commit
-``44b98db`` -- the last tree in which the drivers reached their kernels
-through a by-name, per-tier lookup -- on serial, threads x2 and process
-x2.  A driver that ever dispatches anything but the same arithmetic (a
-second form of a kernel, a reordered chain, another reduction order)
-changes a bit here.
+MG, CG, BT and SP are the four benchmarks whose drivers dispatch the
+catalogued slab kernels (``repro.kernels.registry``).  Their constants
+below are class-S verification values as ``float.hex()``, captured at
+commit ``44b98db`` -- the last tree in which the drivers reached their
+kernels through a by-name, per-tier lookup -- on serial, threads x2 and
+process x2.  A driver that ever dispatches anything but the same
+arithmetic (a second form of a kernel, a reordered chain, another
+reduction order) changes a bit here.
+
+FT's six checksums (re and im) were captured on the commit that made
+``repro.ft.fft.fft_rows`` the four-step (two stacked matmuls per row;
+its parent is ``71a1690``), equal on serial, threads x2, threads x3 and
+process x2: each row's transform is the same arithmetic whichever slab
+holds it (``test_fft_rows.py`` proves that for any row split).
 
 The last bit of a float reduction belongs to the platform as much as to
 the code (OpenBLAS picks its dot kernel per CPU, NumPy its SIMD width),
@@ -20,7 +26,7 @@ import pytest
 
 from repro import run_benchmark
 
-#: quantity -> float.hex() at 44b98db, serial.
+#: quantity -> float.hex(), serial (MG..SP at 44b98db, FT as above).
 PARENT = {
     "MG": {"rnm2": "0x1.bd3e23d9218d2p-15"},
     "CG": {"zeta": "0x1.131c140145f4dp+3"},
@@ -47,6 +53,20 @@ PARENT = {
         "xce[3]": "0x1.0f08548fa3032p-16",
         "xce[4]": "0x1.0840c34980dd1p-16",
         "xce[5]": "0x1.1eb3fab080ef9p-15",
+    },
+    "FT": {
+        "checksum[1].re": "0x1.154de9e5da886p+9",
+        "checksum[1].im": "0x1.e4894d21e8340p+8",
+        "checksum[2].re": "0x1.1551bbb5760fep+9",
+        "checksum[2].im": "0x1.e687ca0f87d69p+8",
+        "checksum[3].re": "0x1.154eb318eb4c8p+9",
+        "checksum[3].im": "0x1.e8641d4f55f48p+8",
+        "checksum[4].re": "0x1.15456c13a7a76p+9",
+        "checksum[4].im": "0x1.ea2097d735a41p+8",
+        "checksum[5].re": "0x1.153676e9f16c9p+9",
+        "checksum[5].im": "0x1.ebbf61c86f048p+8",
+        "checksum[6].re": "0x1.152259010e296p+9",
+        "checksum[6].im": "0x1.ed427d4df00d9p+8",
     },
 }
 

@@ -158,6 +158,10 @@ class JobLifecycle(RuleBasedStateMachine):
             assert self.service.wait(job_id, 20).state == "cached"
             _until(lambda: not self._registered(name), "the hit's entry retired")
             return
+        # an execution is modelled from its cache probe on: a job still
+        # queued when its gate opens could probe a record a twin just wrote
+        _until(lambda: self.service.job(job_id).state == "running",
+               "the execution started")
         self.running[name].add(job_id)
         if not no_cache:
             self.primary[name] = job_id
