@@ -48,11 +48,7 @@ class CG(NPBenchmark):
         n = params.na
         rng = Randlc(CG_SEED, A_DEFAULT)
         rng.next()  # the main program's initial zeta = randlc(tran, amult)
-        import time as _time
-
-        t0 = _time.perf_counter()
         matrix = makea(n, params.nonzer, params.rcond, params.shift, rng)
-        self.makea_seconds = _time.perf_counter() - t0
 
         team = self.team
         nnz = matrix.nnz
@@ -62,6 +58,10 @@ class CG(NPBenchmark):
         self.rowstr[:] = matrix.rowstr
         self.colidx[:] = matrix.colidx
         self.a[:] = matrix.a
+        # The mat-vec gathers without a per-call bounds check
+        # (_matvec_slab's precondition); nothing writes colidx after this.
+        if self.colidx.min() < 0 or self.colidx.max() >= n:
+            raise ValueError(f"CG: column index outside [0, {n})")
         # Per-slab reduceat offsets for the mat-vec, computed once for
         # this team's plan (team-shared so process workers see them by
         # reference rather than repickling every dispatch).

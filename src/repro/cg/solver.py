@@ -27,6 +27,12 @@ from repro.team.base import Team
 #: CG inner iterations per outer step (cgitmax in cg.f).
 CG_ITERATIONS = 25
 
+#: Longest run a single BLAS dot may cover.  OpenBLAS threads ``ddot``
+#: above 10 000 elements; a dot that stays below that runs on the calling
+#: thread, so a serial cell uses one core and its sums do not depend on
+#: the host's CPU count.
+DOT_CHUNK = 8192
+
 
 def _init_slab(lo: int, hi: int, x, r, p, q, z) -> None:
     """q = z = 0, r = p = x on the slab (start of conj_grad)."""
@@ -36,10 +42,23 @@ def _init_slab(lo: int, hi: int, x, r, p, q, z) -> None:
     p[lo:hi] = x[lo:hi]
 
 
+def _chunked_dot(u, v) -> float:
+    """``u @ v`` summed over chunks of at most :data:`DOT_CHUNK` elements.
+
+    Each chunk is one single-threaded BLAS dot, so the result is the same
+    on every host; for ``len(u) <= DOT_CHUNK`` it is bitwise
+    ``float(u @ v)``.
+    """
+    total = float(u[:DOT_CHUNK] @ v[:DOT_CHUNK])
+    for s in range(DOT_CHUNK, len(u), DOT_CHUNK):
+        total += float(u[s:s + DOT_CHUNK] @ v[s:s + DOT_CHUNK])
+    return total
+
+
 def _dot_slab(lo: int, hi: int, u, v) -> float:
-    """Partial inner product over the slab (BLAS dot on views; already
+    """Partial inner product over the slab (chunked BLAS dot on views;
     allocation-free)."""
-    return float(u[lo:hi] @ v[lo:hi])
+    return _chunked_dot(u[lo:hi], v[lo:hi])
 
 
 def compute_reduceat_offsets(bounds, rowstr, out) -> None:
@@ -60,10 +79,17 @@ def _matvec_slab(lo: int, hi: int, rowstr, colidx, a, x, out,
                  offsets=None) -> None:
     """CSR mat-vec restricted to rows ``[lo, hi)`` (no empty rows assumed).
 
-    Fused: gather ``x`` with ``np.take(..., out=)`` into one arena buffer,
-    multiply by ``a`` in place, ``reduceat`` straight into ``out[lo:hi]``.
-    Bit-identical to the oracle's ``_matvec_slab_reference``.  ``offsets``
-    is the :func:`compute_reduceat_offsets` array; when None the offsets
+    Precondition: ``0 <= colidx < len(x)``, checked once when the matrix
+    is set up (``CG._setup``).  The gather therefore runs with
+    ``mode="clip"``: under the default ``mode="raise"`` numpy gathers into
+    a temporary and copies it back so that ``out`` stays untouched on a
+    bad index, one extra pass over the buffer per call.
+
+    Fused: gather ``x`` with ``np.take(..., out=, mode="clip")`` into one
+    arena buffer, multiply by ``a`` in place, ``reduceat`` straight into
+    ``out[lo:hi]``.  Bit-identical to the oracle's
+    ``_matvec_slab_reference``.  ``offsets`` is the
+    :func:`compute_reduceat_offsets` array; when None the offsets
     are rebuilt per call (reference behavior).
     """
     if hi <= lo:
@@ -71,7 +97,7 @@ def _matvec_slab(lo: int, hi: int, rowstr, colidx, a, x, out,
     start = int(rowstr[lo])
     end = int(rowstr[hi])
     gathered = worker_arena().take((end - start,))
-    np.take(x, colidx[start:end], out=gathered)
+    np.take(x, colidx[start:end], out=gathered, mode="clip")
     np.multiply(a[start:end], gathered, out=gathered)
     idx = offsets[lo:hi] if offsets is not None else rowstr[lo:hi] - start
     np.add.reduceat(gathered, idx, out=out[lo:hi])
@@ -99,14 +125,14 @@ def _update_p_slab(lo: int, hi: int, p, r, beta: float) -> None:
 
 def _norm_diff_slab(lo: int, hi: int, x, r) -> float:
     """Partial sum of (x - r)**2 over the slab, difference fused into an
-    arena buffer; bit-identical to the oracle's
-    ``_norm_diff_slab_reference`` (the dot runs over the same contiguous
-    values)."""
+    arena buffer and squared by :func:`_chunked_dot`; bit-identical to the
+    oracle's ``_norm_diff_slab_reference`` for slabs of at most
+    :data:`DOT_CHUNK` rows."""
     if hi <= lo:
         return 0.0
     d = worker_arena().take((hi - lo,))
     np.subtract(x[lo:hi], r[lo:hi], out=d)
-    return float(d @ d)
+    return _chunked_dot(d, d)
 
 
 def _fill_slab(lo: int, hi: int, x, value: float) -> None:

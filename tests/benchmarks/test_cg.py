@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cg import CG, makea
+from repro.cg import benchmark as cg_module
 from repro.cg.params import cg_params
 from repro.common.randdp import Randlc
 from repro.team import ProcessTeam, SerialTeam, ThreadTeam
@@ -97,6 +98,19 @@ class TestCGBenchmark:
             threaded = CG("S", team)
             threaded.run()
         assert serial.zeta == threaded.zeta
+
+    def test_setup_rejects_column_index_out_of_range(self, monkeypatch):
+        """The mat-vec gathers without a per-call bounds check, so setup
+        proves ``0 <= colidx < n`` once and refuses a matrix that breaks
+        it (rather than gathering a clipped value mid-run)."""
+        def bad_makea(n, *args):
+            matrix = makea(n, *args)
+            matrix.colidx[len(matrix.colidx) // 2] = n
+            return matrix
+
+        monkeypatch.setattr(cg_module, "makea", bad_makea)
+        with pytest.raises(ValueError, match="column index"):
+            CG("S").setup()
 
     def test_op_count_formula(self):
         params = cg_params("S")

@@ -231,9 +231,14 @@ def _cg_problem(team, n, seed):
 @pytest.mark.parametrize("backend,workers", TEAM_CASES, ids=FUSED_IDS)
 class TestCGTiers:
     def test_matvec_with_precomputed_offsets(self, backend, workers):
+        """The ``mode="clip"`` gather equals the oracle's fancy index on
+        every slab cut (``threads`` x 3 cuts uneven ones), including at
+        the clip bounds: the first and last nonzeros read x[n-1] and
+        x[0]."""
         with make_team(backend, workers) as team:
             for n in CG_SIZES:
                 rowstr, colidx, a, x = _cg_problem(team, n, 900 + n)
+                colidx[0], colidx[-1] = n - 1, 0
                 offsets = team.shared(n, dtype=np.int64)
                 cg.compute_reduceat_offsets(team.plan.bounds(n), rowstr,
                                             offsets)
