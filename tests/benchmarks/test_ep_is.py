@@ -1,5 +1,7 @@
 """Tests for the EP and IS kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,23 @@ class TestEP:
             assert EP("S", team).run().verified
 
 
+#: sha256 of ``create_seq``'s int64 keys, captured at ``64b08a3`` (the
+#: last tree whose generator split each multiply into 23-bit halves).
+KEYS_SHA256 = {
+    "S": "4d1e671f6881bdbf62feda008998dce223e679e8a83cc32b62a057855009cfbb",
+    "W": "3c44e5bf7c6acbfcaa9b7bf8b05ec2fedaa679d288ed6a688f22cac96d290c8f",
+}
+
+
 class TestISKeyGeneration:
+    @pytest.mark.parametrize("problem_class", sorted(KEYS_SHA256))
+    def test_keys_equal_the_parents(self, problem_class):
+        params = is_params(problem_class)
+        keys = create_seq(params.num_keys, params.max_key)
+        assert keys.dtype == np.int64
+        digest = hashlib.sha256(keys.tobytes()).hexdigest()
+        assert digest == KEYS_SHA256[problem_class]
+
     def test_keys_in_range(self):
         params = is_params("S")
         keys = create_seq(params.num_keys, params.max_key)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.mg import MG
 from repro.mg.operators import comm3, interp, norm2u3, psinv, resid, rprj3
-from repro.mg.params import A_COEFFS, smoother_coeffs
+from repro.mg.params import A_COEFFS, MG_SEED, smoother_coeffs
 from repro.mg.zran3 import charge_positions, zran3
 from repro.team import SerialTeam, ThreadTeam
 from repro.common.params import ProblemClass
@@ -119,6 +119,19 @@ class TestOperators:
 
 
 class TestZran3:
+    def test_class_s_positions_equal_the_parents(self):
+        # Captured at 64b08a3, the last tree whose generator split each
+        # multiply into 23-bit halves; (i3, i2, i1) interior indices.
+        plus, minus = charge_positions(32, MG_SEED)
+        assert plus.tolist() == [
+            [20, 1, 7], [31, 29, 19], [3, 0, 2], [3, 22, 4], [21, 16, 1],
+            [6, 31, 21], [12, 15, 12], [25, 4, 30], [28, 0, 28],
+            [17, 26, 17]]
+        assert minus.tolist() == [
+            [2, 11, 0], [17, 8, 13], [0, 14, 5], [15, 28, 4], [1, 2, 12],
+            [8, 17, 5], [11, 19, 20], [31, 15, 26], [22, 25, 8],
+            [26, 14, 7]]
+
     def test_twenty_charges(self):
         z = np.zeros((10, 10, 10))
         zran3(z, 8, 314159265)

@@ -1,4 +1,4 @@
-"""Verification values of MG, CG, BT, SP and FT, to the last bit.
+"""Verification values of MG, CG, BT, SP, FT and EP, to the last bit.
 
 MG, CG, BT and SP are the four benchmarks whose drivers dispatch the
 catalogued slab kernels (``repro.kernels.registry``).  Their constants
@@ -15,6 +15,11 @@ its parent is ``71a1690``), equal on serial, threads x2, threads x3 and
 process x2: each row's transform is the same arithmetic whichever slab
 holds it (``test_fft_rows.py`` proves that for any row split).
 
+EP's ``sx``/``sy`` were captured at ``64b08a3``, the last tree whose
+46-bit generator split each multiply into 23-bit halves: they pin the
+NPB random stream itself, end to end.  Two workers add two partial sums,
+so their last bit differs from one worker's.
+
 The last bit of a float reduction belongs to the platform as much as to
 the code (OpenBLAS picks its dot kernel per CPU, NumPy its SIMD width),
 so the constants only bind where three small reductions reproduce the
@@ -26,7 +31,7 @@ import pytest
 
 from repro import run_benchmark
 
-#: quantity -> float.hex(), serial (MG..SP at 44b98db, FT as above).
+#: quantity -> float.hex(), serial (MG..SP at 44b98db, FT and EP as above).
 PARENT = {
     "MG": {"rnm2": "0x1.bd3e23d9218d2p-15"},
     "CG": {"zeta": "0x1.131c140145f4dp+3"},
@@ -68,10 +73,15 @@ PARENT = {
         "checksum[6].re": "0x1.152259010e296p+9",
         "checksum[6].im": "0x1.ed427d4df00d9p+8",
     },
+    "EP": {"sx": "-0x1.95fab5782f081p+11", "sy": "-0x1.b2e683649f530p+12"},
 }
 
-#: Where two workers differ from one: MG's norm sums two partials.
-PARENT_TWO_WORKERS = {"MG": {"rnm2": "0x1.bd3e23d9218d1p-15"}}
+#: Where two workers differ from one: MG's norm and EP's sums add two
+#: partials.
+PARENT_TWO_WORKERS = {
+    "MG": {"rnm2": "0x1.bd3e23d9218d1p-15"},
+    "EP": {"sx": "-0x1.95fab5782f082p+11", "sy": "-0x1.b2e683649f52ep+12"},
+}
 
 #: BLAS dot, pairwise sum and reduceat over one seeded vector, on the
 #: capture host (numpy 2.4.6, OpenBLAS 0.3.31 Haswell kernels).
