@@ -11,12 +11,14 @@ EP's Gaussian deviates, IS's key stream) is produced by this generator, so
 the official verification values are only reachable if the sequence is
 reproduced *bit for bit*.
 
-The Fortran reference implements the 46-bit modular multiply in double
-precision by splitting operands into 23-bit halves.  Since every intermediate
-there is an exact integer below 2**46, the computation is exact; here we use
-64-bit unsigned integer arithmetic with the same splitting (products of
-23-bit halves fit comfortably in 64 bits), which yields the identical
-sequence while remaining vectorizable with NumPy.
+The Fortran carries the state in a double and splits each multiply into
+23-bit halves so every intermediate is an exact integer below 2**53.  Here
+the state is an unsigned 64-bit integer: multiplication wraps mod 2**64,
+and 2**46 divides 2**64, so ``(a * x) & (2**46 - 1)`` is already the exact
+product mod 2**46 -- one multiply and one mask, in Python ints for a
+scalar and in uint64 arrays for a vector.  (NumPy warns on uint64 overflow
+only for scalar-by-scalar arithmetic, so the vector path keeps every
+operand an array.)
 
 Two interfaces are provided, mirroring the Fortran:
 
@@ -25,11 +27,15 @@ Two interfaces are provided, mirroring the Fortran:
 
 ``vranlc(n, x, a)``
     Generate ``n`` successive values as a NumPy vector; returns
-    ``(values, new_state)``.  Internally the sequential recurrence is
-    replaced by a logarithmic-depth scan over precomputed powers of ``a``,
-    so generation is O(n log n) NumPy work rather than an interpreted loop.
+    ``(values, new_state)``.  The stream is drawn in blocks of
+    ``BLOCK`` = 2**16: block states are ``[a, a**2, ..., a**BLOCK] * x0``,
+    one table multiply by the block's starting state, and the block's
+    last state starts the next block.  The table for ``A_DEFAULT`` is
+    built once at import; another multiplier builds its own per call.
+    Memory is the output plus O(BLOCK).
 
-plus an object wrapper :class:`Randlc` holding the evolving state.
+plus an object wrapper :class:`Randlc` holding the evolving state, and
+``ipow46`` for O(log k) jumps so workers can start at any stream offset.
 """
 
 from __future__ import annotations
@@ -39,13 +45,15 @@ import numpy as np
 #: Default NPB multiplier, 5**13.
 A_DEFAULT = 1220703125
 
-#: Modulus 2**46 and friends.
+#: Modulus 2**46 and its mask.
 _R46 = 1 << 46
 _MASK46 = _R46 - 1
-_MASK23 = (1 << 23) - 1
 
 #: 2**-46 as an exact double (2**-46 is representable).
 R46_INV = float(2.0**-46)
+
+#: States per vranlc block.
+BLOCK = 1 << 16
 
 
 def _mulmod46(a: int, x: int) -> int:
@@ -74,25 +82,6 @@ def randlc(x: int, a: int = A_DEFAULT) -> tuple[float, int]:
     return x * R46_INV, x
 
 
-def _mulmod46_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized exact ``a * x mod 2**46`` on uint64 arrays of 46-bit values.
-
-    Splits each operand into 23-bit halves so each partial product fits in
-    64 bits::
-
-        a = a1*2**23 + a0,   x = x1*2**23 + x0
-        a*x mod 2**46 = (a0*x0 + ((a1*x0 + a0*x1) mod 2**23) * 2**23) mod 2**46
-
-    The a1*x1 term contributes only multiples of 2**46 and is dropped.
-    """
-    a0 = a & _MASK23
-    a1 = a >> np.uint64(23)
-    x0 = x & _MASK23
-    x1 = x >> np.uint64(23)
-    mid = (a1 * x0 + a0 * x1) & _MASK23
-    return (a0 * x0 + (mid << np.uint64(23))) & np.uint64(_MASK46)
-
-
 def ipow46(a: int, exponent: int) -> int:
     """Compute ``a**exponent mod 2**46`` (NPB's ``ipow46`` jump function).
 
@@ -113,37 +102,25 @@ def ipow46(a: int, exponent: int) -> int:
     return result
 
 
-# Cache of power tables keyed by (a, ceil_log2(n)) so repeated vranlc calls
-# with the same multiplier and similar batch sizes reuse the table.
-_POWER_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_POWER_CACHE_MAX_LOG = 24  # cache tables up to 2**24 entries (128 MiB)
-
-
 def _powers_of(a: int, n: int) -> np.ndarray:
     """Return ``[a**1, a**2, ..., a**n] mod 2**46`` as a uint64 array.
 
-    Built by repeated doubling: powers[2k] from squaring, so construction is
-    O(log n) vectorized passes.
+    Built by doubling: the second half of each prefix is the first half
+    times its last entry, so construction is O(log n) vectorized passes.
     """
-    log = max(0, (n - 1).bit_length())
-    key = (a, min(log, _POWER_CACHE_MAX_LOG))
-    cached = _POWER_CACHE.get(key)
-    if cached is not None and len(cached) >= n:
-        return cached[:n]
-    size = 1 << log
-    powers = np.empty(size, dtype=np.uint64)
+    powers = np.empty(n, dtype=np.uint64)
     powers[0] = a & _MASK46
     filled = 1
-    while filled < size:
-        step = np.uint64(ipow46(a, filled))
-        take = min(filled, size - filled)
-        powers[filled : filled + take] = _mulmod46_vec(
-            np.uint64(step), powers[:take]
-        )
+    while filled < n:
+        take = min(filled, n - filled)
+        head = powers[filled : filled + take]
+        np.multiply(powers[:take], powers[filled - 1 : filled], out=head)
+        head &= np.uint64(_MASK46)
         filled += take
-    if log <= _POWER_CACHE_MAX_LOG:
-        _POWER_CACHE[key] = powers
-    return powers[:n]
+    return powers
+
+
+_DEFAULT_POWERS = _powers_of(A_DEFAULT, BLOCK)
 
 
 def vranlc(n: int, x: int, a: int = A_DEFAULT) -> tuple[np.ndarray, int]:
@@ -160,12 +137,20 @@ def vranlc(n: int, x: int, a: int = A_DEFAULT) -> tuple[np.ndarray, int]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    values = np.empty(n, dtype=np.float64)
     if n == 0:
-        return np.empty(0, dtype=np.float64), int(x)
-    powers = _powers_of(int(a), n)
-    states = _mulmod46_vec(powers, np.uint64(int(x) & _MASK46))
-    values = states.astype(np.float64) * R46_INV
-    return values, int(states[-1])
+        return values, int(x)
+    a = int(a)
+    powers = _DEFAULT_POWERS if a == A_DEFAULT else _powers_of(a, min(n, BLOCK))
+    states = np.empty(len(powers), dtype=np.uint64)
+    start = np.array([int(x) & _MASK46], dtype=np.uint64)
+    for lo in range(0, n, len(powers)):
+        block = states[: min(len(powers), n - lo)]
+        np.multiply(powers[: len(block)], start, out=block)
+        block &= np.uint64(_MASK46)
+        np.multiply(block, R46_INV, out=values[lo : lo + len(block)])
+        start[0] = block[-1]
+    return values, int(start[0])
 
 
 class Randlc:

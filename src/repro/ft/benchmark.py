@@ -37,23 +37,25 @@ def _evolve_slab(lo: int, hi: int, u0, u1, twiddle) -> None:
     u1[lo:hi] = u0[lo:hi]
 
 
-def _fill_conditions_slab(lo: int, hi: int, u1, dims) -> None:
-    """Initial conditions for z planes [lo, hi).
+def _fill_conditions_slab(lo: int, hi: int, u, first: int = 0) -> None:
+    """Initial conditions for z planes [lo, hi), into ``u[lo - first:hi - first]``.
 
     The Fortran fills the whole array from one contiguous LCG stream in
-    x/y/z scan order (2 draws per point); each worker jumps the generator
-    to the start of its slab, so any partition produces the same field.
+    x/y/z scan order (2 draws per point); each caller jumps the generator
+    to the start of its planes, so any partition produces the same field.
+    A team worker passes the whole field (``first = 0``); a message-passing
+    rank passes its own z-slab and the global index of its first plane.
     """
     if hi <= lo:
         return
-    nx, ny, _ = dims
+    _, ny, nx = u.shape
     per_plane = 2 * nx * ny
     rng = Randlc(FT_SEED)
     rng.skip(per_plane * lo)
-    for k in range(lo, hi):
+    for plane in u[lo - first : hi - first]:
         values = rng.batch(per_plane)
-        u1[k].real = values[0::2].reshape(ny, nx)
-        u1[k].imag = values[1::2].reshape(ny, nx)
+        plane.real = values[0::2].reshape(ny, nx)
+        plane.imag = values[1::2].reshape(ny, nx)
 
 
 def _fft3d_team(team: Team, sign: int, src, dst, scratch) -> None:
@@ -120,8 +122,7 @@ class FT(NPBenchmark):
         niter = 1 if warmup else p.niter
         with self.region("setup"):
             team.parallel_for(p.nz, _indexmap_slab, self.twiddle, self._dims)
-            team.parallel_for(p.nz, _fill_conditions_slab, self.u1,
-                              self._dims)
+            team.parallel_for(p.nz, _fill_conditions_slab, self.u1)
         with self.region("fft"):
             _fft3d_team(team, 1, self.u1, self.u0, self.u2)
         checksums = []

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.randdp import A_DEFAULT, vranlc
+from repro.common.randdp import A_DEFAULT, Randlc
 from repro.common.verification import VerificationResult
 from repro.core.benchmark import NPBenchmark
 from repro.core.registry import register
@@ -16,16 +16,20 @@ from repro.isort.params import (
 )
 
 
-def create_seq(num_keys: int, max_key: int,
-               seed: int = IS_SEED) -> np.ndarray:
-    """Generate the key stream (create_seq in is.c).
+def create_seq(num_keys: int, max_key: int, seed: int = IS_SEED,
+               start: int = 0) -> np.ndarray:
+    """Generate keys ``[start, start + num_keys)`` of the key stream
+    (create_seq in is.c).
 
     Each key consumes four successive LCG draws; the key is
     ``int(max_key/4 * (u1+u2+u3+u4))``, giving a binomial-ish (approximately
-    Gaussian) distribution over ``[0, max_key)``.
+    Gaussian) distribution over ``[0, max_key)``.  A block starting at
+    ``start`` jumps the generator past the ``4 * start`` earlier draws, so
+    blocks over any partition concatenate to the whole stream.
     """
-    uniforms, _ = vranlc(4 * num_keys, seed, A_DEFAULT)
-    sums = uniforms.reshape(num_keys, 4).sum(axis=1)
+    rng = Randlc(seed, A_DEFAULT)
+    rng.skip(4 * start)
+    sums = rng.batch(4 * num_keys).reshape(num_keys, 4).sum(axis=1)
     return ((max_key // 4) * sums).astype(np.int64)
 
 

@@ -40,15 +40,7 @@ def charge_positions(nx: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     Returns two (CHARGES, 3) arrays of 0-based *interior* coordinates
     (add 1 for the ghost offset).
     """
-    rng = Randlc(seed)
-    total = nx * nx * nx
-    values = np.empty(total)
-    chunk = 1 << 22  # bound the vranlc power-table size for class C
-    filled = 0
-    while filled < total:
-        take = min(chunk, total - filled)
-        values[filled : filled + take] = rng.batch(take)
-        filled += take
+    values = Randlc(seed).batch(nx * nx * nx)
     plus = _extreme_positions(values, CHARGES, largest=True)
     minus = _extreme_positions(values, CHARGES, largest=False)
     shape = (nx, nx, nx)

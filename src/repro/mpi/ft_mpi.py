@@ -14,24 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.randdp import Randlc
+from repro.ft.benchmark import _fill_conditions_slab
 from repro.ft.fft import fft_along_axis
-from repro.ft.params import ALPHA, FT_SEED, ft_params
+from repro.ft.params import ALPHA, ft_params
 from repro.mpi.comm import Communicator, mpi_run
 from repro.team.partition import block_partition, partition_bounds
-
-
-def _initial_slab(nx: int, ny: int, zlo: int, zhi: int) -> np.ndarray:
-    """This rank's z-slab of the initial conditions (LCG jump per plane)."""
-    per_plane = 2 * nx * ny
-    rng = Randlc(FT_SEED)
-    rng.skip(per_plane * zlo)
-    u = np.empty((zhi - zlo, ny, nx), dtype=np.complex128)
-    for k in range(zhi - zlo):
-        values = rng.batch(per_plane)
-        u[k].real = values[0::2].reshape(ny, nx)
-        u[k].imag = values[1::2].reshape(ny, nx)
-    return u
 
 
 def _transpose_z_to_y(comm: Communicator, slab: np.ndarray,
@@ -60,7 +47,8 @@ def _rank_program(comm: Communicator, problem_class: str) -> list[complex]:
     ylo, yhi = partition_bounds(ny, comm.size, comm.rank)
 
     # local initial conditions + x/y transforms in the z-slab layout
-    u = _initial_slab(nx, ny, zlo, zhi)
+    u = np.empty((zhi - zlo, ny, nx), dtype=np.complex128)
+    _fill_conditions_slab(zlo, zhi, u, zlo)
     u = fft_along_axis(u, 2, 1)
     u = fft_along_axis(u, 1, 1)
     # transpose and finish the forward transform along z

@@ -13,29 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.randdp import A_DEFAULT, Randlc
-from repro.isort.params import (
-    IS_SEED,
-    MAX_ITERATIONS,
-    TEST_ARRAY_SIZE,
-    is_params,
-)
+from repro.isort.benchmark import create_seq
+from repro.isort.params import MAX_ITERATIONS, TEST_ARRAY_SIZE, is_params
 from repro.mpi.comm import Communicator, mpi_run
 from repro.team.partition import partition_bounds
-
-
-def _local_keys(num_keys: int, max_key: int, lo: int, hi: int) -> np.ndarray:
-    rng = Randlc(IS_SEED, A_DEFAULT)
-    rng.skip(4 * lo)
-    uniforms = rng.batch(4 * (hi - lo))
-    sums = uniforms.reshape(hi - lo, 4).sum(axis=1)
-    return ((max_key // 4) * sums).astype(np.int64)
 
 
 def _rank_program(comm: Communicator, problem_class: str) -> int:
     params = is_params(problem_class)
     lo, hi = partition_bounds(params.num_keys, comm.size, comm.rank)
-    keys = _local_keys(params.num_keys, params.max_key, lo, hi)
+    keys = create_seq(hi - lo, params.max_key, start=lo)
 
     passed = 0
     cumulative = None

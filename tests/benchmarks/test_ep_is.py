@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ep import EP
 from repro.ep.benchmark import _batch_range, _batch_tallies
@@ -12,6 +14,7 @@ from repro.isort import IS
 from repro.isort.benchmark import create_seq
 from repro.isort.params import is_params
 from repro.team import ProcessTeam, ThreadTeam
+from repro.team.partition import partition_bounds
 
 
 class TestEP:
@@ -82,6 +85,23 @@ class TestISKeyGeneration:
         a = create_seq(1000, 1 << 11)
         b = create_seq(1000, 1 << 11)
         assert np.array_equal(a, b)
+
+    @given(st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=25, deadline=None)
+    def test_three_way_blocks_concatenate_to_the_stream(self, num_keys):
+        whole = create_seq(num_keys, 1 << 11)
+        blocks = [create_seq(hi - lo, 1 << 11, start=lo)
+                  for lo, hi in (partition_bounds(num_keys, 3, rank)
+                                 for rank in range(3))]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_class_s_blocks_concatenate_to_the_stream(self):
+        params = is_params("S")
+        whole = create_seq(params.num_keys, params.max_key)
+        blocks = [create_seq(hi - lo, params.max_key, start=lo)
+                  for lo, hi in (partition_bounds(params.num_keys, 3, rank)
+                                 for rank in range(3))]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_key_distribution_is_centered(self):
         # Sum of four uniforms -> mean 2, so keys center near max_key/2.

@@ -1,12 +1,22 @@
-"""Tests for the NPB 46-bit LCG (repro.common.randdp)."""
+"""Tests for the NPB 46-bit LCG (repro.common.randdp).
+
+Every case runs with warnings as errors: NumPy warns on uint64 overflow
+for scalar-by-scalar arithmetic, which the one-pass multiply must never
+fall into.  (libcst, which hypothesis imports to explain a failure, is
+exempt: its import warns.)
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import randdp
 from repro.common.randdp import (
     A_DEFAULT,
+    BLOCK,
     R46_INV,
     Randlc,
     ipow46,
@@ -14,7 +24,13 @@ from repro.common.randdp import (
     vranlc,
 )
 
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore::DeprecationWarning:libcst")
+
 MOD = 1 << 46
+
+#: Stream lengths around the vranlc block edge.
+ACROSS_BLOCKS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
 
 def _reference_sequence(seed: int, n: int, a: int = A_DEFAULT) -> list[int]:
@@ -86,6 +102,65 @@ class TestVranlc:
     def test_final_state_is_jump(self, seed, n):
         _, state = vranlc(n, seed)
         assert state == (pow(A_DEFAULT, n, MOD) * seed) % MOD
+
+    @pytest.mark.parametrize("n", ACROSS_BLOCKS)
+    def test_matches_scalar_stream_across_blocks(self, n):
+        seed = 314159265
+        batch, final = vranlc(n, seed)
+        x = seed
+        states = np.empty(n, dtype=np.uint64)
+        for i in range(n):
+            _, x = randlc(x)
+            states[i] = x
+        assert final == x
+        assert np.array_equal(batch, states.astype(np.float64) * R46_INV)
+        reference = [pow(A_DEFAULT, k, MOD) * seed % MOD
+                     for k in range(1, n + 1)]
+        assert states.tolist() == reference
+
+    @pytest.mark.parametrize("cut", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK + 3])
+    def test_split_across_block_edge_equals_one_batch(self, cut):
+        n = 3 * BLOCK + 7
+        full, state_full = vranlc(n, 271828183)
+        first, mid = vranlc(cut, 271828183)
+        second, state_split = vranlc(n - cut, mid)
+        assert np.array_equal(full, np.concatenate([first, second]))
+        assert state_full == state_split
+
+    @pytest.mark.parametrize("n", [1, 1000, BLOCK + 1])
+    def test_non_default_multiplier(self, n):
+        a = 7**15
+        batch, final = vranlc(n, 271828183, a)
+        x = 271828183
+        for i in range(n):
+            value, x = randlc(x, a)
+            assert batch[i] == value
+        assert final == x == pow(a, n, MOD) * 271828183 % MOD
+
+    def test_default_table_is_the_powers_of_the_multiplier(self):
+        # Rebuilt here so its construction also runs with warnings as errors.
+        table = randdp._powers_of(A_DEFAULT, BLOCK)
+        assert np.array_equal(table, randdp._DEFAULT_POWERS)
+        for k in (1, 2, 3, BLOCK // 2, BLOCK // 2 + 1, BLOCK):
+            assert int(table[k - 1]) == pow(A_DEFAULT, k, MOD)
+
+    def test_memory_is_the_output_plus_one_block(self):
+        def held_bytes():
+            return sum(v.nbytes for v in vars(randdp).values()
+                       if isinstance(v, np.ndarray))
+
+        before = held_bytes()
+        tracemalloc.start()
+        try:
+            values, _ = vranlc(4 * 2**20, 314159265)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.nbytes == 32 * 2**20
+        assert peak <= values.nbytes + 8 * 2**20
+        # Only the import-time table for A_DEFAULT; nothing kept per call.
+        assert held_bytes() == before == 8 * BLOCK
 
 
 class TestIpow46:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cg.params import ZETA_EPSILON, cg_params
 from repro.ep.params import EP_EPSILON, ep_params
+from repro.ft.benchmark import _fill_conditions_slab
 from repro.ft.params import FT_EPSILON, ft_params
 from repro.mpi import (
     cg_mpi_zeta,
@@ -12,6 +13,8 @@ from repro.mpi import (
     ft_mpi_checksums,
     is_mpi_verify,
 )
+from repro.team import SerialTeam
+from repro.team.partition import partition_bounds
 
 
 class TestFTMPI:
@@ -25,6 +28,22 @@ class TestFTMPI:
                        / reference.real) < FT_EPSILON
             assert abs((computed.imag - reference.imag)
                        / reference.imag) < FT_EPSILON
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 4])
+    def test_initial_field_built_rank_by_rank(self, nprocs):
+        # Each rank fills its own z-slab, as ft_mpi's rank program does;
+        # stacked, the slabs equal the field a serial team fills.
+        params = ft_params("S")
+        shape = (params.nz, params.ny, params.nx)
+        field = np.empty(shape, dtype=np.complex128)
+        SerialTeam().parallel_for(params.nz, _fill_conditions_slab, field)
+        slabs = []
+        for rank in range(nprocs):
+            zlo, zhi = partition_bounds(params.nz, nprocs, rank)
+            slab = np.empty((zhi - zlo,) + shape[1:], dtype=np.complex128)
+            _fill_conditions_slab(zlo, zhi, slab, zlo)
+            slabs.append(slab)
+        assert np.array_equal(np.concatenate(slabs), field)
 
     def test_uneven_rank_count(self):
         # ny=64, nz=64 split over 3 ranks exercises uneven slabs.
