@@ -140,12 +140,13 @@ def vranlc(n: int, x: int, a: int = A_DEFAULT) -> tuple[np.ndarray, int]:
     values = np.empty(n, dtype=np.float64)
     if n == 0:
         return values, int(x)
-    a = int(a)
-    powers = _DEFAULT_POWERS if a == A_DEFAULT else _powers_of(a, min(n, BLOCK))
-    states = np.empty(len(powers), dtype=np.uint64)
+    size = min(n, BLOCK)
+    powers = _DEFAULT_POWERS if a == A_DEFAULT else _powers_of(int(a), size)
+    states = np.empty(size, dtype=np.uint64)
+    # A one-element array, not a scalar: NumPy warns on scalar overflow.
     start = np.array([int(x) & _MASK46], dtype=np.uint64)
-    for lo in range(0, n, len(powers)):
-        block = states[: min(len(powers), n - lo)]
+    for lo in range(0, n, size):
+        block = states[: min(size, n - lo)]
         np.multiply(powers[: len(block)], start, out=block)
         block &= np.uint64(_MASK46)
         np.multiply(block, R46_INV, out=values[lo : lo + len(block)])

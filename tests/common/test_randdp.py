@@ -29,9 +29,6 @@ pytestmark = pytest.mark.filterwarnings(
 
 MOD = 1 << 46
 
-#: Stream lengths around the vranlc block edge.
-ACROSS_BLOCKS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
-
 
 def _reference_sequence(seed: int, n: int, a: int = A_DEFAULT) -> list[int]:
     """Big-integer reference implementation of the recurrence."""
@@ -73,12 +70,17 @@ class TestRandlc:
 
 class TestVranlc:
     def test_matches_scalar_randlc(self):
-        batch, final = vranlc(200, 314159265)
-        x = 314159265
-        for i in range(200):
-            value, x = randlc(x)
-            assert batch[i] == value
-        assert final == x
+        for n in (200, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+            batch, final = vranlc(n, 314159265)
+            x = 314159265
+            states = []
+            for _ in range(n):
+                _, x = randlc(x)
+                states.append(x)
+            assert final == x
+            assert np.array_equal(batch, np.array(states) * R46_INV)
+            assert states == [pow(A_DEFAULT, k, MOD) * 314159265 % MOD
+                              for k in range(1, n + 1)]
 
     def test_empty_batch(self):
         batch, state = vranlc(0, 12345)
@@ -90,11 +92,14 @@ class TestVranlc:
             vranlc(-1, 1)
 
     def test_split_batches_equal_one_batch(self):
-        full, state_full = vranlc(1000, 271828183)
-        first, mid = vranlc(300, 271828183)
-        second, state_split = vranlc(700, mid)
-        assert np.array_equal(full, np.concatenate([first, second]))
-        assert state_full == state_split
+        for n, cut in ((1000, 300), (3 * BLOCK + 7, BLOCK - 1),
+                       (3 * BLOCK + 7, BLOCK), (3 * BLOCK + 7, BLOCK + 1),
+                       (3 * BLOCK + 7, 2 * BLOCK + 3)):
+            full, state_full = vranlc(n, 271828183)
+            first, mid = vranlc(cut, 271828183)
+            second, state_split = vranlc(n - cut, mid)
+            assert np.array_equal(full, np.concatenate([first, second]))
+            assert state_full == state_split
 
     @given(st.integers(min_value=1, max_value=MOD - 1),
            st.integers(min_value=1, max_value=512))
@@ -102,31 +107,6 @@ class TestVranlc:
     def test_final_state_is_jump(self, seed, n):
         _, state = vranlc(n, seed)
         assert state == (pow(A_DEFAULT, n, MOD) * seed) % MOD
-
-    @pytest.mark.parametrize("n", ACROSS_BLOCKS)
-    def test_matches_scalar_stream_across_blocks(self, n):
-        seed = 314159265
-        batch, final = vranlc(n, seed)
-        x = seed
-        states = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            _, x = randlc(x)
-            states[i] = x
-        assert final == x
-        assert np.array_equal(batch, states.astype(np.float64) * R46_INV)
-        reference = [pow(A_DEFAULT, k, MOD) * seed % MOD
-                     for k in range(1, n + 1)]
-        assert states.tolist() == reference
-
-    @pytest.mark.parametrize("cut", [BLOCK - 1, BLOCK, BLOCK + 1,
-                                     2 * BLOCK + 3])
-    def test_split_across_block_edge_equals_one_batch(self, cut):
-        n = 3 * BLOCK + 7
-        full, state_full = vranlc(n, 271828183)
-        first, mid = vranlc(cut, 271828183)
-        second, state_split = vranlc(n - cut, mid)
-        assert np.array_equal(full, np.concatenate([first, second]))
-        assert state_full == state_split
 
     @pytest.mark.parametrize("n", [1, 1000, BLOCK + 1])
     def test_non_default_multiplier(self, n):
