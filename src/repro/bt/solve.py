@@ -78,24 +78,40 @@ def _block_sweep(r, fjac, njac, tmp1: float, tmp2: float,
     dissipation constants of the direction.  Boundary rows (0 and n-1)
     carry identity blocks (lhsinit), so their elimination steps are
     no-ops and the transformed super-diagonal there is zero.
+
+    AA/BB/CC are assembled for every row before the line loop, in place
+    of the Jacobians they consume (``fjac`` and ``njac`` are overwritten)
+    and one more block array, ``ccs``, whose slot i holds CC_i until
+    step i replaces it with the transformed CC'_i (slot 0 stays zero).
     """
     n = r.shape[-2]
     lines = r.shape[:-2]
-    eye = np.eye(5)
     dmat = np.diag(dvec)
-    ccs = np.zeros(lines + (n, 5, 5))  # transformed super-diagonals
+    ccs = np.empty(lines + (n - 1, 5, 5))
+    ccs[..., 0, :, :] = 0.0
+    aa_rows = fjac[..., : n - 2, :, :]
+    bb_rows = njac[..., 1 : n - 1, :, :]
+    cc_rows = ccs[..., 1:, :, :]
+    np.multiply(tmp2, fjac[..., 2:, :, :], out=cc_rows)
+    np.multiply(-tmp2, aa_rows, out=aa_rows)
+    njac *= tmp1
+    cc_rows -= njac[..., 2:, :, :]
+    cc_rows -= tmp1 * dmat
+    aa_rows -= njac[..., : n - 2, :, :]
+    aa_rows -= tmp1 * dmat
+    # 2 * (tmp1 * njac) is (2 * tmp1) * njac to the bit: doubling is exact.
+    bb_rows *= 2.0
+    bb_rows += np.eye(5)
+    bb_rows += 2.0 * tmp1 * dmat
     for i in range(1, n - 1):
-        aa = -tmp2 * fjac[..., i - 1, :, :] - tmp1 * njac[..., i - 1, :, :] \
-            - tmp1 * dmat
-        bb = eye + 2.0 * tmp1 * njac[..., i, :, :] + 2.0 * tmp1 * dmat
-        cc = tmp2 * fjac[..., i + 1, :, :] - tmp1 * njac[..., i + 1, :, :] \
-            - tmp1 * dmat
+        aa, bb = fjac[..., i - 1, :, :], njac[..., i, :, :]
         # rhs_i -= AA @ rhs_{i-1}           (matvec_sub)
         r[..., i, :] -= (aa @ r[..., i - 1, :, None])[..., 0]
         # BB -= AA @ CC'_{i-1}              (matmul_sub)
         bb -= aa @ ccs[..., i - 1, :, :]
         # CC'_i = BB^-1 CC; rhs_i = BB^-1 rhs_i   (binvcrhs)
-        augmented = np.concatenate((cc, r[..., i, :, None]), axis=-1)
+        augmented = np.concatenate((ccs[..., i, :, :], r[..., i, :, None]),
+                                   axis=-1)
         solution = np.linalg.solve(bb, augmented)
         ccs[..., i, :, :] = solution[..., :5]
         r[..., i, :] = solution[..., 5]

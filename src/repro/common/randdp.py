@@ -123,21 +123,26 @@ def _powers_of(a: int, n: int) -> np.ndarray:
 _DEFAULT_POWERS = _powers_of(A_DEFAULT, BLOCK)
 
 
-def vranlc(n: int, x: int, a: int = A_DEFAULT) -> tuple[np.ndarray, int]:
+def vranlc(n: int, x: int, a: int = A_DEFAULT,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Generate ``n`` successive NPB deviates, vectorized.
 
     Semantically identical to the Fortran ``vranlc``: starting from state
     ``x`` it produces values for states ``a*x, a^2*x, ..., a^n*x`` and
-    returns the final state.
+    returns the final state.  ``out``, a float64 array of length ``n``,
+    receives the values in place of a new array.
 
     Returns
     -------
     (values, new_state) : tuple[np.ndarray, int]
-        ``values`` is a float64 array of length ``n`` in ``(0, 1)``.
+        ``values`` is a float64 array of length ``n`` in ``(0, 1)``
+        (``out`` when given).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    values = np.empty(n, dtype=np.float64)
+    if out is not None and out.shape != (n,):
+        raise ValueError(f"out must have shape ({n},), not {out.shape}")
+    values = np.empty(n, dtype=np.float64) if out is None else out
     if n == 0:
         return values, int(x)
     size = min(n, BLOCK)

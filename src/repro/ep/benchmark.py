@@ -4,45 +4,70 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.randdp import A_DEFAULT, Randlc
+from repro.common.randdp import A_DEFAULT, Randlc, vranlc
 from repro.common.verification import VerificationResult
 from repro.core.benchmark import NPBenchmark
 from repro.core.registry import register
 from repro.ep.params import EP_EPSILON, EP_SEED, MK, NQ, ep_params
 
 
-def _batch_tallies(batch_index: int) -> tuple[float, float, np.ndarray]:
+def _workspace() -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for one batch: six float rows of 2**MK and the bins."""
+    return np.empty((6, 1 << MK)), np.empty(1 << MK, dtype=np.int64)
+
+
+def _batch_tallies(batch_index: int,
+                   work: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[float, float, np.ndarray]:
     """Tally one batch of 2**MK pairs: returns (sx, sy, annulus counts).
 
     Batch ``k`` starts the generator at state ``s * a**(2*nk*k) mod 2**46``
     -- the same jump the Fortran code reaches with its binary-method loop --
     so batches are independent and order-insensitive (the basis of EP's
-    embarrassing parallelism).
+    embarrassing parallelism).  ``work`` (from :func:`_workspace`) holds
+    every intermediate, so a task that reuses it allocates little more
+    per batch than the accepted pairs' index.
     """
     nk = 1 << MK
+    floats, bins = _workspace() if work is None else work
+    uniforms = floats[:2].reshape(-1)
     rng = Randlc(EP_SEED, A_DEFAULT)
     rng.skip(2 * nk * batch_index)
-    uniforms = rng.batch(2 * nk)
-    x = 2.0 * uniforms[0::2] - 1.0
-    y = 2.0 * uniforms[1::2] - 1.0
-    t = x * x + y * y
-    accept = t <= 1.0
-    x, y, t = x[accept], y[accept], t[accept]
-    factor = np.sqrt(-2.0 * np.log(t) / t)
-    gx = x * factor
-    gy = y * factor
-    bins = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
-    counts = np.bincount(bins, minlength=NQ)
+    vranlc(2 * nk, rng.state, rng.a, out=uniforms)
+    # x and y as contiguous rows: np.take copies a strided source whole.
+    x, y, t, w = floats[2:]
+    for row, draws in ((x, uniforms[0::2]), (y, uniforms[1::2])):
+        np.multiply(draws, 2.0, out=row)
+        row -= 1.0
+    np.multiply(x, x, out=t)
+    t += np.multiply(y, y, out=w)
+    # Indices of t's own elements, so every gather is in range.
+    accept = np.flatnonzero(t <= 1.0)
+    m = len(accept)
+    gx, gy, ta, factor = floats[0, :m], floats[1, :m], w[:m], t[:m]
+    np.take(x, accept, out=gx, mode="clip")
+    np.take(y, accept, out=gy, mode="clip")
+    np.take(t, accept, out=ta, mode="clip")
+    np.log(ta, out=factor)
+    factor *= -2.0
+    factor /= ta
+    np.sqrt(factor, out=factor)
+    gx *= factor
+    gy *= factor
+    np.maximum(np.abs(gx, out=ta), np.abs(gy, out=factor), out=ta)
+    bins[:m] = ta
+    counts = np.bincount(bins[:m], minlength=NQ)
     return float(gx.sum()), float(gy.sum()), counts
 
 
 def _batch_range(lo: int, hi: int) -> tuple[float, float, np.ndarray]:
-    """Worker task: tally batches [lo, hi)."""
+    """Worker task: tally batches [lo, hi) in one set of buffers."""
     sx = 0.0
     sy = 0.0
     counts = np.zeros(NQ, dtype=np.int64)
+    work = _workspace()
     for k in range(lo, hi):
-        bsx, bsy, bcounts = _batch_tallies(k)
+        bsx, bsy, bcounts = _batch_tallies(k, work)
         sx += bsx
         sy += bsy
         counts += bcounts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.randdp import A_DEFAULT, Randlc
+from repro.common.randdp import A_DEFAULT, BLOCK, Randlc, vranlc
 from repro.common.verification import VerificationResult
 from repro.core.benchmark import NPBenchmark
 from repro.core.registry import register
@@ -25,12 +25,24 @@ def create_seq(num_keys: int, max_key: int, seed: int = IS_SEED,
     ``int(max_key/4 * (u1+u2+u3+u4))``, giving a binomial-ish (approximately
     Gaussian) distribution over ``[0, max_key)``.  A block starting at
     ``start`` jumps the generator past the ``4 * start`` earlier draws, so
-    blocks over any partition concatenate to the whole stream.
+    blocks over any partition concatenate to the whole stream.  Keys are
+    summed per generator block, so memory is the int64 output plus one
+    block of draws.
     """
     rng = Randlc(seed, A_DEFAULT)
     rng.skip(4 * start)
-    sums = rng.batch(4 * num_keys).reshape(num_keys, 4).sum(axis=1)
-    return ((max_key // 4) * sums).astype(np.int64)
+    keys = np.empty(num_keys, dtype=np.int64)
+    size = min(num_keys, BLOCK)
+    draws = np.empty((size, 4))
+    sums = np.empty(size)
+    for lo in range(0, num_keys, BLOCK):
+        count = min(BLOCK, num_keys - lo)
+        _, rng.state = vranlc(4 * count, rng.state, rng.a,
+                              out=draws[:count].reshape(-1))
+        np.sum(draws[:count], axis=1, out=sums[:count])
+        keys[lo : lo + count] = np.multiply(max_key // 4, sums[:count],
+                                            out=sums[:count])
+    return keys
 
 
 def _histogram_slab(lo: int, hi: int, keys, max_key: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Each sweep solves, for every grid line in its direction, three scalar
 pentadiagonal systems sharing one matrix (the u +/- 0 eigenvalues) plus
-two more for the u +/- c acoustic eigenvalues (lhsp / lhsm).  The Thomas
-elimination is sequential along the line; everything else is vectorized
-over the lines of the worker's slab.
+two more for the u +/- c acoustic eigenvalues (lhsp / lhsm).  All five
+are eliminated at once: one factor array holds each component's matrix,
+so each step of the sequential Thomas elimination is a handful of NumPy
+calls over every line and component of the worker's slab.
 
 Slab decomposition follows the OpenMP SP: x and y sweeps are partitioned
 over interior k planes, the z sweep over interior j planes.
@@ -18,107 +19,97 @@ from repro.cfd.constants import CFDConstants
 
 
 def _build_lhs(cv, rho_line, spd, dt1, dt2, c2dt1, c: CFDConstants):
-    """Assemble lhs/lhsp/lhsm of shape cv.shape + (5,).
-
-    ``cv``/``rho_line``/``spd`` have the sweep direction as last axis
-    (full length n including boundary points).
+    """Factor array ``(n, 5 coefficients, *lines, 5 components)``: lhs
+    for components 0-2, lhsp for 3, lhsm for 4.  ``cv``/``rho_line``/
+    ``spd`` are ``(*lines, n)``, n including the boundary points.
     """
     n = cv.shape[-1]
-    lhs = np.zeros(cv.shape + (5,))
-    lhs[..., 0, 2] = 1.0
-    lhs[..., n - 1, 2] = 1.0
+    cv, rho_line, spd = (np.moveaxis(a, -1, 0) for a in (cv, rho_line, spd))
+    lhs = np.zeros((n, 5) + cv.shape[1:])
+    lhs[0, 2] = 1.0
+    lhs[n - 1, 2] = 1.0
     sl = slice(1, n - 1)
-    lhs[..., sl, 1] = -dt2 * cv[..., : n - 2] - dt1 * rho_line[..., : n - 2]
-    lhs[..., sl, 2] = 1.0 + c2dt1 * rho_line[..., sl]
-    lhs[..., sl, 3] = dt2 * cv[..., 2:] - dt1 * rho_line[..., 2:]
+    lhs[sl, 1] = -dt2 * cv[: n - 2] - dt1 * rho_line[: n - 2]
+    lhs[sl, 2] = 1.0 + c2dt1 * rho_line[sl]
+    lhs[sl, 3] = dt2 * cv[2:] - dt1 * rho_line[2:]
 
     # 4th-order dissipation terms on the matrix.
-    lhs[..., 1, 2] += c.comz5
-    lhs[..., 1, 3] -= c.comz4
-    lhs[..., 1, 4] += c.comz1
-    lhs[..., 2, 1] -= c.comz4
-    lhs[..., 2, 2] += c.comz6
-    lhs[..., 2, 3] -= c.comz4
-    lhs[..., 2, 4] += c.comz1
+    lhs[1, 2] += c.comz5
+    lhs[1, 3] -= c.comz4
+    lhs[1, 4] += c.comz1
+    lhs[2, 1] -= c.comz4
+    lhs[2, 2] += c.comz6
+    lhs[2, 3] -= c.comz4
+    lhs[2, 4] += c.comz1
     mid = slice(3, n - 3)
-    lhs[..., mid, 0] += c.comz1
-    lhs[..., mid, 1] -= c.comz4
-    lhs[..., mid, 2] += c.comz6
-    lhs[..., mid, 3] -= c.comz4
-    lhs[..., mid, 4] += c.comz1
-    lhs[..., n - 3, 0] += c.comz1
-    lhs[..., n - 3, 1] -= c.comz4
-    lhs[..., n - 3, 2] += c.comz6
-    lhs[..., n - 3, 3] -= c.comz4
-    lhs[..., n - 2, 0] += c.comz1
-    lhs[..., n - 2, 1] -= c.comz4
-    lhs[..., n - 2, 2] += c.comz5
+    lhs[mid, 0] += c.comz1
+    lhs[mid, 1] -= c.comz4
+    lhs[mid, 2] += c.comz6
+    lhs[mid, 3] -= c.comz4
+    lhs[mid, 4] += c.comz1
+    lhs[n - 3, 0] += c.comz1
+    lhs[n - 3, 1] -= c.comz4
+    lhs[n - 3, 2] += c.comz6
+    lhs[n - 3, 3] -= c.comz4
+    lhs[n - 2, 0] += c.comz1
+    lhs[n - 2, 1] -= c.comz4
+    lhs[n - 2, 2] += c.comz5
 
-    lhsp = lhs.copy()
-    lhsm = lhs.copy()
-    lhsp[..., sl, 1] -= dt2 * spd[..., : n - 2]
-    lhsp[..., sl, 3] += dt2 * spd[..., 2:]
-    lhsm[..., sl, 1] += dt2 * spd[..., : n - 2]
-    lhsm[..., sl, 3] -= dt2 * spd[..., 2:]
-    return lhs, lhsp, lhsm
+    f = np.repeat(lhs[..., None], 5, axis=-1)
+    f[sl, 1, ..., 3] -= dt2 * spd[: n - 2]
+    f[sl, 3, ..., 3] += dt2 * spd[2:]
+    f[sl, 1, ..., 4] += dt2 * spd[: n - 2]
+    f[sl, 3, ..., 4] -= dt2 * spd[2:]
+    return f
 
 
-def _eliminate(lhs, r, comps) -> None:
-    """Forward elimination of the pentadiagonal factor for the rhs
-    components in ``comps`` (sweep axis at -2 of r, -2 of lhs)."""
-    n = r.shape[-2]
-    for i in range(n - 2):
-        fac1 = 1.0 / lhs[..., i, 2]
-        lhs[..., i, 3] *= fac1
-        lhs[..., i, 4] *= fac1
-        for m in comps:
-            r[..., i, m] *= fac1
-        l1 = lhs[..., i + 1, 1]
-        lhs[..., i + 1, 2] -= l1 * lhs[..., i, 3]
-        lhs[..., i + 1, 3] -= l1 * lhs[..., i, 4]
-        for m in comps:
-            r[..., i + 1, m] -= l1 * r[..., i, m]
-        l0 = lhs[..., i + 2, 0]
-        lhs[..., i + 2, 1] -= l0 * lhs[..., i, 3]
-        lhs[..., i + 2, 2] -= l0 * lhs[..., i, 4]
-        for m in comps:
-            r[..., i + 2, m] -= l0 * r[..., i, m]
-    # Last two rows.
-    i = n - 2
-    fac1 = 1.0 / lhs[..., i, 2]
-    lhs[..., i, 3] *= fac1
-    lhs[..., i, 4] *= fac1
-    for m in comps:
-        r[..., i, m] *= fac1
-    l1 = lhs[..., i + 1, 1]
-    lhs[..., i + 1, 2] -= l1 * lhs[..., i, 3]
-    lhs[..., i + 1, 3] -= l1 * lhs[..., i, 4]
-    for m in comps:
-        r[..., i + 1, m] -= l1 * r[..., i, m]
-    fac2 = 1.0 / lhs[..., i + 1, 2]
-    for m in comps:
-        r[..., i + 1, m] *= fac2
+def _solve_factor(f, x) -> None:
+    """Solve the systems of factor ``f`` (overwritten) for ``x`` of shape
+    ``(n, *lines, 5)`` in place, each call on a whole ``(*lines, 5)`` row.
+    """
+    n = x.shape[0]
+    fac = np.empty(x.shape[1:])
+    t = np.empty(x.shape[1:])
+    for i in range(n - 1):
+        _, _, d0, e0, g0 = f[i]
+        x0 = x[i]
+        np.divide(1.0, d0, out=fac)
+        e0 *= fac
+        g0 *= fac
+        x0 *= fac
+        _, l1, d1, e1, _ = f[i + 1]
+        x1 = x[i + 1]
+        d1 -= np.multiply(l1, e0, out=t)
+        e1 -= np.multiply(l1, g0, out=t)
+        x1 -= np.multiply(l1, x0, out=t)
+        if i == n - 2:
+            break
+        l0, b2, d2, _, _ = f[i + 2]
+        x2 = x[i + 2]
+        b2 -= np.multiply(l0, e0, out=t)
+        d2 -= np.multiply(l0, g0, out=t)
+        x2 -= np.multiply(l0, x0, out=t)
+    # Last row, then back substitution.
+    x1 = x[n - 1]
+    x1 *= np.divide(1.0, f[n - 1][2], out=fac)
+    x0 = x[n - 2]
+    x0 -= np.multiply(f[n - 2][3], x1, out=t)
+    for i in range(n - 3, -1, -1):
+        _, _, _, e0, g0 = f[i]
+        x0 = x[i]
+        np.multiply(e0, x[i + 1], out=t)
+        t += np.multiply(g0, x[i + 2], out=fac)
+        x0 -= t
 
 
 def _sweep(r, cv, rho_line, spd, dt1, dt2, c2dt1, c: CFDConstants) -> None:
-    """Build the three factors and solve all five systems along the lines."""
-    lhs, lhsp, lhsm = _build_lhs(cv, rho_line, spd, dt1, dt2, c2dt1, c)
-    _eliminate(lhs, r, (0, 1, 2))
-    _eliminate(lhsp, r, (3,))
-    _eliminate(lhsm, r, (4,))
-    i = r.shape[-2] - 2
-    for m in (0, 1, 2):
-        r[..., i, m] -= lhs[..., i, 3] * r[..., i + 1, m]
-    r[..., i, 3] -= lhsp[..., i, 3] * r[..., i + 1, 3]
-    r[..., i, 4] -= lhsm[..., i, 3] * r[..., i + 1, 4]
-    for i in range(r.shape[-2] - 3, -1, -1):
-        for m in (0, 1, 2):
-            r[..., i, m] -= (lhs[..., i, 3] * r[..., i + 1, m]
-                             + lhs[..., i, 4] * r[..., i + 2, m])
-        r[..., i, 3] -= (lhsp[..., i, 3] * r[..., i + 1, 3]
-                         + lhsp[..., i, 4] * r[..., i + 2, 3])
-        r[..., i, 4] -= (lhsm[..., i, 3] * r[..., i + 1, 4]
-                         + lhsm[..., i, 4] * r[..., i + 2, 4])
+    """Solve all five systems along the lines of ``r`` (``(*lines, n, 5)``,
+    a view into rhs) in a contiguous copy, written back through the view."""
+    f = _build_lhs(cv, rho_line, spd, dt1, dt2, c2dt1, c)
+    rows = np.moveaxis(r, -2, 0)
+    x = rows.copy()
+    _solve_factor(f, x)
+    rows[...] = x
 
 
 def x_solve_slab(lo: int, hi: int, rhs, rho_i, us, speed,

@@ -10,7 +10,7 @@ from repro.lu import LU
 from repro.lu.setup import pintgr
 from repro.lu.sweep import hyperplanes
 from repro.sp import SP
-from repro.sp.solve import _build_lhs, _eliminate
+from repro.sp.solve import _build_lhs, _solve_factor
 from repro.team import ProcessTeam, ThreadTeam
 
 
@@ -69,34 +69,27 @@ class TestSP:
             assert SP("S", team).run().verified
 
     def test_pentadiagonal_solve_matches_dense(self):
-        """The scalar factor solve must equal a dense pentadiagonal
-        solve assembled from the same lhs."""
+        """Each of the five systems the one elimination solves must equal
+        a dense pentadiagonal solve assembled from its own factor."""
         rng = np.random.default_rng(1)
         n = 10
         c = CFDConstants(n, n, n, 0.015)
         cv = rng.random((1, n))
         rho = 0.5 + rng.random((1, n))
         spd = 0.5 + rng.random((1, n))
-        lhs, _, _ = _build_lhs(cv, rho, spd, c.dttx1, c.dttx2,
-                               c.c2dttx1, c)
-        dense = np.zeros((n, n))
-        for i in range(n):
-            for d, off in enumerate(range(-2, 3)):
-                j = i + off
-                if 0 <= j < n:
-                    dense[i, j] = lhs[0, i, d]
-        b = rng.random((1, n, 5))
-        expected = np.linalg.solve(dense, b[0, :, 0])
-        r = b.copy()
-        work = lhs.copy()
-        _eliminate(work, r, (0,))
-        # back substitution for component 0
-        i = n - 2
-        r[..., i, 0] -= work[..., i, 3] * r[..., i + 1, 0]
-        for i in range(n - 3, -1, -1):
-            r[..., i, 0] -= (work[..., i, 3] * r[..., i + 1, 0]
-                             + work[..., i, 4] * r[..., i + 2, 0])
-        assert np.allclose(r[0, :, 0], expected, atol=1e-10)
+        f = _build_lhs(cv, rho, spd, c.dttx1, c.dttx2, c.c2dttx1, c)
+        b = rng.random((n, 1, 5))
+        x = b.copy()
+        _solve_factor(f.copy(), x)
+        for m in range(5):
+            dense = np.zeros((n, n))
+            for i in range(n):
+                for d, off in enumerate(range(-2, 3)):
+                    j = i + off
+                    if 0 <= j < n:
+                        dense[i, j] = f[i, d, 0, m]
+            expected = np.linalg.solve(dense, b[:, 0, m])
+            assert np.allclose(x[:, 0, m], expected, atol=1e-10)
 
     def test_boundary_rows_identity(self):
         n = 8
@@ -104,12 +97,11 @@ class TestSP:
         cv = np.zeros((1, n))
         rho = np.ones((1, n))
         spd = np.ones((1, n))
-        lhs, lhsp, lhsm = _build_lhs(cv, rho, spd, c.dttx1, c.dttx2,
-                                     c.c2dttx1, c)
-        for mat in (lhs, lhsp, lhsm):
-            assert mat[0, 0, 2] == 1.0 and mat[0, -1, 2] == 1.0
-            assert np.all(mat[0, 0, [0, 1, 3, 4]] == 0)
-            assert np.all(mat[0, -1, [0, 1, 3, 4]] == 0)
+        f = _build_lhs(cv, rho, spd, c.dttx1, c.dttx2, c.c2dttx1, c)
+        for m in range(5):
+            assert f[0, 2, 0, m] == 1.0 and f[-1, 2, 0, m] == 1.0
+            assert np.all(f[0, [0, 1, 3, 4], 0, m] == 0)
+            assert np.all(f[-1, [0, 1, 3, 4], 0, m] == 0)
 
 
 class TestLU:

@@ -1,12 +1,18 @@
 """Tests for the EP and IS kernels."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.ep import EP
 from repro.ep.benchmark import _batch_range, _batch_tallies
 from repro.ep.params import MK
@@ -57,6 +63,31 @@ class TestEP:
         with ThreadTeam(3) as team:
             assert EP("S", team).run().verified
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="ru_minflt is counted on Linux only")
+    def test_batches_reuse_their_buffers(self):
+        """EP's cost must not depend on what the allocator did before: a
+        task that allocates its temporaries per batch pays ~1 200 minor
+        faults a batch (~39 000 for these 32) whenever the freed memory
+        went back to the kernel.  Measured in a fresh child so the
+        history is the same every time."""
+        code = (
+            "import resource\n"
+            "from repro.ep.benchmark import _batch_range\n"
+            "_batch_range(0, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "_batch_range(0, 32)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        # One task's buffers (3.5 MB, ~900 pages); a batch adds ~none.
+        assert int(out.stdout) < 4096
+
 
 #: sha256 of ``create_seq``'s int64 keys, captured at ``64b08a3`` (the
 #: last tree whose generator split each multiply into 23-bit halves).
@@ -94,6 +125,16 @@ class TestISKeyGeneration:
                   for lo, hi in (partition_bounds(num_keys, 3, rank)
                                  for rank in range(3))]
         assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_memory_is_the_keys_plus_one_block(self):
+        tracemalloc.start()
+        try:
+            keys = create_seq(1 << 22, 1 << 19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert keys.nbytes == 32 * 2**20
+        assert peak <= keys.nbytes + 8 * 2**20
 
     def test_key_distribution_is_centered(self):
         # Sum of four uniforms -> mean 2, so keys center near max_key/2.

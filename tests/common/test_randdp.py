@@ -142,6 +142,19 @@ class TestVranlc:
         # Only the import-time table for A_DEFAULT; nothing kept per call.
         assert held_bytes() == before == 8 * BLOCK
 
+    def test_out_receives_the_values(self):
+        expected, state = vranlc(3 * BLOCK + 7, 271828183)
+        out = np.full(3 * BLOCK + 7, np.nan)
+        values, out_state = vranlc(3 * BLOCK + 7, 271828183, out=out)
+        assert values is out
+        assert out_state == state
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("length", [0, 99, 101])
+    def test_out_of_another_length_rejected(self, length):
+        with pytest.raises(ValueError, match="out must have shape"):
+            vranlc(100, 271828183, out=np.empty(length))
+
 
 class TestIpow46:
     def test_matches_pow(self):

@@ -15,6 +15,14 @@ The last, ``fft_rows_reference``, is the radix-2 Stockham that
 ``repro.ft.fft.fft_rows`` was before the four-step; it is a different
 algorithm, so ``test_fft_rows.py`` holds the two to a declared relative
 error rather than to the bit.
+
+The last three sections are the forms the class-S hot loops had before
+they were batched into fewer, wider NumPy calls: SP's three-factor sweep
+(``_sweep_reference``, one component at a time), BT's block sweep
+assembling AA/BB/CC inside the line loop (``_block_sweep_reference``)
+and EP's boolean-mask batch (``_batch_tallies_reference``).  The same
+elementwise operations in the same order, so ``test_line_solves.py``
+holds the production forms to them bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ import numpy as np
 
 from repro.cfd.constants import CFDConstants
 from repro.cfd.rhs import _AXIS, _view
+from repro.common.randdp import A_DEFAULT, Randlc
 from repro.core.basic_ops import C0, C1, C2, Workload
+from repro.ep.params import EP_SEED, MK, NQ
 from repro.mg.operators import _fine_slices
 
 
@@ -449,3 +459,178 @@ def fft_rows_reference(x: np.ndarray, sign: int) -> np.ndarray:
         y = np.concatenate((even + odd, even - odd), axis=2)
         L *= 2
     return y.reshape(m, n)
+
+# --------------------------------------------------------------------- #
+# repro.sp.solve: three factors, eliminated one component at a time
+
+def _build_lhs_reference(cv, rho_line, spd, dt1, dt2, c2dt1,
+                         c: CFDConstants):
+    """Assemble lhs/lhsp/lhsm of shape cv.shape + (5,).
+
+    ``cv``/``rho_line``/``spd`` have the sweep direction as last axis
+    (full length n including boundary points).
+    """
+    n = cv.shape[-1]
+    lhs = np.zeros(cv.shape + (5,))
+    lhs[..., 0, 2] = 1.0
+    lhs[..., n - 1, 2] = 1.0
+    sl = slice(1, n - 1)
+    lhs[..., sl, 1] = -dt2 * cv[..., : n - 2] - dt1 * rho_line[..., : n - 2]
+    lhs[..., sl, 2] = 1.0 + c2dt1 * rho_line[..., sl]
+    lhs[..., sl, 3] = dt2 * cv[..., 2:] - dt1 * rho_line[..., 2:]
+
+    # 4th-order dissipation terms on the matrix.
+    lhs[..., 1, 2] += c.comz5
+    lhs[..., 1, 3] -= c.comz4
+    lhs[..., 1, 4] += c.comz1
+    lhs[..., 2, 1] -= c.comz4
+    lhs[..., 2, 2] += c.comz6
+    lhs[..., 2, 3] -= c.comz4
+    lhs[..., 2, 4] += c.comz1
+    mid = slice(3, n - 3)
+    lhs[..., mid, 0] += c.comz1
+    lhs[..., mid, 1] -= c.comz4
+    lhs[..., mid, 2] += c.comz6
+    lhs[..., mid, 3] -= c.comz4
+    lhs[..., mid, 4] += c.comz1
+    lhs[..., n - 3, 0] += c.comz1
+    lhs[..., n - 3, 1] -= c.comz4
+    lhs[..., n - 3, 2] += c.comz6
+    lhs[..., n - 3, 3] -= c.comz4
+    lhs[..., n - 2, 0] += c.comz1
+    lhs[..., n - 2, 1] -= c.comz4
+    lhs[..., n - 2, 2] += c.comz5
+
+    lhsp = lhs.copy()
+    lhsm = lhs.copy()
+    lhsp[..., sl, 1] -= dt2 * spd[..., : n - 2]
+    lhsp[..., sl, 3] += dt2 * spd[..., 2:]
+    lhsm[..., sl, 1] += dt2 * spd[..., : n - 2]
+    lhsm[..., sl, 3] -= dt2 * spd[..., 2:]
+    return lhs, lhsp, lhsm
+
+
+def _eliminate_reference(lhs, r, comps) -> None:
+    """Forward elimination of the pentadiagonal factor for the rhs
+    components in ``comps`` (sweep axis at -2 of r, -2 of lhs)."""
+    n = r.shape[-2]
+    for i in range(n - 2):
+        fac1 = 1.0 / lhs[..., i, 2]
+        lhs[..., i, 3] *= fac1
+        lhs[..., i, 4] *= fac1
+        for m in comps:
+            r[..., i, m] *= fac1
+        l1 = lhs[..., i + 1, 1]
+        lhs[..., i + 1, 2] -= l1 * lhs[..., i, 3]
+        lhs[..., i + 1, 3] -= l1 * lhs[..., i, 4]
+        for m in comps:
+            r[..., i + 1, m] -= l1 * r[..., i, m]
+        l0 = lhs[..., i + 2, 0]
+        lhs[..., i + 2, 1] -= l0 * lhs[..., i, 3]
+        lhs[..., i + 2, 2] -= l0 * lhs[..., i, 4]
+        for m in comps:
+            r[..., i + 2, m] -= l0 * r[..., i, m]
+    # Last two rows.
+    i = n - 2
+    fac1 = 1.0 / lhs[..., i, 2]
+    lhs[..., i, 3] *= fac1
+    lhs[..., i, 4] *= fac1
+    for m in comps:
+        r[..., i, m] *= fac1
+    l1 = lhs[..., i + 1, 1]
+    lhs[..., i + 1, 2] -= l1 * lhs[..., i, 3]
+    lhs[..., i + 1, 3] -= l1 * lhs[..., i, 4]
+    for m in comps:
+        r[..., i + 1, m] -= l1 * r[..., i, m]
+    fac2 = 1.0 / lhs[..., i + 1, 2]
+    for m in comps:
+        r[..., i + 1, m] *= fac2
+
+
+def _sweep_reference(r, cv, rho_line, spd, dt1, dt2, c2dt1,
+                     c: CFDConstants) -> None:
+    """Build the three factors and solve all five systems along the lines."""
+    lhs, lhsp, lhsm = _build_lhs_reference(cv, rho_line, spd, dt1, dt2,
+                                           c2dt1, c)
+    _eliminate_reference(lhs, r, (0, 1, 2))
+    _eliminate_reference(lhsp, r, (3,))
+    _eliminate_reference(lhsm, r, (4,))
+    i = r.shape[-2] - 2
+    for m in (0, 1, 2):
+        r[..., i, m] -= lhs[..., i, 3] * r[..., i + 1, m]
+    r[..., i, 3] -= lhsp[..., i, 3] * r[..., i + 1, 3]
+    r[..., i, 4] -= lhsm[..., i, 3] * r[..., i + 1, 4]
+    for i in range(r.shape[-2] - 3, -1, -1):
+        for m in (0, 1, 2):
+            r[..., i, m] -= (lhs[..., i, 3] * r[..., i + 1, m]
+                             + lhs[..., i, 4] * r[..., i + 2, m])
+        r[..., i, 3] -= (lhsp[..., i, 3] * r[..., i + 1, 3]
+                         + lhsp[..., i, 4] * r[..., i + 2, 3])
+        r[..., i, 4] -= (lhsm[..., i, 3] * r[..., i + 1, 4]
+                         + lhsm[..., i, 4] * r[..., i + 2, 4])
+
+
+# --------------------------------------------------------------------- #
+# repro.bt.solve: AA/BB/CC assembled inside the line loop
+
+def _block_sweep_reference(r, fjac, njac, tmp1: float, tmp2: float,
+                           dvec: np.ndarray) -> None:
+    """Block Thomas elimination along the sweep axis (-2 of r).
+
+    ``tmp1`` = dt*t?1, ``tmp2`` = dt*t?2, ``dvec`` = the five diagonal
+    dissipation constants of the direction.  Boundary rows (0 and n-1)
+    carry identity blocks (lhsinit), so their elimination steps are
+    no-ops and the transformed super-diagonal there is zero.
+    """
+    n = r.shape[-2]
+    lines = r.shape[:-2]
+    eye = np.eye(5)
+    dmat = np.diag(dvec)
+    ccs = np.zeros(lines + (n, 5, 5))  # transformed super-diagonals
+    for i in range(1, n - 1):
+        aa = -tmp2 * fjac[..., i - 1, :, :] - tmp1 * njac[..., i - 1, :, :] \
+            - tmp1 * dmat
+        bb = eye + 2.0 * tmp1 * njac[..., i, :, :] + 2.0 * tmp1 * dmat
+        cc = tmp2 * fjac[..., i + 1, :, :] - tmp1 * njac[..., i + 1, :, :] \
+            - tmp1 * dmat
+        # rhs_i -= AA @ rhs_{i-1}           (matvec_sub)
+        r[..., i, :] -= (aa @ r[..., i - 1, :, None])[..., 0]
+        # BB -= AA @ CC'_{i-1}              (matmul_sub)
+        bb -= aa @ ccs[..., i - 1, :, :]
+        # CC'_i = BB^-1 CC; rhs_i = BB^-1 rhs_i   (binvcrhs)
+        augmented = np.concatenate((cc, r[..., i, :, None]), axis=-1)
+        solution = np.linalg.solve(bb, augmented)
+        ccs[..., i, :, :] = solution[..., :5]
+        r[..., i, :] = solution[..., 5]
+    # Row n-1 has BB = I, AA = CC = 0: nothing to do.  Back substitution:
+    for i in range(n - 2, -1, -1):
+        r[..., i, :] -= (ccs[..., i, :, :] @ r[..., i + 1, :, None])[..., 0]
+
+
+# --------------------------------------------------------------------- #
+# repro.ep.benchmark: boolean-mask compaction into fresh temporaries
+
+def _batch_tallies_reference(batch_index: int
+                             ) -> tuple[float, float, np.ndarray]:
+    """Tally one batch of 2**MK pairs: returns (sx, sy, annulus counts).
+
+    Batch ``k`` starts the generator at state ``s * a**(2*nk*k) mod 2**46``
+    -- the same jump the Fortran code reaches with its binary-method loop --
+    so batches are independent and order-insensitive (the basis of EP's
+    embarrassing parallelism).
+    """
+    nk = 1 << MK
+    rng = Randlc(EP_SEED, A_DEFAULT)
+    rng.skip(2 * nk * batch_index)
+    uniforms = rng.batch(2 * nk)
+    x = 2.0 * uniforms[0::2] - 1.0
+    y = 2.0 * uniforms[1::2] - 1.0
+    t = x * x + y * y
+    accept = t <= 1.0
+    x, y, t = x[accept], y[accept], t[accept]
+    factor = np.sqrt(-2.0 * np.log(t) / t)
+    gx = x * factor
+    gy = y * factor
+    bins = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
+    counts = np.bincount(bins, minlength=NQ)
+    return float(gx.sum()), float(gy.sum()), counts
