@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.common.params import ProblemClass
 from repro.common.timers import TimerSet
 from repro.common.verification import VerificationResult
-from repro.runtime.region import ParallelRegion
+from repro.runtime.region import ParallelRegion, RegionStats
 from repro.team import SerialTeam, Team
 
 #: Version of the ``to_dict()`` run-record layout (the ``--json`` output
@@ -65,6 +65,12 @@ class BenchmarkResult:
     #: records written before ``inline_calls`` existed lack the key --
     #: read it with ``.get("inline_calls", 0)``)
     regions: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: the snapshot ``regions`` was written from, as RegionStats with
+    #: their span extents: what a traced job's region and worker spans
+    #: are rendered from (``spans_from_team_trace`` in ``obs/spans.py``);
+    #: never part of ``to_dict()``
+    region_stats: dict[str, RegionStats] = field(
+        default_factory=dict, repr=False, compare=False)
     #: structured fault-tolerance events of the whole run (timeouts,
     #: worker deaths, respawns, degradations), in occurrence order; each
     #: is a FaultEvent dict (see :mod:`repro.runtime.dispatch`)
@@ -228,7 +234,7 @@ class NPBenchmark(ABC):
         # Snapshot before verify() so the breakdown covers exactly the
         # timed region (verify may dispatch, e.g. BT/SP recompute rhs).
         timers = self.timers.report()
-        regions = self.team.recorder.report()
+        region_stats = self.team.recorder.snapshot()
         verification = self.verify()
         # Faults snapshot *after* verify: a respawn/degradation during the
         # verification dispatches is still part of the run's fault history.
@@ -244,6 +250,8 @@ class NPBenchmark(ABC):
             mops=mops,
             verification=verification,
             timers=timers,
-            regions=regions,
+            regions={name: stats.as_dict()
+                     for name, stats in region_stats.items()},
+            region_stats=region_stats,
             faults=faults,
         )

@@ -58,8 +58,7 @@ import sys
 
 from repro import available_benchmarks, run_benchmark
 from repro.common.params import CLASS_ORDER
-from repro.harness.bench import (DEFAULT_ABS_SLACK, DEFAULT_MAD_MULTIPLIER,
-                                 DEFAULT_TOLERANCE)
+from repro.harness.bench import DEFAULT_TOLERANCE
 from repro.harness.report import format_table, region_profile_table
 from repro.harness.tables import MEASURED_TABLES, TABLES, generate_table
 from repro.runtime.dispatch import FaultPolicy, WorkerError
@@ -193,8 +192,7 @@ def _cmd_bench(args) -> int:
             return EXIT_USAGE
         candidate = bench.load_record(candidate_path)
         comparison = bench.compare_records(
-            baseline, candidate, tolerance=args.tolerance,
-            mad_multiplier=args.mad_multiplier, abs_slack=args.abs_slack)
+            baseline, candidate, tolerance=args.tolerance)
         if args.json:
             print(json.dumps(comparison.as_dict(), indent=2))
         else:
@@ -681,8 +679,7 @@ def _cmd_loadgen(args) -> int:
             return EXIT_USAGE
         candidate = loadgen.load_record(candidate_path)
         comparison = loadgen.compare_records(
-            baseline, candidate, tolerance=args.tolerance,
-            mad_multiplier=args.mad_multiplier, abs_slack=args.abs_slack)
+            baseline, candidate, tolerance=args.tolerance)
         if comparison["missing"]:
             comparison["regressions"] += len(comparison["missing"])
             comparison["verdict"] = "regression"
@@ -888,14 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative slowdown tolerated before the noise "
                             "term (default 0.10; CI uses 2.0 to gate only "
                             ">3x blowups)")
-    bench.add_argument("--mad-multiplier", type=float,
-                       default=DEFAULT_MAD_MULTIPLIER,
-                       help="k in the max(tolerance, k*MAD/best) noise "
-                            "band (default 3.0)")
-    bench.add_argument("--abs-slack", type=float, default=DEFAULT_ABS_SLACK,
-                       help="absolute seconds of slowdown always tolerated "
-                            "(widens the band for sub-10ms cells; "
-                            "default 0.005)")
     bench.add_argument("--alloc", action="store_true",
                        help="run the suite under tracemalloc so region "
                             "alloc_bytes/alloc_blocks are populated; "
@@ -1163,12 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative latency/throughput change "
                               "tolerated before the noise term "
                               "(default 0.25)")
-    loadgen.add_argument("--mad-multiplier", type=float, default=3.0,
-                         help="k in the max(tolerance, k*MAD/p50) noise "
-                              "band (default 3.0)")
-    loadgen.add_argument("--abs-slack", type=float, default=0.010,
-                         help="absolute seconds of latency change always "
-                              "tolerated (default 0.010)")
     loadgen.add_argument("--json", action="store_true",
                          help="print the record (or comparison) as JSON")
     loadgen.set_defaults(fn=_cmd_loadgen)

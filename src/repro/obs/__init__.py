@@ -35,7 +35,6 @@ from repro.obs.trace import (  # noqa: F401
     format_traceparent,
     parse_traceparent,
     perf_to_epoch_offset,
-    tracing_active,
     use_trace,
 )
 from repro.obs.spans import (  # noqa: F401

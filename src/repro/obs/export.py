@@ -28,13 +28,8 @@ from __future__ import annotations
 import json
 import time
 
+from repro.harness import records
 from repro.obs.spans import Span
-
-# NOTE: repro.harness.records is imported lazily inside the record IO
-# functions below.  The harness package __init__ pulls in benchmarks
-# (tables -> machines -> core.registry), and obs is imported from
-# team.base which core.benchmark itself imports -- a module-level
-# import here would close that cycle.
 
 TRACE_RECORD_SCHEMA_VERSION = 1
 TRACE_RECORD_PREFIX = "TRACE"
@@ -90,21 +85,15 @@ def write_trace_record(
     job_id: str | None = None,
 ) -> str:
     """Append a TRACE record to the trajectory; returns its path."""
-    from repro.harness import records
-
     record = build_trace_record(spans, trace_id, job_id=job_id)
     return records.append_record(record, directory, TRACE_RECORD_PREFIX)
 
 
 def load_trace_record(path: str) -> dict:
-    from repro.harness import records
-
     return records.load_record(path, "trace", TRACE_RECORD_SCHEMA_VERSION, "npb trace")
 
 
 def latest_trace_record_path(directory: str) -> str | None:
-    from repro.harness import records
-
     return records.latest_record_path(directory, TRACE_RECORD_PREFIX)
 
 

@@ -16,9 +16,10 @@ Sampling (:class:`TraceSampler`) is decided once at the edge:
 
 Cross-process collection: forked ProcessTeam workers stamp replies
 with their own ``perf_counter`` times (CLOCK_MONOTONIC, shared epoch
-across fork on Linux), so the master synthesizes per-worker spans from
-those stamps -- worker timing surfaces in the parent store without any
-pipe-protocol change.
+across fork on Linux), the team's region recorder keeps each rank's
+extent from those stamps, and the master renders per-worker spans from
+the run's region snapshot -- worker timing surfaces in the parent store
+without any pipe-protocol change.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.obs.trace import (
     TraceContext,
@@ -36,6 +38,9 @@ from repro.obs.trace import (
     new_trace_id,
     perf_to_epoch_offset,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.benchmark import BenchmarkResult
 
 DEFAULT_STORE_CAPACITY = 4096
 
@@ -288,62 +293,65 @@ def set_span_store(store: SpanStore | None) -> SpanStore | None:
 
 
 def spans_from_team_trace(
-    trace_data: dict,
-    region_report: dict,
+    result: BenchmarkResult,
     ctx: TraceContext,
 ) -> list[Span]:
-    """Region + per-worker spans from a team's trace accumulation.
+    """Region + per-worker spans from a run's timed-region snapshot.
 
-    ``trace_data`` is :meth:`repro.team.base.Team.take_trace` output
-    (perf_counter extents per region and per worker rank);
-    ``region_report`` is the matching ``RegionRecorder.report()`` whose
-    dispatch/execute/barrier/wall totals are attached as span attrs --
-    *reused*, never re-measured, so the span tree's numbers agree with
-    the run record's region table by construction.
+    The snapshot is ``result.region_stats``: the
+    :meth:`RegionRecorder.snapshot
+    <repro.runtime.region.RegionRecorder.snapshot>` the run record's
+    ``regions`` table was written from.  Every attribute is read from
+    it, never re-measured, so a region span's ``calls`` and seconds are
+    the table's, and its ``worker.N`` spans' ``busy_seconds`` sum to the
+    table's ``execute_seconds``.  A rank sees every dispatch of its
+    region, so its ``calls`` are the region's.
 
-    Worker extents were stamped inside the workers themselves (for
-    ProcessTeam: in the forked child), comparable across fork because
-    ``perf_counter`` is CLOCK_MONOTONIC with a shared epoch on Linux.
-    ``ctx`` is the *run* span's child context, so regions hang off the
-    run span and ``worker.N`` spans off their region span.
+    Extents are ``perf_counter`` stamps; worker extents were stamped
+    inside the workers themselves (for ProcessTeam: in the forked
+    child), comparable across fork because ``perf_counter`` is
+    CLOCK_MONOTONIC with a shared epoch on Linux.  ``ctx`` is the *run*
+    span's child context, so regions hang off the run span and
+    ``worker.N`` spans off their region span; an unsampled ``ctx``
+    gets no spans, as :meth:`SpanStore.start_span` gives it none.
     """
+    if not ctx.sampled:
+        return []
     offset = perf_to_epoch_offset()
     spans: list[Span] = []
-    for region, entry in trace_data.items():
-        stats = region_report.get(region, {})
+    for region, stats in result.region_stats.items():
         region_span = Span(
             name=f"region:{region}",
             trace_id=ctx.trace_id,
             span_id=new_span_id(),
             parent_span_id=ctx.parent_span_id,
-            started_at=entry["first"] + offset,
-            ended_at=entry["last"] + offset,
+            started_at=stats.first_published + offset,
+            ended_at=stats.last_done + offset,
             status="ok",
             attrs={
-                "calls": entry["calls"],
-                "inline_calls": stats.get("inline_calls", 0),
-                "wall_seconds": stats.get("wall_seconds"),
-                "dispatch_seconds": stats.get("dispatch_seconds"),
-                "execute_seconds": stats.get("execute_seconds"),
-                "barrier_seconds": stats.get("barrier_seconds"),
+                "calls": stats.calls,
+                "inline_calls": stats.inline_calls,
+                "wall_seconds": stats.wall_seconds,
+                "dispatch_seconds": stats.dispatch_seconds,
+                "execute_seconds": stats.execute_seconds,
+                "barrier_seconds": stats.barrier_seconds,
             },
         )
         spans.append(region_span)
-        for rank in sorted(entry["workers"]):
-            worker = entry["workers"][rank]
+        for rank, worker in enumerate(stats.workers):
             spans.append(
                 Span(
                     name=f"worker.{rank}",
                     trace_id=ctx.trace_id,
                     span_id=new_span_id(),
                     parent_span_id=region_span.span_id,
-                    started_at=worker["first"] + offset,
-                    ended_at=worker["last"] + offset,
-                    status="error" if worker["errors"] else "ok",
+                    started_at=worker.first_start + offset,
+                    ended_at=worker.last_finish + offset,
+                    status="ok",
                     attrs={
                         "rank": rank,
-                        "busy_seconds": worker["busy"],
-                        "calls": worker["calls"],
+                        "busy_seconds": worker.busy_seconds,
+                        "calls": stats.calls,
                     },
                 )
             )

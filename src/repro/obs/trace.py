@@ -3,10 +3,10 @@
 A trace is identified by a 128-bit id; every span within it by a
 64-bit id.  Context travels two ways:
 
-* **in-process** through a :mod:`contextvars` variable, so the
-  scheduler thread that executes a job can activate the job's context
-  around ``benchmark.run()`` and everything below (team dispatch,
-  chaos seams) finds it without plumbing arguments through ten layers;
+* **in-process** through a :mod:`contextvars` variable
+  (:func:`use_trace`), so a caller can activate a context once and
+  every span opened or request sent below it finds it without
+  plumbing arguments through the layers in between;
 * **across processes** through a W3C-``traceparent``-style header
   (``00-<32 hex trace id>-<16 hex parent span id>-<2 hex flags>``),
   injected by :class:`~repro.service.client.ServiceClient` and the
@@ -17,11 +17,10 @@ Flag ``01`` means *sampled*: a continued trace keeps its parent's
 sampling decision, so one decision at the edge governs the whole
 request no matter how many processes it crosses.
 
-The hot-path contract ("tracing must be free when off") is enforced
-with a module-global boolean that is flipped only while at least one
-sampled context is active in the process.  ``Team._dispatch`` checks
-that single global before touching the contextvar, so the untraced
-cost is one dict-free load and branch.
+Nothing in the team runtime reads the context: a traced job's region
+and worker spans are rendered after ``run()`` from the run's region
+table (:func:`repro.obs.spans.spans_from_team_trace`), so tracing costs
+the dispatch loop nothing, on or off.
 """
 
 from __future__ import annotations
@@ -121,18 +120,6 @@ _current: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
     "repro_trace_context", default=None
 )
 
-#: Fast-path flag: > 0 iff at least one *sampled* context is active in
-#: this process.  ``Team._dispatch`` reads this (via
-#: :func:`tracing_active`) before anything else, so untraced dispatch
-#: pays one global load + branch and nothing more.
-_active_sampled = 0
-
-
-def tracing_active() -> bool:
-    """True when some thread in this process has a sampled context."""
-    return _active_sampled > 0
-
-
 def current_trace() -> TraceContext | None:
     """The context active on this thread, or None."""
     return _current.get()
@@ -141,16 +128,10 @@ def current_trace() -> TraceContext | None:
 @contextmanager
 def use_trace(ctx: TraceContext | None):
     """Activate ``ctx`` for the duration of the ``with`` block."""
-    global _active_sampled
     token = _current.set(ctx)
-    bump = ctx is not None and ctx.sampled
-    if bump:
-        _active_sampled += 1
     try:
         yield ctx
     finally:
-        if bump:
-            _active_sampled -= 1
         _current.reset(token)
 
 

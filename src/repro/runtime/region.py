@@ -30,12 +30,21 @@ allocation counters to its region (see :mod:`repro.runtime.arena`):
 ``alloc_bytes`` (gross temporary churn: the tracemalloc peak rise over
 the dispatch) and ``alloc_blocks`` (net live-block growth, a leak
 signal).  Both stay zero when tracking is off.
+
+Beside the table, every region keeps its extent in ``perf_counter``
+stamps -- first publish to last done, and per rank first task start to
+last task finish plus busy time -- from the same replies.  A traced
+service job renders its ``region:*`` and ``worker.N`` spans from
+:meth:`RegionRecorder.snapshot` (the renderer is
+``spans_from_team_trace`` in ``obs/spans.py``), so span and record
+numbers are one set; :meth:`RegionStats.as_dict` leaves the extents
+out, and the run record's layout does not carry them.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -44,6 +53,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Region charged with dispatches that run outside any named region.
 UNATTRIBUTED = "(unattributed)"
+
+
+@dataclass(slots=True)
+class WorkerExtent:
+    """One rank's activity within a region (``perf_counter`` stamps).
+
+    Stamped inside the worker (for ProcessTeam: the forked child, whose
+    CLOCK_MONOTONIC shares the master's epoch), so the extent is the
+    rank's own view.  A region's dispatches run one after another, so the
+    first reply's start and the latest reply's finish bound them all.
+    """
+
+    first_start: float
+    last_finish: float = 0.0
+    busy_seconds: float = 0.0
 
 
 @dataclass
@@ -62,6 +86,11 @@ class RegionStats:
     alloc_bytes: int = 0
     #: net live small-object block growth (leak signal); can be negative
     alloc_blocks: int = 0
+    #: extent (``perf_counter`` stamps): first publish, last done, and
+    #: one :class:`WorkerExtent` per rank -- not part of :meth:`as_dict`
+    first_published: float = 0.0
+    last_done: float = 0.0
+    workers: list[WorkerExtent] = field(default_factory=list)
 
     @property
     def sync_seconds(self) -> float:
@@ -146,23 +175,31 @@ class RegionRecorder:
         tracking is off.  ``inline`` says the slabs ran back to back on
         the master: a later slab did not *wait* while an earlier one
         ran, so that time is nobody's dispatch or barrier overhead.
+        Every dispatch has one reply per rank, so each rank's
+        :class:`WorkerExtent` sees every call of the region.
         """
         stats = self._stats.get(self.current_region)
         if stats is None:
-            stats = self._stats[self.current_region] = RegionStats()
+            stats = self._stats[self.current_region] = RegionStats(
+                first_published=published_at,
+                workers=[WorkerExtent(reply.started_at) for reply in replies])
         wall = done_at - published_at
         stats.calls += 1
         stats.wall_seconds += wall
-        if inline:
-            busy = sum(reply.execute_seconds for reply in replies)
-            stats.inline_calls += 1
-            stats.execute_seconds += busy
-            stats.dispatch_seconds += wall - busy
-        else:
-            for reply in replies:
+        stats.last_done = done_at
+        busy = 0.0
+        for reply, worker in zip(replies, stats.workers):
+            execute = reply.finished_at - reply.started_at
+            worker.last_finish = reply.finished_at
+            worker.busy_seconds += execute
+            busy += execute
+            if not inline:
                 stats.dispatch_seconds += reply.started_at - published_at
-                stats.execute_seconds += reply.finished_at - reply.started_at
                 stats.barrier_seconds += done_at - reply.finished_at
+        stats.execute_seconds += busy
+        if inline:
+            stats.inline_calls += 1
+            stats.dispatch_seconds += wall - busy
         if alloc is not None:
             stats.alloc_bytes += alloc[0]
             stats.alloc_blocks += alloc[1]
@@ -197,6 +234,12 @@ class RegionRecorder:
     def report(self) -> dict[str, dict[str, float]]:
         """All regions' accounting, in first-dispatch order."""
         return {name: s.as_dict() for name, s in self._stats.items()}
+
+    def snapshot(self) -> dict[str, RegionStats]:
+        """Copies of every region's stats, extents included, in
+        first-dispatch order; later dispatches do not change them."""
+        return {name: replace(s, workers=[replace(w) for w in s.workers])
+                for name, s in self._stats.items()}
 
 
 class ParallelRegion:

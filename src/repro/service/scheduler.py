@@ -40,7 +40,7 @@ from contextlib import contextmanager, nullcontext
 
 from repro.obs.metrics import Counter
 from repro.obs.spans import get_span_store, spans_from_team_trace
-from repro.obs.trace import UNSAMPLED, TraceContext, use_trace
+from repro.obs.trace import UNSAMPLED, TraceContext
 from repro.service.cache import ResultCache, provenance
 from repro.service.jobs import Job, JobQueue, stamp
 from repro.service.pool import TeamPool
@@ -198,7 +198,12 @@ class Scheduler:
 
     def _run(self, job: Job, fingerprint: str, ctx: TraceContext):
         """Step 2: the benchmark's result from a leased team (raises
-        what leasing or running raised; the team goes back regardless)."""
+        what leasing or running raised; the team goes back regardless).
+
+        A sampled job's ``region:*`` and ``worker.N`` spans are rendered
+        after ``run()`` returns, from ``result.region_stats`` -- the
+        snapshot its ``regions`` table was written from -- so nothing
+        during the run needs to know it is traced."""
         store = get_span_store()
         tracked = nullcontext() if job.no_cache else self._in_flight(fingerprint)
         with tracked:
@@ -229,20 +234,13 @@ class Scheduler:
                     },
                 )
                 try:
-                    # activate the context so Team._dispatch accumulates
-                    # per-region / per-worker timing (sampled ones only)
-                    with use_trace(region_ctx):
-                        result = benchmark.run()
+                    result = benchmark.run()
                 except Exception:
                     run_span.end("error")
                     raise
                 run_span.set(verified=result.verified)
                 run_span.end()
-                store.add_many(
-                    spans_from_team_trace(
-                        team.take_trace(), result.regions, region_ctx
-                    )
-                )
+                store.add_many(spans_from_team_trace(result, region_ctx))
                 return result
             finally:
                 team.policy = saved_policy

@@ -43,7 +43,10 @@ on the executing worker before the task -- the hand-off that lets fused
 kernels reuse per-worker scratch buffers dispatch after dispatch.  When
 ``tracemalloc`` is tracing, the core also wraps each dispatch in an
 allocation probe and charges the ``alloc_bytes``/``alloc_blocks`` deltas
-to the current region.
+to the current region.  The recorder is the only per-dispatch
+bookkeeping: the core knows nothing of tracing, and a traced service
+job's region and worker spans are rendered after ``run()`` from the same
+recorder snapshot that becomes the run record's ``regions``.
 
 Granularity-aware dispatch
 --------------------------
@@ -79,12 +82,10 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.obs.trace import current_trace, tracing_active
 from repro.runtime.arena import (allocation_probe_start,
                                  allocation_probe_stop, arena_rewind_task)
 from repro.runtime.dispatch import (FaultEvent, FaultPolicy,
@@ -95,7 +96,13 @@ from repro.runtime.region import RegionRecorder
 
 
 class Team(ABC):
-    """One master plus ``nworkers`` workers executing slab tasks."""
+    """One master plus ``nworkers`` workers executing slab tasks.
+
+    Every dispatch is charged to :attr:`recorder` and to nothing else;
+    the run record's region table and a traced job's spans both come
+    from it (see :meth:`RegionRecorder.snapshot
+    <repro.runtime.region.RegionRecorder.snapshot>`).
+    """
 
     #: backend name, set by subclasses
     backend: str = "abstract"
@@ -110,10 +117,6 @@ class Team(ABC):
         self.plan = ExecutionPlan(nworkers)
         #: per-region dispatch/execute/barrier accounting
         self.recorder = RegionRecorder(nworkers)
-        #: per-region trace accumulation (region extents + per-worker
-        #: activity), only populated while a sampled trace is active --
-        #: see :meth:`take_trace`
-        self._trace: "OrderedDict[str, dict]" = OrderedDict()
         self._closed = False
         self._degraded = False
 
@@ -232,68 +235,10 @@ class Team(ABC):
             if site is not None and not self._degraded:
                 self.plan.observe(site, limit, done_at - published_at,
                                   sum(r.execute_seconds for r in replies))
-            # Tracing fast path: one global load + branch when off.  The
-            # contextvar is only consulted once some thread in the
-            # process holds a sampled trace, so untraced dispatch stays
-            # within the bench_trace_overhead.py budget.
-            if tracing_active():
-                ctx = current_trace()
-                if ctx is not None and ctx.sampled:
-                    self._trace_accumulate(published_at, done_at, replies)
             for reply in replies:
                 if not reply.ok:
                     raise_reply_error(reply)
             return [reply.value for reply in replies]
-
-    def _trace_accumulate(self, published_at: float, done_at: float,
-                          replies: list[WorkerReply]) -> None:
-        """Fold one traced dispatch into the per-region trace state.
-
-        Bounded by (regions x workers), not by dispatch count: a CG run
-        issues thousands of dispatches, so per-dispatch spans would
-        swamp any store.  Instead each region keeps its extent (first
-        publish -> last completion, ``perf_counter`` stamps) and each
-        worker its extent + cumulative busy time within the region.
-        The worker stamps come from the replies, i.e. from *inside the
-        worker* -- for ProcessTeam that is the forked child's own clock
-        (CLOCK_MONOTONIC, shared epoch across fork), which is what lets
-        worker spans surface in the parent process without any pipe-
-        protocol change.
-        """
-        region = self.recorder.current_region
-        entry = self._trace.get(region)
-        if entry is None:
-            entry = self._trace[region] = {
-                "first": published_at, "last": done_at,
-                "calls": 0, "workers": {},
-            }
-        entry["last"] = done_at
-        entry["calls"] += 1
-        workers = entry["workers"]
-        for reply in replies:
-            stats = workers.get(reply.rank)
-            if stats is None:
-                stats = workers[reply.rank] = {
-                    "first": reply.started_at, "last": reply.finished_at,
-                    "busy": 0.0, "calls": 0, "errors": 0,
-                }
-            stats["first"] = min(stats["first"], reply.started_at)
-            stats["last"] = max(stats["last"], reply.finished_at)
-            stats["busy"] += reply.finished_at - reply.started_at
-            stats["calls"] += 1
-            if not reply.ok:
-                stats["errors"] += 1
-
-    def take_trace(self) -> "OrderedDict[str, dict]":
-        """Drain the per-region trace accumulation (see ``_trace``).
-
-        The scheduler calls this once per traced run to build region +
-        worker spans; draining (rather than reading) keeps a pooled
-        team's next job from inheriting this job's trace state even if
-        the owner forgets to :meth:`reset`.
-        """
-        trace, self._trace = self._trace, OrderedDict()
-        return trace
 
     # ------------------------------------------------------------------ #
     # public dispatch surface
@@ -344,7 +289,6 @@ class Team(ABC):
         # recorder stats the reset is about to guarantee are empty.
         self.run_on_all(arena_rewind_task)
         self.recorder.reset()
-        self._trace.clear()
 
     def alive(self) -> bool:
         """Whether this team can still accept work right now.

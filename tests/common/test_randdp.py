@@ -2,8 +2,7 @@
 
 Every case runs with warnings as errors: NumPy warns on uint64 overflow
 for scalar-by-scalar arithmetic, which the one-pass multiply must never
-fall into.  (libcst, which hypothesis imports to explain a failure, is
-exempt: its import warns.)
+fall into.
 """
 
 import tracemalloc
@@ -24,8 +23,7 @@ from repro.common.randdp import (
     vranlc,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "error", "ignore::DeprecationWarning:libcst")
+pytestmark = pytest.mark.filterwarnings("error")
 
 MOD = 1 << 46
 

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.team import ProcessTeam, SerialTeam, ThreadTeam
+
+# hypothesis imports libcst to explain a failing example, and libcst's
+# import warns (a mypy_extensions DeprecationWarning).  Under a module's
+# filterwarnings("error") that warning turned a test failure into a
+# pytest INTERNALERROR; imported once here, nothing imports it later.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 #: daemon_url / coordinator_url (tests/service/conftest.py) for every
 #: suite, not only tests/service -- harness and obs tests serve too.

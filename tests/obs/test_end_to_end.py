@@ -146,6 +146,46 @@ class TestTracedDaemon:
         expected = 1 if backend == "serial" else workers
         assert workers_seen == set(range(expected)), (backend, workers_seen)
 
+    @pytest.mark.parametrize("backend,workers", [
+        ("serial", 1), ("threads", 2), ("process", 2)])
+    def test_region_spans_equal_the_run_record(self, tmp_path,
+                                               backend, workers):
+        """One set of numbers: a traced job's region and worker spans
+        are its run record's region table, call for call."""
+        benchmarks = ["CG"] + (["LU"] if backend == "serial" else [])
+        with BenchService(backend=backend, workers=workers,
+                          cache_dir=str(tmp_path / "cache")) as service:
+            runs = []
+            for name in benchmarks:
+                ctx = TraceContext(trace_id=new_trace_id())
+                job = service.submit(name, "S", no_cache=True, trace=ctx)
+                done = service.wait(job.job_id, timeout=300)
+                assert done.state == "done", done.error
+                runs.append((ctx, done.result["regions"]))
+        ranks = 1 if backend == "serial" else workers
+        for ctx, record in runs:
+            spans = get_span_store().trace(ctx.trace_id)
+            run = next(s for s in spans if s.name == "run")
+            regions = {s.name[len("region:"):]: s for s in spans
+                       if s.name.startswith("region:")}
+            assert set(regions) == set(record)
+            for name, span in regions.items():
+                table = record[name]
+                for key in ("calls", "inline_calls", "wall_seconds",
+                            "dispatch_seconds", "execute_seconds",
+                            "barrier_seconds"):
+                    assert span.attrs[key] == table[key], (name, key)
+                assert (run.started_at <= span.started_at
+                        <= span.ended_at <= run.ended_at), name
+                ranks_seen = [s for s in spans
+                              if s.parent_span_id == span.span_id]
+                assert sorted(s.attrs["rank"] for s in ranks_seen) \
+                    == list(range(ranks)), name
+                assert all(s.attrs["calls"] == table["calls"]
+                           for s in ranks_seen), name
+                assert sum(s.attrs["busy_seconds"] for s in ranks_seen) \
+                    == pytest.approx(table["execute_seconds"]), name
+
 
 def _spawn_daemon(cache_dir, port=0, timeout=60.0):
     """A real ``npb serve`` child process; returns ``(child, url)``."""

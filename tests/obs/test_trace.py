@@ -1,4 +1,4 @@
-"""W3C-traceparent propagation and the free-when-off activation gate."""
+"""W3C-traceparent propagation and the ambient trace context."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.obs.trace import (
     new_span_id,
     new_trace_id,
     parse_traceparent,
-    tracing_active,
     use_trace,
 )
 
@@ -83,20 +82,6 @@ class TestContext:
             assert current_trace() is ctx
         assert current_trace() is None
 
-    def test_tracing_active_only_for_sampled_contexts(self):
-        """The hot-path gate: no sampled context in scope means the
-        dispatch loop must see tracing as off."""
-        assert tracing_active() is False
-        unsampled = TraceContext(trace_id="ab" * 16, parent_span_id=None,
-                                 sampled=False)
-        with use_trace(unsampled):
-            assert tracing_active() is False
-        sampled = TraceContext(trace_id="ab" * 16, parent_span_id=None)
-        with use_trace(sampled):
-            assert tracing_active() is True
-        assert tracing_active() is False
-
     def test_use_trace_none_is_a_noop_scope(self):
         with use_trace(None):
             assert current_trace() is None
-            assert tracing_active() is False

@@ -197,10 +197,13 @@ class JobLifecycle(RuleBasedStateMachine):
     def finish(self, data, fail):
         name = data.draw(st.sampled_from(
             sorted(name for name, ids in self.running.items() if ids)))
+        # held before the gate opens: once more than RETENTION of them
+        # finish, the first ones expire and can no longer be looked up
+        jobs = [self.service.job(job_id) for job_id in self.running[name]]
         self.fail[name] = fail
         self.gates[name].set()
-        for job_id in self.running[name]:
-            job = self.service.wait(job_id, 20)
+        for job in jobs:
+            job.completion.result(20)
             assert job.state == ("failed" if fail else "done"), job.error
         _until(lambda: not self._registered(name), "the registry entry retired")
         self.gates[name].clear()
