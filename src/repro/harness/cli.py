@@ -83,11 +83,6 @@ DEFAULT_COORDINATOR_PORT = 8640
 #: sync with repro.service.loadgen.PROFILES.
 LOADGEN_PROFILES = ("cache-heavy", "mixed", "smoke")
 
-#: Built-in chaos preset names.  Mirrored from repro.service.chaos.PRESETS
-#: for the same parser-build-time reason; tests/service/test_chaos.py
-#: asserts the two stay in sync.
-CHAOS_PRESETS = ("coordinator", "service")
-
 
 def _fault_policy(args) -> FaultPolicy | None:
     """Build a FaultPolicy from --dispatch-timeout/--max-retries, if given."""
@@ -281,11 +276,9 @@ def _cmd_serve(args) -> int:
 
     chaos = None
     if getattr(args, "chaos_seed", None) is not None:
-        from repro.service.chaos import PRESETS, ChaosInjector, ChaosPlan
+        from repro.service.chaos import ChaosInjector, ChaosPlan, service_preset
 
-        plan = ChaosPlan.compile(
-            PRESETS[args.chaos_preset](), args.chaos_seed)
-        chaos = ChaosInjector(plan)
+        chaos = ChaosInjector(ChaosPlan.compile(service_preset(), args.chaos_seed))
     service = BenchService(
         backend=args.backend, workers=args.workers,
         pool_size=args.pool, queue_depth=args.queue_depth,
@@ -303,7 +296,6 @@ def _cmd_serve(args) -> int:
             f"queue depth {args.queue_depth}, cache {args.cache_dir}")
         if chaos is not None:
             print(f"npb service chaos enabled (seed {args.chaos_seed}, "
-                  f"preset {args.chaos_preset}, "
                   f"{len(chaos.plan.faults())} planned faults)", flush=True)
 
     # Graceful drain: stop accepting connections, finish every admitted
@@ -379,10 +371,9 @@ def _cmd_chaos(args) -> int:
         record = chaos.run_chaos(
             seed=args.seed, shards=args.shards, requests=args.requests,
             concurrency=args.concurrency, profile=args.profile,
-            kill_at=args.kill_at, retries=args.retries,
-            settle_timeout=args.settle_timeout, spawn=_pool_options(args),
+            spawn=_pool_options(args),
             say=(lambda line: None) if args.json else print)
-    except ServiceUnavailable as exc:
+    except (ServiceUnavailable, ValueError) as exc:
         print(f"npb chaos: {exc}", file=sys.stderr)
         return EXIT_USAGE
     path = chaos.write_record(record, directory=args.dir, path=args.out)
@@ -732,7 +723,7 @@ def _cmd_loadgen(args) -> int:
         record = loadgen.run_loadgen(
             args.url, config, timeout=args.timeout,
             progress=None if args.json else print)
-    except ServiceUnavailable as exc:
+    except (ServiceUnavailable, ValueError) as exc:
         print(f"npb loadgen: {exc}", file=sys.stderr)
         return EXIT_USAGE
     path = loadgen.write_record(record, directory=args.dir, path=args.out)
@@ -919,13 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos-seed", type=int, default=None,
                        metavar="SEED",
                        help="enable deterministic fault injection inside "
-                            "this daemon: compile the --chaos-preset "
-                            "fault schedule from SEED and hook it into "
+                            "this daemon: compile the service fault "
+                            "schedule from SEED and hook it into "
                             "pool/cache/scheduler (testing only)")
-    serve.add_argument("--chaos-preset", default="service",
-                       choices=list(CHAOS_PRESETS),
-                       help="fault-rule preset for --chaos-seed "
-                            "(default service)")
     serve.set_defaults(fn=_cmd_serve)
 
     submit = sub.add_parser(
@@ -1014,16 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--profile", default="smoke",
                        choices=list(LOADGEN_PROFILES),
                        help="loadgen traffic mix (default smoke)")
-    chaos.add_argument("--kill-at", type=int, default=6, metavar="INDEX",
-                       help="submission index at which the planned "
-                            "shard SIGKILL fires (default 6)")
     _pool_arguments(chaos, ".npb-chaos-cache", 30.0)
-    chaos.add_argument("--retries", type=int, default=3,
-                       help="429 retries per request (default 3)")
-    chaos.add_argument("--settle-timeout", type=float, default=30.0,
-                       help="seconds to wait for surviving shards to "
-                            "reach all-terminal job listings "
-                            "(default 30)")
     chaos.add_argument("--min-fault-kinds", type=int, default=4,
                        metavar="K",
                        help="fail unless at least K distinct fault "

@@ -17,7 +17,8 @@ so readers never observe a half-written record either.
 :func:`load_record` is the read side for every record family (BENCH,
 LOADGEN, CHAOS, TRACE): the file must be a JSON object of the expected
 ``kind`` whose ``schema_version`` is an int no newer than the reader;
-older versions go through the family's in-memory ``migrate``.
+older versions go through the family's in-memory ``migrate``, and a
+family without one reads its own version only.
 """
 
 from __future__ import annotations
@@ -118,16 +119,20 @@ def load_record(
     Records from a *newer* schema than ``max_version`` are rejected
     (``tool`` names the command that refreshes them); older ones are
     upgraded in memory by ``migrate(record, version)`` -- never
-    rewritten on disk.
+    rewritten on disk -- or, when the family has no ``migrate``,
+    rejected too.
     """
     with open(path) as fh:
         record = json.load(fh)
     if not isinstance(record, dict) or record.get("kind") != kind:
         raise ValueError(f"{path}: not an {kind} file")
     version = record.get("schema_version")
-    if not isinstance(version, int) or version > max_version:
+    if not isinstance(version, int) or version > max_version or (
+        migrate is None and version < max_version
+    ):
         raise ValueError(
             f"{path}: schema_version {version!r} (this tool reads "
-            f"<= {max_version}); refresh the record with '{tool}'"
+            f"{'<= ' if migrate else ''}{max_version}); refresh the record "
+            f"with '{tool}'"
         )
     return record if migrate is None else migrate(record, version)

@@ -44,7 +44,7 @@ state across them:
     deterministic fault injection (``npb chaos``): seeded
     :class:`ChaosPlan` s compiled into per-seam fault schedules, a
     :class:`ChaosInjector` hooked into pool/cache/scheduler/coordinator,
-    and an :class:`InvariantChecker` gating the admitted-jobs invariant
+    and :func:`check_invariant` gating the admitted-jobs invariant
     (every admitted job terminal, zero lost, completions bit-identical).
 """
 
@@ -60,7 +60,7 @@ from repro.service.chaos import (
     ChaosPlan,
     ChaosSpec,
     FaultRule,
-    InvariantChecker,
+    check_invariant,
 )
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.http import ServerThread, serve
@@ -91,7 +91,7 @@ __all__ = [
     "ChaosPlan",
     "ChaosSpec",
     "FaultRule",
-    "InvariantChecker",
+    "check_invariant",
     "AdmissionRejected",
     "Job",
     "JobQueue",

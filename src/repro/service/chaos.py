@@ -29,17 +29,18 @@ The subsystem has three parts:
     ``ShardCoordinator`` probe/submit path (drop or delay responses,
     synthesize 429 storms).  Every seam is a no-op when no injector is
     installed: chaos off costs one attribute check.
-:class:`InvariantChecker`
-    Consumes the traffic ledger (full response bodies, not just status
-    codes) plus the surviving shards' job listings and asserts the
-    invariant: every entry terminal, every failure structured (an error
-    trail, a routing block, or a 429 rejection), zero lost, and all
-    completions of one fingerprint verification-bit-identical.
+:func:`check_invariant`
+    Consumes loadgen's request outcomes (full response bodies, not just
+    status codes) plus the surviving shards' job listings and asserts
+    the invariant: every request terminal, every failure structured (an
+    error trail, a routing block, or a 429 rejection), zero lost, and
+    all completions of one fingerprint verification-bit-identical.
 
 ``npb chaos`` wires these together: spawn a 2-shard coordinator whose
 shards run in-daemon chaos (``npb serve --chaos-seed``), drive a loadgen
-mix through a coordinator-level injector, SIGKILL one spawned shard at a
-planned submission index, then check the invariant and append a
+mix (:func:`~repro.service.loadgen.run_closed_loop`) through a
+coordinator-level injector, SIGKILL one spawned shard at a planned
+submission index, then check the invariant and append a
 schema-versioned ``CHAOS_<seq>.json`` record (plan, injected-fault
 trail, verdict) to the trajectory.
 """
@@ -53,21 +54,39 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.harness import records
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.loadgen import PROFILES, RequestSampler, closed_loop
+from repro.service.loadgen import (
+    PROFILES,
+    RequestOutcome,
+    RequestSampler,
+    run_closed_loop,
+    summarize_outcomes,
+)
 from repro.service.shard import ShardCoordinator, drain_children, spawn_shard
 
 #: Version of the CHAOS_*.json record layout.
-SCHEMA_VERSION = 1
+#: v2: ``traffic`` is loadgen's per-step summary
+#: (:func:`~repro.service.loadgen.summarize_outcomes`), ``ledger`` one
+#: :class:`~repro.service.loadgen.RequestOutcome` per request, and
+#: ``config`` no longer carries ``kill_at``/``retries`` (fixed; the
+#: kill is in ``plan``).  v1 records are refused, not migrated.
+SCHEMA_VERSION = 2
 
 #: The ``kind`` tag every record carries (guards against foreign JSON).
 RECORD_KIND = "npb-chaos-record"
 
 #: Trajectory file naming: CHAOS_0001.json, CHAOS_0002.json, ...
 RECORD_PREFIX = "CHAOS"
+
+#: Resubmissions of a 429 per request in the ``npb chaos`` runner.
+RETRIES_429 = 3
+
+#: Seconds the runner waits for surviving shards to list only terminal
+#: jobs before reading a stuck one as a violation.
+SETTLE_SECONDS = 30.0
 
 #: Injection points and the fault kinds each one can host.  A point
 #: fires once per *invocation* (lease, cache access, probe, ...) and
@@ -221,13 +240,6 @@ def coordinator_preset(
             ),
         ),
     )
-
-
-#: Named preset factories (``--chaos-preset``).
-PRESETS = {
-    "service": service_preset,
-    "coordinator": coordinator_preset,
-}
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -538,37 +550,8 @@ class ChaosInjector:
 
 
 # ===================================================================== #
-# traffic ledger
+# the invariant
 # ===================================================================== #
-
-
-@dataclass
-class LedgerEntry:
-    """One request as the chaos driver saw it: the *full* response.
-
-    The loadgen accounting keeps only status/latency; the invariant
-    needs the body (state, error, routing block, verification values),
-    so the chaos driver records everything.
-    """
-
-    index: int
-    payload: dict
-    code: int | None
-    body: dict | None
-    error: str | None = None
-    retries: int = 0
-    elapsed_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "payload": self.payload,
-            "code": self.code,
-            "body": self.body,
-            "error": self.error,
-            "retries": self.retries,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def result_digest(verification) -> str:
@@ -583,86 +566,26 @@ def result_digest(verification) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def drive_traffic(
-    submit,
-    sampler,
-    total_requests: int,
-    concurrency: int = 2,
-    retries: int = 3,
-    retry_sleep: float = 0.1,
-) -> tuple[list[LedgerEntry], float]:
-    """Closed-loop traffic recording full response bodies.
-
-    ``submit(payload) -> (code, body)``; 429s are retried up to
-    ``retries`` times (chaos deliberately provokes them).  A transport
-    exception is recorded on the entry -- the invariant checker decides
-    whether it is structured -- never swallowed.
-    """
-    if total_requests < 1:
-        raise ValueError("total_requests must be >= 1")
-
-    def one(index: int) -> LedgerEntry:
-        _, payload = sampler.next_request()
-        begun = time.perf_counter()
-        code = body = None
-        error = None
-        attempt = 0
-        try:
-            for attempt in range(retries + 1):
-                code, body = submit(dict(payload))
-                if code != 429 or attempt == retries:
-                    break
-                time.sleep(retry_sleep)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        return LedgerEntry(
-            index=index,
-            payload=payload,
-            code=code,
-            body=body,
-            error=error,
-            retries=attempt,
-            elapsed_seconds=time.perf_counter() - begun,
-        )
-
-    return closed_loop(one, total_requests, concurrency)
+def _bucket(outcome: RequestOutcome) -> str:
+    """The invariant count one request lands in (``lost`` fails it)."""
+    body = outcome.body or {}
+    state = body.get("state")
+    if outcome.code == 200 and state in ("done", "cached", "failed"):
+        return state
+    if outcome.code == 429:
+        return "rejected_429"
+    if outcome.code == 503 and isinstance(body.get("routing"), dict):
+        return "unroutable_503"
+    return "lost"
 
 
-def summarize_ledger(ledger: list[LedgerEntry], elapsed: float) -> dict:
-    """Small traffic rollup for the CHAOS record."""
-    by_code: dict[str, int] = {}
-    by_state: dict[str, int] = {}
-    degraded = 0
-    errors = 0
-    for entry in ledger:
-        by_code[str(entry.code)] = by_code.get(str(entry.code), 0) + 1
-        body = entry.body or {}
-        state = body.get("state")
-        if state:
-            by_state[state] = by_state.get(state, 0) + 1
-        if (body.get("routing") or {}).get("degraded"):
-            degraded += 1
-        if entry.error:
-            errors += 1
-    return {
-        "requests": len(ledger),
-        "elapsed_seconds": elapsed,
-        "by_code": by_code,
-        "by_state": by_state,
-        "degraded_routes": degraded,
-        "transport_errors": errors,
-    }
+def check_invariant(
+    outcomes: list[RequestOutcome],
+    shard_jobs: dict[str, list[dict]] | None = None,
+) -> dict:
+    """The admitted-jobs invariant over a chaos run's outcomes.
 
-
-# ===================================================================== #
-# the invariant
-# ===================================================================== #
-
-
-class InvariantChecker:
-    """Asserts the admitted-jobs invariant over a chaos run.
-
-    An entry is *accounted for* when it is one of:
+    A request is *accounted for* when it is one of:
 
     * ``done``/``cached`` (HTTP 200) -- completed;
     * ``failed`` with a non-empty structured ``error`` -- a verdict;
@@ -670,136 +593,88 @@ class InvariantChecker:
     * HTTP 503 with a ``routing`` block -- structured unroutability,
       the job was never admitted.
 
-    Anything else -- a transport exception, a terminal-less body, a
-    bare 5xx -- is a *lost* job and fails the check.  On top of that,
-    surviving shards' job listings must be all-terminal (nothing stuck
-    behind the scenes), and every completion of one spec fingerprint
-    must carry bit-identical verification values.
+    Anything else -- an exception from ``submit``, a terminal-less body,
+    a bare 5xx -- is a *lost* job and fails the check.  On top of that,
+    surviving shards' job listings (``shard_jobs``) must be all-terminal
+    (nothing stuck behind the scenes), and every completion of one spec
+    fingerprint must carry bit-identical verification values.
     """
+    shard_jobs = shard_jobs or {}
+    counts = {
+        "requests": len(outcomes),
+        "done": 0,
+        "cached": 0,
+        "failed": 0,
+        "rejected_429": 0,
+        "unroutable_503": 0,
+        "degraded": 0,
+        "completed_with_faults": 0,
+        "lost": 0,
+    }
+    lost: list[dict] = []
+    unstructured: list[int] = []
+    digests: dict[str, dict[str, int]] = {}
+    for index, outcome in enumerate(outcomes):
+        bucket = _bucket(outcome)
+        counts[bucket] += 1
+        counts["degraded"] += outcome.degraded
+        body = outcome.body or {}
+        result = body.get("result") or {}
+        if bucket == "lost":
+            lost.append(
+                {
+                    "index": index,
+                    "code": outcome.code,
+                    "state": body.get("state"),
+                    "error": outcome.error,
+                }
+            )
+        elif bucket == "failed" and not body.get("error"):
+            unstructured.append(index)
+        elif bucket in ("done", "cached"):
+            counts["completed_with_faults"] += bool(result.get("faults"))
+            fingerprint = (result.get("provenance") or {}).get("fingerprint")
+            verification = result.get("verification")
+            if fingerprint and verification is not None:
+                group = digests.setdefault(fingerprint, {})
+                digest = result_digest(verification)
+                group[digest] = group.get(digest, 0) + 1
 
-    def __init__(
-        self,
-        ledger: list[LedgerEntry],
-        shard_jobs: dict[str, list[dict]] | None = None,
-    ):
-        self.ledger = list(ledger)
-        self.shard_jobs = dict(shard_jobs or {})
+    stuck: list[dict] = []
+    shard_unstructured: list[str] = []
+    for shard, jobs in shard_jobs.items():
+        for job in jobs:
+            state, job_id = job.get("state"), job.get("job_id")
+            if state == "failed" and not job.get("error"):
+                shard_unstructured.append(f"{shard}:{job_id}")
+            elif state not in ("done", "cached", "failed"):
+                stuck.append({"shard": shard, "job_id": job_id, "state": state})
 
-    def check(self) -> dict:
-        counts = {
-            "requests": len(self.ledger),
-            "done": 0,
-            "cached": 0,
-            "failed": 0,
-            "rejected_429": 0,
-            "unroutable_503": 0,
-            "degraded": 0,
-            "completed_with_faults": 0,
-            "lost": 0,
-        }
-        lost: list[dict] = []
-        unstructured: list[int] = []
-        digests: dict[str, dict[str, int]] = {}
-        for entry in self.ledger:
-            body = entry.body or {}
-            state = body.get("state")
-            if (body.get("routing") or {}).get("degraded"):
-                counts["degraded"] += 1
-            if entry.code == 200 and state in ("done", "cached"):
-                counts[state] += 1
-                result = body.get("result") or {}
-                if result.get("faults"):
-                    counts["completed_with_faults"] += 1
-                fingerprint = (result.get("provenance") or {}).get(
-                    "fingerprint"
-                )
-                verification = result.get("verification")
-                if fingerprint and verification is not None:
-                    group = digests.setdefault(fingerprint, {})
-                    digest = result_digest(verification)
-                    group[digest] = group.get(digest, 0) + 1
-            elif entry.code == 200 and state == "failed":
-                counts["failed"] += 1
-                if not body.get("error"):
-                    unstructured.append(entry.index)
-            elif entry.code == 429:
-                counts["rejected_429"] += 1
-            elif entry.code == 503 and isinstance(body.get("routing"), dict):
-                counts["unroutable_503"] += 1
-            else:
-                counts["lost"] += 1
-                lost.append(
-                    {
-                        "index": entry.index,
-                        "code": entry.code,
-                        "state": state,
-                        "error": entry.error,
-                    }
-                )
-
-        stuck: list[dict] = []
-        shard_unstructured: list[str] = []
-        for shard, jobs in self.shard_jobs.items():
-            for job in jobs:
-                state = job.get("state")
-                if state in ("done", "cached"):
-                    continue
-                if state == "failed":
-                    if not job.get("error"):
-                        shard_unstructured.append(
-                            f"{shard}:{job.get('job_id')}"
-                        )
-                    continue
-                stuck.append(
-                    {
-                        "shard": shard,
-                        "job_id": job.get("job_id"),
-                        "state": state,
-                    }
-                )
-
-        divergent = {
-            fingerprint: group
-            for fingerprint, group in digests.items()
-            if len(group) > 1
-        }
-        checks = [
-            {
-                "name": "zero_lost_jobs",
-                "pass": not lost,
-                "detail": lost or f"{counts['requests']} requests accounted",
-            },
-            {
-                "name": "structured_failures",
-                "pass": not unstructured and not shard_unstructured,
-                "detail": (
-                    {
-                        "ledger": unstructured,
-                        "shards": shard_unstructured,
-                    }
-                    if unstructured or shard_unstructured
-                    else f"{counts['failed']} failed, all with verdicts"
-                ),
-            },
-            {
-                "name": "shards_settled",
-                "pass": not stuck,
-                "detail": stuck
-                or f"{sum(len(j) for j in self.shard_jobs.values())} "
-                f"shard jobs all terminal",
-            },
-            {
-                "name": "bit_identical_results",
-                "pass": not divergent,
-                "detail": divergent
-                or f"{len(digests)} fingerprints, one digest each",
-            },
-        ]
-        return {
-            "pass": all(check["pass"] for check in checks),
-            "counts": counts,
-            "checks": checks,
-        }
+    divergent = {fp: group for fp, group in digests.items() if len(group) > 1}
+    failures = {"ledger": unstructured, "shards": shard_unstructured}
+    settled = sum(len(jobs) for jobs in shard_jobs.values())
+    checks = [
+        {"name": name, "pass": not bad, "detail": bad or fine}
+        for name, bad, fine in (
+            ("zero_lost_jobs", lost, f"{len(outcomes)} requests accounted"),
+            (
+                "structured_failures",
+                failures if unstructured or shard_unstructured else None,
+                f"{counts['failed']} failed, all with verdicts",
+            ),
+            ("shards_settled", stuck, f"{settled} shard jobs all terminal"),
+            (
+                "bit_identical_results",
+                divergent,
+                f"{len(digests)} fingerprints, one digest each",
+            ),
+        )
+    ]
+    return {
+        "pass": all(check["pass"] for check in checks),
+        "counts": counts,
+        "checks": checks,
+    }
 
 
 # ===================================================================== #
@@ -813,8 +688,9 @@ def build_record(
     coordinator_plan: ChaosPlan,
     shard_plans: dict[str, ChaosPlan],
     injected: dict,
-    traffic: dict,
-    invariant: dict,
+    outcomes: list[RequestOutcome],
+    elapsed_seconds: float,
+    shard_jobs: dict[str, list[dict]] | None = None,
 ) -> dict:
     """Assemble one schema-versioned chaos record.
 
@@ -822,7 +698,9 @@ def build_record(
     that is a pure function of the seed, and what the CI replay gate
     compares between two same-seed runs.  ``injected`` carries the
     runtime trails (coordinator + runner events, per-shard summaries
-    from /status).
+    from /status).  ``traffic`` is loadgen's summary of the outcomes,
+    ``ledger`` the outcomes themselves (full bodies) and ``invariant``
+    :func:`check_invariant`'s verdict over them.
     """
     from repro.harness.bench import environment_fingerprint
 
@@ -845,8 +723,9 @@ def build_record(
         },
         "injected": injected,
         "fault_kinds": sorted(kinds),
-        "traffic": traffic,
-        "invariant": invariant,
+        "traffic": summarize_outcomes(outcomes, elapsed_seconds),
+        "ledger": [asdict(outcome) for outcome in outcomes],
+        "invariant": check_invariant(outcomes, shard_jobs),
     }
 
 
@@ -869,11 +748,27 @@ def load_record(path: str) -> dict:
 # ===================================================================== #
 
 
-def _settle(shards: dict[str, str], timeout: float) -> dict[str, list[dict]]:
+def retry_429(submit):
+    """``submit`` resubmitting a 429 (chaos provokes them) up to
+    :data:`RETRIES_429` times, 0.1 s apart; the last answer is returned
+    whatever it is."""
+
+    def retrying(payload: dict) -> tuple[int, dict]:
+        for attempt in range(RETRIES_429 + 1):
+            code, body = submit(dict(payload))
+            if code != 429 or attempt == RETRIES_429:
+                return code, body
+            time.sleep(0.1)
+
+    return retrying
+
+
+def _settle(shards: dict[str, str]) -> dict[str, list[dict]]:
     """The surviving shards' job listings once every job is terminal
-    (one still stuck at the deadline is a violation, not a race)."""
+    (one still stuck after :data:`SETTLE_SECONDS` is a violation, not a
+    race)."""
     terminal = ("done", "cached", "failed")
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + SETTLE_SECONDS
     while True:
         pending = 0
         shard_jobs: dict[str, list[dict]] = {}
@@ -896,9 +791,6 @@ def run_chaos(
     requests: int,
     concurrency: int,
     profile: str,
-    kill_at: int,
-    retries: int,
-    settle_timeout: float,
     spawn: dict,
     say=print,
 ) -> dict:
@@ -916,7 +808,7 @@ def run_chaos(
         for i in range(shards):
             name = f"shard{i}"
             sub_seed = derive_seed(seed, name)
-            plan = ChaosPlan.compile(PRESETS["service"](), sub_seed)
+            plan = ChaosPlan.compile(service_preset(), sub_seed)
             child, urls[name] = spawn_shard(name, chaos_seed=sub_seed, **spawn)
             children.append(child)
             shard_plans[name] = plan
@@ -926,10 +818,7 @@ def run_chaos(
         # 2. Coordinator (in-process) with the coordinator-level injector.
         ordinal = 1 % shards
         plan = ChaosPlan.compile(
-            coordinator_preset(
-                kill_shard_after=kill_at, kill_shard_ordinal=ordinal
-            ),
-            seed,
+            coordinator_preset(kill_shard_ordinal=ordinal), seed
         )
         injector = ChaosInjector(plan)
         coordinator = ShardCoordinator(urls, health_interval=0.5)
@@ -937,20 +826,20 @@ def run_chaos(
         coordinator.start()
         say(f"npb chaos: coordinator up over {shards} shards "
             f"(seed {seed}, {len(plan.faults())} planned faults, "
-            f"kill shard{ordinal} at submission {kill_at})")
+            f"kill shard{ordinal} planned)")
 
-        # 3. Drive the loadgen mix; every submission first consumes one
-        #    chaos.submit index, which is where the planned SIGKILL of a
-        #    whole shard daemon lands mid-traffic.
+        # 3. Drive the loadgen mix; every submission (429 retries
+        #    included) first consumes one chaos.submit index, which is
+        #    where the planned SIGKILL of a whole shard daemon lands
+        #    mid-traffic.
         kills: list[dict] = []
-        kill_lock = threading.Lock()
 
         def submit(payload):
+            # fire() hands the one planned kill to exactly one thread
             fault = injector.on_chaos_submit()
             if fault is not None and fault.kind == "kill_shard":
                 victim = int(fault.param or 0) % len(children)
-                with kill_lock:
-                    pid = kill_process(children[victim])
+                pid = kill_process(children[victim])
                 if pid is not None:
                     kills.append({"kind": "kill_shard", "index": fault.index,
                                   "shard": f"shard{victim}", "pid": pid,
@@ -960,14 +849,14 @@ def run_chaos(
             return coordinator.submit(payload)
 
         sampler = RequestSampler(PROFILES[profile], seed=seed)
-        ledger, elapsed = drive_traffic(
-            submit, sampler, requests, concurrency=concurrency, retries=retries
+        outcomes, elapsed = run_closed_loop(
+            retry_429(submit), sampler, concurrency, requests
         )
-        say(f"npb chaos: {len(ledger)} requests in {elapsed:.1f}s, "
+        say(f"npb chaos: {len(outcomes)} requests in {elapsed:.1f}s, "
             f"{len(injector.events)} coordinator faults injected")
 
         # 4. Settle, then read each survivor's own injected-fault trail.
-        shard_jobs = _settle(urls, settle_timeout)
+        shard_jobs = _settle(urls)
         shard_chaos: dict[str, dict | None] = {}
         for name, url in urls.items():
             try:
@@ -977,14 +866,13 @@ def run_chaos(
                 shard_chaos[name] = None
 
         # 5. The invariant and the record.
-        record = build_record(
+        return build_record(
             seed=seed,
             config={
                 "shards": shards, "requests": requests,
                 "concurrency": concurrency, "profile": profile,
                 "backend": spawn["backend"], "workers": spawn["workers"],
                 "pool": spawn["pool"], "queue_depth": spawn["queue_depth"],
-                "kill_at": kill_at, "retries": retries,
             },
             coordinator_plan=plan,
             shard_plans=shard_plans,
@@ -993,11 +881,10 @@ def run_chaos(
                 "runner": kills,
                 "shards": shard_chaos,
             },
-            traffic=summarize_ledger(ledger, elapsed),
-            invariant=InvariantChecker(ledger, shard_jobs).check(),
+            outcomes=outcomes,
+            elapsed_seconds=elapsed,
+            shard_jobs=shard_jobs,
         )
-        record["ledger"] = [entry.as_dict() for entry in ledger]
-        return record
     finally:
         if coordinator is not None:
             coordinator.close()

@@ -245,73 +245,80 @@ class RequestOutcome:
     job_id: str | None = None
     #: trace id when the request was traced (``--trace`` runs)
     trace_id: str | None = None
-
-
-def classify_response(code: int, body: dict) -> tuple[str, bool]:
-    """Map an HTTP response onto an outcome status + cache-hit flag."""
-    if code in (200, 202):
-        if body.get("state") == "failed":
-            return "failed", False
-        return "ok", bool(body.get("cache_hit"))
-    if code == 429:
-        return "rejected", False
-    return "failed", False
+    #: the full response body (None when ``submit`` raised)
+    body: dict | None = None
+    #: ``"<ExceptionType>: <message>"`` when ``submit`` raised
+    error: str | None = None
 
 
 def issue_request(submit, cell_id: str, payload: dict) -> RequestOutcome:
-    """Time one request through ``submit(payload) -> (code, body)``."""
+    """Time one request through ``submit(payload) -> (code, body)``;
+    whatever ``submit`` raises is recorded on the outcome, never raised."""
     start = time.perf_counter()
     try:
         code, body = submit(payload)
-    except ServiceUnavailable:
+    except Exception as exc:
+        unreachable = isinstance(exc, ServiceUnavailable)
         return RequestOutcome(
             cell_id=cell_id,
-            status="unreachable",
+            status="unreachable" if unreachable else "failed",
             code=0,
             cache_hit=False,
             latency_seconds=time.perf_counter() - start,
+            error=f"{type(exc).__name__}: {exc}",
         )
     latency = time.perf_counter() - start
-    status, cache_hit = classify_response(code, body)
+    if code in (200, 202) and body.get("state") != "failed":
+        status = "ok"
+    else:
+        status = "rejected" if code == 429 else "failed"
     routing = body.get("routing") or {}
     result = body.get("result") or {}
     return RequestOutcome(
         cell_id=cell_id,
         status=status,
         code=code,
-        cache_hit=cache_hit,
+        cache_hit=status == "ok" and bool(body.get("cache_hit")),
         latency_seconds=latency,
         shard=routing.get("served_by"),
         degraded=bool(routing.get("degraded")),
         coalesced=body.get("coalesced_with") is not None,
         job_id=body.get("job_id"),
         trace_id=body.get("trace_id") or result.get("trace_id"),
+        body=body,
     )
 
 
 def closed_loop(
     one, total: int, concurrency: int, duration_seconds: float | None = None
 ) -> tuple[list, float]:
-    """The closed loop under :func:`run_closed_loop` and
-    ``chaos.drive_traffic``: ``concurrency`` threads each take the next
-    index of ``range(total)`` and call ``one(index)``, back to back,
-    until the indices (or the optional duration) run out.  Returns what
-    ``one`` returned, in index order, and the wall time."""
+    """The closed loop under :func:`run_closed_loop`: ``concurrency``
+    threads each take the next index of ``range(total)`` and call
+    ``one(index)``, back to back, until the indices (or the optional
+    duration) run out.  Returns what ``one`` returned, in index order,
+    and the wall time; if ``one`` raised, the first exception once every
+    worker has finished."""
+    if total < 1:
+        raise ValueError("total must be >= 1")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    results: list = [None] * max(total, 0)
+    results: list = [None] * total
+    errors: list[BaseException] = []
     indices = iter(range(total))
     lock = threading.Lock()
     started = time.perf_counter()
     deadline = None if duration_seconds is None else started + duration_seconds
 
     def worker() -> None:
-        while deadline is None or time.perf_counter() < deadline:
-            with lock:
-                index = next(indices, None)
-            if index is None:
-                return
-            results[index] = one(index)
+        try:
+            while deadline is None or time.perf_counter() < deadline:
+                with lock:
+                    index = next(indices, None)
+                if index is None:
+                    return
+                results[index] = one(index)
+        except BaseException as exc:
+            errors.append(exc)
 
     threads = [
         threading.Thread(target=worker, daemon=True, name=f"npb-closed-loop-{i}")
@@ -321,6 +328,8 @@ def closed_loop(
         thread.start()
     for thread in threads:
         thread.join()
+    if errors:
+        raise errors[0]
     done = [result for result in results if result is not None]
     return done, time.perf_counter() - started
 

@@ -149,6 +149,16 @@ class TestRecordSchema:
         with pytest.raises(ValueError, match="schema_version"):
             bench.load_record(str(path))
 
+    def test_family_without_migration_reads_only_its_version(self, tmp_path):
+        path = tmp_path / "X_0001.json"
+        path.write_text(json.dumps({"kind": "x", "schema_version": 1}))
+        assert records.load_record(str(path), "x", 1, "npb x")
+        with pytest.raises(ValueError, match="schema_version 1 "):
+            records.load_record(str(path), "x", 2, "npb x")
+        migrated = records.load_record(
+            str(path), "x", 2, "npb x", lambda record, version: record)
+        assert migrated["schema_version"] == 1
+
     def test_v2_record_migrates_to_v3_in_memory(self, tmp_path):
         """A pre-allocation-accounting record (``bench_v1.json`` vintage)
         loads with zeroed alloc fields so the comparator still works."""

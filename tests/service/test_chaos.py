@@ -25,31 +25,29 @@ import time
 import pytest
 
 from repro import run_benchmark
-from repro.harness.cli import CHAOS_PRESETS
 from repro.service import BenchService, ServiceUnavailable
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
     FAULT_KINDS,
     POINT_KINDS,
-    PRESETS,
     RECORD_KIND,
+    RETRIES_429,
     SCHEMA_VERSION,
     ChaosInjector,
     ChaosPlan,
     ChaosSpec,
     FaultRule,
-    InvariantChecker,
-    LedgerEntry,
     build_record,
+    check_invariant,
     coordinator_preset,
     derive_seed,
-    drive_traffic,
     load_record,
     result_digest,
+    retry_429,
     service_preset,
-    summarize_ledger,
     write_record,
 )
+from repro.service.loadgen import issue_request, run_closed_loop
 from repro.service.pool import TeamPool
 from repro.service.shard import ShardCoordinator
 from repro.team.procs import ProcessTeam
@@ -186,14 +184,11 @@ class TestChaosPlan:
         """The CI gate needs >= 4 distinct fault kinds regardless of
         seed; both presets guarantee it with deterministic rate-1.0
         rules at staggered offsets."""
-        for factory in PRESETS.values():
+        for factory in (service_preset, coordinator_preset):
             spec = factory()
             for seed in range(50):
                 kinds = ChaosPlan.compile(spec, seed).kinds()
                 assert len(kinds) >= 4, (spec.name, seed, kinds)
-
-    def test_cli_preset_names_in_sync(self):
-        assert tuple(sorted(PRESETS)) == CHAOS_PRESETS
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(7, "shard0") == derive_seed(7, "shard0")
@@ -551,71 +546,35 @@ class TestCoordinatorUnderChaos:
 
 
 # ===================================================================== #
-# traffic driver
+# the runner's 429 retry
 # ===================================================================== #
 
 
 class _ScriptedSampler:
-    def __init__(self, payload=None):
-        self.payload = payload or {"benchmark": "CG", "wait": True}
-
     def next_request(self):
-        return "CG.S", dict(self.payload)
+        return "CG.S", {"benchmark": "CG", "wait": True}
 
 
-class TestDriveTraffic:
-    def test_records_every_request_in_order(self):
-        calls = []
-
-        def submit(payload):
-            calls.append(payload)
-            return 200, {"state": "done"}
-
-        ledger, elapsed = drive_traffic(
-            submit, _ScriptedSampler(), total_requests=10, concurrency=3
-        )
-        assert len(ledger) == 10
-        assert [e.index for e in ledger] == list(range(10))
-        assert all(e.code == 200 for e in ledger)
-        assert elapsed >= 0.0
+class TestRetry429:
+    """The runner's submit resubmits a 429 a bounded number of times."""
 
     def test_retries_429_then_gives_up(self):
-        codes = iter([429, 429, 200])
+        for codes, calls, status in (
+            ([429, 429, 200], 3, "ok"),
+            ([429] * 10, RETRIES_429 + 1, "rejected"),
+        ):
+            answers = iter(codes)
+            seen = []
 
-        def submit(payload):
-            return next(codes), {"state": "done"}
+            def submit(payload):
+                seen.append(payload)
+                return next(answers), {"state": "done"}
 
-        ledger, _ = drive_traffic(
-            submit,
-            _ScriptedSampler(),
-            total_requests=1,
-            concurrency=1,
-            retries=3,
-            retry_sleep=0.0,
-        )
-        assert ledger[0].code == 200
-        assert ledger[0].retries == 2
-
-    def test_transport_error_recorded_not_raised(self):
-        def submit(payload):
-            raise ServiceUnavailable("boom")
-
-        ledger, _ = drive_traffic(
-            submit, _ScriptedSampler(), total_requests=2, concurrency=2
-        )
-        assert all(e.code is None for e in ledger)
-        assert all("ServiceUnavailable" in e.error for e in ledger)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            drive_traffic(lambda p: (200, {}), _ScriptedSampler(), 0)
-        with pytest.raises(ValueError):
-            drive_traffic(
-                lambda p: (200, {}),
-                _ScriptedSampler(),
-                total_requests=1,
-                concurrency=0,
+            outcomes, _ = run_closed_loop(
+                retry_429(submit), _ScriptedSampler(), 1, 1
             )
+            assert len(seen) == calls
+            assert outcomes[0].status == status
 
 
 # ===================================================================== #
@@ -623,10 +582,18 @@ class TestDriveTraffic:
 # ===================================================================== #
 
 
-def _entry(index, code, body, error=None):
-    return LedgerEntry(
-        index=index, payload={}, code=code, body=body, error=error
-    )
+def _entry(code, body):
+    """The outcome loadgen records for one ``(code, body)`` answer."""
+    return issue_request(lambda payload: (code, body), "CG.S", {})
+
+
+def _lost(error):
+    """The outcome loadgen records when ``submit`` raises ``error``."""
+
+    def submit(payload):
+        raise error
+
+    return issue_request(submit, "CG.S", {})
 
 
 def _done_body(fingerprint="f" * 64, verification=(1.0, 2.0), state="done"):
@@ -641,70 +608,70 @@ def _done_body(fingerprint="f" * 64, verification=(1.0, 2.0), state="done"):
 
 class TestInvariantChecker:
     def test_clean_completions_pass(self):
-        ledger = [
-            _entry(0, 200, _done_body()),
-            _entry(1, 200, _done_body(state="cached")),
+        outcomes = [
+            _entry(200, _done_body()),
+            _entry(200, _done_body(state="cached")),
         ]
-        verdict = InvariantChecker(ledger).check()
+        verdict = check_invariant(outcomes)
         assert verdict["pass"]
         assert verdict["counts"]["done"] == 1
         assert verdict["counts"]["cached"] == 1
         assert verdict["counts"]["lost"] == 0
 
     def test_structured_failure_passes(self):
-        ledger = [_entry(0, 200, {"state": "failed", "error": "Trace..."})]
-        verdict = InvariantChecker(ledger).check()
+        outcomes = [_entry(200, {"state": "failed", "error": "Trace..."})]
+        verdict = check_invariant(outcomes)
         assert verdict["pass"]
         assert verdict["counts"]["failed"] == 1
 
     def test_unstructured_failure_fails(self):
-        ledger = [_entry(0, 200, {"state": "failed", "error": None})]
-        verdict = InvariantChecker(ledger).check()
+        outcomes = [_entry(200, {"state": "failed", "error": None})]
+        verdict = check_invariant(outcomes)
         assert not verdict["pass"]
         checks = {c["name"]: c for c in verdict["checks"]}
         assert not checks["structured_failures"]["pass"]
 
     def test_429_and_routed_503_are_accounted(self):
-        ledger = [
-            _entry(0, 429, {"error": "queue full"}),
-            _entry(1, 503, {"error": "no shard", "routing": {"attempts": []}}),
+        outcomes = [
+            _entry(429, {"error": "queue full"}),
+            _entry(503, {"error": "no shard", "routing": {"attempts": []}}),
         ]
-        verdict = InvariantChecker(ledger).check()
+        verdict = check_invariant(outcomes)
         assert verdict["pass"]
         assert verdict["counts"]["rejected_429"] == 1
         assert verdict["counts"]["unroutable_503"] == 1
 
     def test_transport_error_is_lost(self):
-        ledger = [_entry(0, None, None, error="ServiceUnavailable: boom")]
-        verdict = InvariantChecker(ledger).check()
+        outcomes = [_lost(ServiceUnavailable("boom"))]
+        verdict = check_invariant(outcomes)
         assert not verdict["pass"]
         assert verdict["counts"]["lost"] == 1
 
     def test_bare_503_without_routing_is_lost(self):
-        ledger = [_entry(0, 503, {"error": "???"})]
-        verdict = InvariantChecker(ledger).check()
+        outcomes = [_entry(503, {"error": "???"})]
+        verdict = check_invariant(outcomes)
         assert not verdict["pass"]
 
     def test_divergent_completions_fail_bit_identical(self):
-        ledger = [
-            _entry(0, 200, _done_body(verification=(1.0, 2.0))),
-            _entry(1, 200, _done_body(verification=(1.0, 2.00001))),
+        outcomes = [
+            _entry(200, _done_body(verification=(1.0, 2.0))),
+            _entry(200, _done_body(verification=(1.0, 2.00001))),
         ]
-        verdict = InvariantChecker(ledger).check()
+        verdict = check_invariant(outcomes)
         assert not verdict["pass"]
         checks = {c["name"]: c for c in verdict["checks"]}
         assert not checks["bit_identical_results"]["pass"]
 
     def test_identical_completions_pass_bit_identical(self):
-        ledger = [
-            _entry(i, 200, _done_body(verification=(1.0, 2.0)))
+        outcomes = [
+            _entry(200, _done_body(verification=(1.0, 2.0)))
             for i in range(3)
         ]
-        assert InvariantChecker(ledger).check()["pass"]
+        assert check_invariant(outcomes)["pass"]
 
     def test_stuck_shard_job_fails(self):
         shard_jobs = {"s0": [{"job_id": "job-1", "state": "running"}]}
-        verdict = InvariantChecker([], shard_jobs).check()
+        verdict = check_invariant([], shard_jobs)
         assert not verdict["pass"]
         checks = {c["name"]: c for c in verdict["checks"]}
         assert not checks["shards_settled"]["pass"]
@@ -717,11 +684,11 @@ class TestInvariantChecker:
                 {"job_id": "c", "state": "failed", "error": "Trace"},
             ]
         }
-        assert InvariantChecker([], shard_jobs).check()["pass"]
+        assert check_invariant([], shard_jobs)["pass"]
 
     def test_unstructured_shard_failure_fails(self):
         shard_jobs = {"s0": [{"job_id": "a", "state": "failed"}]}
-        assert not InvariantChecker([], shard_jobs).check()["pass"]
+        assert not check_invariant([], shard_jobs)["pass"]
 
     def test_result_digest_is_canonical(self):
         a = [{"quantity": "zeta", "computed": 1.0}]
@@ -737,9 +704,8 @@ class TestInvariantChecker:
 # ===================================================================== #
 
 
-def _minimal_record(seed=7):
+def _minimal_record(seed=7, outcomes=None):
     plan = ChaosPlan.compile(coordinator_preset(), seed)
-    ledger = [_entry(0, 200, _done_body())]
     return build_record(
         seed=seed,
         config={"shards": 2},
@@ -750,8 +716,8 @@ def _minimal_record(seed=7):
             "runner": [{"kind": "kill_shard"}],
             "shards": {"shard0": {"kinds": {"kill_team": 1}}},
         },
-        traffic=summarize_ledger(ledger, 1.0),
-        invariant=InvariantChecker(ledger).check(),
+        outcomes=outcomes or [_entry(200, _done_body())],
+        elapsed_seconds=1.0,
     )
 
 
@@ -792,19 +758,30 @@ class TestChaosRecords:
         with pytest.raises(ValueError, match="schema_version"):
             load_record(str(path))
 
-    def test_summarize_ledger_rollup(self):
-        ledger = [
-            _entry(0, 200, _done_body()),
-            _entry(1, 429, {"error": "full"}),
-            _entry(2, None, None, error="boom"),
-            _entry(
-                3,
-                200,
-                dict(_done_body(), routing={"degraded": True}),
-            ),
+    def test_load_rejects_older_schema(self, tmp_path):
+        """CHAOS has no migration: a v1 record is refused, not read as
+        though it were current."""
+        record = dict(_minimal_record(), schema_version=SCHEMA_VERSION - 1)
+        path = tmp_path / "CHAOS_0001.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=f"schema_version {SCHEMA_VERSION - 1}"):
+            load_record(str(path))
+
+    def test_traffic_is_the_loadgen_summary(self):
+        outcomes = [
+            _entry(200, _done_body()),
+            _entry(429, {"error": "full"}),
+            _lost(RuntimeError("boom")),
+            _entry(200, dict(_done_body(), routing={"degraded": True})),
         ]
-        rollup = summarize_ledger(ledger, 2.0)
-        assert rollup["requests"] == 4
-        assert rollup["by_code"] == {"200": 2, "429": 1, "None": 1}
-        assert rollup["degraded_routes"] == 1
-        assert rollup["transport_errors"] == 1
+        record = _minimal_record(outcomes=outcomes)
+        requests = record["traffic"]["requests"]
+        assert requests["total"] == 4 == len(record["ledger"])
+        assert requests["ok"] == 2
+        assert requests["rejected_429"] == 1
+        assert requests["failed"] == 1
+        assert requests["degraded"] == 1
+        assert record["ledger"][1]["body"] == {"error": "full"}
+        assert record["ledger"][2]["error"] == "RuntimeError: boom"
+        assert record["invariant"]["counts"]["lost"] == 1
+        json.dumps(record)

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.harness.stats import percentile
-from repro.service import BenchService
+from repro.service import BenchService, ServiceUnavailable
 from repro.service.loadgen import (LoadgenConfig, MixEntry, PROFILES,
                                    RequestOutcome, RequestSampler, SLOPolicy,
-                                   TrafficProfile, compare_records,
+                                   TrafficProfile, closed_loop,
+                                   compare_records,
                                    evaluate_slo, latest_record_path,
                                    load_record, next_sequence, parse_mix,
                                    run_closed_loop, run_loadgen,
@@ -247,6 +249,53 @@ class TestClosedLoop:
         assert [o.status for o in outcomes] == ["ok", "rejected", "failed"]
         assert outcomes[0].shard == "s1"
         assert outcomes[0].degraded is True
+        assert outcomes[1].body == {"error": "full"}
+
+    def test_outcomes_come_back_in_index_order(self):
+        def one(index):
+            time.sleep(0.001 * (index % 3))  # finish out of order
+            return index
+
+        results, elapsed = closed_loop(one, 10, 3)
+        assert results == list(range(10))
+        assert elapsed >= 0.0
+
+    def test_any_submit_exception_is_recorded_not_raised(self):
+        profile = TrafficProfile("t", (MixEntry("CG"),), 1.0)
+        for error, status in ((ServiceUnavailable("boom"), "unreachable"),
+                              (RuntimeError("boom"), "failed")):
+            def submit(payload, error=error):
+                raise error
+
+            outcomes, _ = run_closed_loop(
+                submit, RequestSampler(profile, seed=0),
+                concurrency=2, total_requests=2)
+            assert [o.status for o in outcomes] == [status, status]
+            assert all(o.code == 0 and o.body is None for o in outcomes)
+            assert all(o.error == f"{type(error).__name__}: boom"
+                       for o in outcomes)
+
+    def test_requests_and_concurrency_below_one_refused(self):
+        profile = TrafficProfile("t", (MixEntry("CG"),), 1.0)
+        for total, concurrency in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                run_closed_loop(lambda payload: (200, {}),
+                                RequestSampler(profile, seed=0),
+                                concurrency=concurrency,
+                                total_requests=total)
+
+    def test_an_exception_in_one_is_re_raised_after_every_index(self):
+        """A raising ``one`` must not shrink the step silently: every
+        other index still runs, then the first exception surfaces."""
+        calls = []
+
+        def one(index):
+            calls.append(index)
+            return 1 // (index - 3)
+
+        with pytest.raises(ZeroDivisionError):
+            closed_loop(one, 10, 2)
+        assert sorted(calls) == list(range(10))
 
 
 class TestRecords:
