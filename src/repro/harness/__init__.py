@@ -6,12 +6,11 @@ of :mod:`repro.machines`, default) or measured mode (real runs of the
 NumPy/Python implementations on the local host, ``--measured``).
 """
 
-from repro.harness.report import (Table, bench_compare_table,
-                                  bench_record_table, format_table,
-                                  region_profile_table)
+from repro.harness.report import (Table, bench_record_table, compare_table,
+                                  format_table, region_profile_table)
 from repro.harness.stats import TimingSummary, summarize, time_callable
 from repro.harness.tables import TABLES, generate_table
 
 __all__ = ["Table", "format_table", "region_profile_table",
-           "bench_record_table", "bench_compare_table", "TimingSummary",
+           "bench_record_table", "compare_table", "TimingSummary",
            "summarize", "time_callable", "TABLES", "generate_table"]

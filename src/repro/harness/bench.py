@@ -12,11 +12,12 @@ its per-region dispatch/execute/barrier split
 without rerunning anything.
 
 ``npb bench --compare BASELINE.json [CANDIDATE.json]`` matches cells
-between two records and issues a noise-aware verdict per cell: a slowdown
-is a *regression* only when it exceeds ``max(tolerance, k * MAD / best)``,
-i.e. the configured tolerance or the measured run-to-run noise of the two
-records, whichever is larger.  The command exits nonzero on any
-regression, which is what lets CI gate on it (see docs/benchmarking.md).
+between two records and judges each cell's repeat times by the
+repository's one comparison rule (:func:`repro.harness.stats.verdict`):
+a cell is *worse* when its median time grew by more than the tolerance,
+*unresolved* when either record's repeats spread wider than it.  The
+command exits nonzero on any worse cell, which is what lets CI gate on
+it (see docs/benchmarking.md).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from repro import run_benchmark
 from repro.core import basic_ops
 from repro.harness import records
-from repro.harness.stats import band_verdict, noise_band, summarize, time_callable
+from repro.harness.stats import compare, summarize, time_callable
 
 #: Version of the BENCH_*.json record layout.
 #: v2: benchmark cells carry ``faults`` (total fault events over the
@@ -64,16 +65,8 @@ RECORD_KIND = "npb-bench-record"
 #: Trajectory file naming: BENCH_0001.json, BENCH_0002.json, ...
 RECORD_PREFIX = "BENCH"
 
-#: Relative slowdown tolerated before the noise term kicks in (10%).
+#: The comparator's ``bound``: the share a cell's median time may grow by.
 DEFAULT_TOLERANCE = 0.10
-
-#: ``k`` in the ``k * MAD / best`` noise band of the comparator.
-DEFAULT_MAD_MULTIPLIER = 3.0
-
-#: Absolute seconds a cell may slow down regardless of ratio: sub-10ms
-#: cells (IS.S, the small kernels) jitter by whole scheduler quanta on a
-#: busy host, so their *relative* band must widen with 1/best.
-DEFAULT_ABS_SLACK = 0.005
 
 
 # ===================================================================== #
@@ -403,98 +396,19 @@ def load_record(path: str) -> dict:
 
 
 # ===================================================================== #
-# regression comparator
+# comparator
 # ===================================================================== #
 
 
-@dataclass(frozen=True)
-class CellDelta:
-    """Comparison of one cell between a baseline and a candidate record."""
-
-    cell_id: str
-    base_seconds: float
-    cand_seconds: float
-    threshold: float
-    verdict: str  # "ok" | "regression" | "improved"
-
-    @property
-    def ratio(self) -> float:
-        """candidate / baseline best time (> 1 means slower)."""
-        return self.cand_seconds / max(self.base_seconds, 1e-12)
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """Full comparator output for one (baseline, candidate) pair."""
-
-    deltas: tuple[CellDelta, ...]
-    missing: tuple[str, ...]  # cells only in the baseline
-    added: tuple[str, ...]  # cells only in the candidate
-
-    @property
-    def regressions(self) -> tuple[CellDelta, ...]:
-        return tuple(d for d in self.deltas if d.verdict == "regression")
-
-    @property
-    def improvements(self) -> tuple[CellDelta, ...]:
-        return tuple(d for d in self.deltas if d.verdict == "improved")
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": [
-                {
-                    "id": d.cell_id,
-                    "base_seconds": d.base_seconds,
-                    "candidate_seconds": d.cand_seconds,
-                    "ratio": d.ratio,
-                    "threshold": d.threshold,
-                    "verdict": d.verdict,
-                }
-                for d in self.deltas
-            ],
-            "missing": list(self.missing),
-            "added": list(self.added),
-            "regressions": len(self.regressions),
-            "improvements": len(self.improvements),
-        }
-
-
 def compare_records(
-    baseline: dict,
-    candidate: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-    mad_multiplier: float = DEFAULT_MAD_MULTIPLIER,
-    abs_slack: float = DEFAULT_ABS_SLACK,
-) -> Comparison:
-    """Match cells by id and issue a noise-aware verdict per matched cell."""
-    base_cells = {cell["id"]: cell for cell in baseline["cells"]}
-    cand_cells = {cell["id"]: cell for cell in candidate["cells"]}
-    deltas = []
-    for cell_id, base in base_cells.items():
-        cand = cand_cells.get(cell_id)
-        if cand is None:
-            continue
-        base_best = float(base["best_seconds"])
-        cand_best = float(cand["best_seconds"])
-        # the MAD of whichever record's repeats scatter more is the noise
-        noise = max(
-            float(base.get("mad_seconds", 0.0)),
-            float(cand.get("mad_seconds", 0.0)),
-        )
-        threshold = noise_band(base_best, noise, tolerance, mad_multiplier, abs_slack)
-        deltas.append(
-            CellDelta(
-                cell_id=cell_id,
-                base_seconds=base_best,
-                cand_seconds=cand_best,
-                threshold=threshold,
-                verdict=band_verdict(cand_best / max(base_best, 1e-12), threshold),
-            )
-        )
-    return Comparison(
-        deltas=tuple(deltas),
-        missing=tuple(i for i in base_cells if i not in cand_cells),
-        added=tuple(i for i in cand_cells if i not in base_cells),
+    baseline: dict, candidate: dict, tolerance: float = DEFAULT_TOLERANCE
+) -> dict:
+    """Judge each shared cell's repeat times by :func:`stats.compare`."""
+    return compare(
+        {cell["id"]: cell["times_seconds"] for cell in baseline["cells"]},
+        {cell["id"]: cell["times_seconds"] for cell in candidate["cells"]},
+        "lower",
+        tolerance,
     )
 
 

@@ -8,7 +8,7 @@ Subcommands::
     npb profile LU -c S                per-region overhead breakdown
     npb bench --quick --repeat 3       append a BENCH_<seq>.json record
                                        to the perf trajectory
-    npb bench --compare BASE.json      noise-aware regression gate
+    npb bench --compare BASE.json      median/spread regression gate
     npb table 3 [--measured] [-c A]    regenerate a paper table
     npb tables [--measured]            regenerate all seven tables
     npb serve --pool 2 --port 8642     long-lived benchmark job service
@@ -20,7 +20,7 @@ Subcommands::
     npb jobs [JOB_ID] --url URL        service status / job inspection
     npb loadgen --url URL -C 1,2,4     closed-loop traffic harness;
                                        appends LOADGEN_<seq>.json records
-    npb loadgen --compare BASE.json    noise-aware SLO/latency gate
+    npb loadgen --compare BASE.json    median/spread SLO/latency gate
     npb chaos --seed 7 --shards 2      deterministic fault-injection run:
                                        loadgen mix against a spawned
                                        sharded service under a seeded
@@ -37,9 +37,9 @@ The single authoritative table -- every subcommand returns one of these
 ====  =================================================================
 code  meaning
 ====  =================================================================
-0     success (``EXIT_OK``): ran, verified, no regression
-1     failure (``EXIT_FAILURE``): verification failed, a bench cell
-      regressed or was unverified, or a submitted job failed
+0     success (``EXIT_OK``): ran, verified, no compared row worse
+1     failure (``EXIT_FAILURE``): verification failed, a compared row
+      is worse, a bench cell was unverified, or a submitted job failed
 2     usage (``EXIT_USAGE``): bad arguments (argparse), missing
       comparison candidate, or an unreachable service daemon
 3     unrecoverable worker failure (``EXIT_WORKER_FAILURE``): a
@@ -59,7 +59,7 @@ import sys
 from repro import available_benchmarks, run_benchmark
 from repro.common.params import CLASS_ORDER
 from repro.harness.bench import DEFAULT_TOLERANCE
-from repro.harness.report import format_table, region_profile_table
+from repro.harness.report import compare_table, format_table, region_profile_table
 from repro.harness.tables import MEASURED_TABLES, TABLES, generate_table
 from repro.runtime.dispatch import FaultPolicy, WorkerError
 
@@ -175,7 +175,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.harness import bench
-    from repro.harness.report import bench_compare_table, bench_record_table
+    from repro.harness.report import bench_record_table
 
     if args.compare:
         baseline = bench.load_record(args.compare)
@@ -188,11 +188,9 @@ def _cmd_bench(args) -> int:
         candidate = bench.load_record(candidate_path)
         comparison = bench.compare_records(
             baseline, candidate, tolerance=args.tolerance)
-        if args.json:
-            print(json.dumps(comparison.as_dict(), indent=2))
-        else:
-            print(format_table(bench_compare_table(comparison)))
-        return 1 if comparison.regressions else 0
+        print(json.dumps(comparison, indent=2) if args.json
+              else format_table(compare_table(comparison)))
+        return 1 if comparison["counts"]["worse"] else 0
 
     if args.cells:
         try:
@@ -635,24 +633,6 @@ def _loadgen_step_line(step: dict) -> str:
     return line
 
 
-def _print_loadgen_compare(comparison: dict) -> None:
-    for step in comparison["steps"]:
-        flag = "ok  " if not step["regressions"] else "FAIL"
-        print(f"[{flag}] {step['mode']}@{step['level']:g}  "
-              f"threshold {step['threshold']:.0%}  "
-              f"slo={'pass' if step['slo_pass'] else 'FAIL'}")
-        for metric in step["metrics"]:
-            marker = {"regression": "REGRESSION", "improved": "improved",
-                      "ok": "ok"}[metric["verdict"]]
-            print(f"    {metric['metric']:<16} "
-                  f"{metric['base']:.4f} -> {metric['candidate']:.4f} "
-                  f"(x{metric['ratio']:.2f})  {marker}")
-    for key in comparison["missing"]:
-        print(f"[FAIL] step {key} missing from candidate")
-    print(f"verdict: {comparison['verdict']} "
-          f"({comparison['regressions']} regression(s))")
-
-
 def _cmd_loadgen(args) -> int:
     import dataclasses as dc
 
@@ -671,14 +651,11 @@ def _cmd_loadgen(args) -> int:
         candidate = loadgen.load_record(candidate_path)
         comparison = loadgen.compare_records(
             baseline, candidate, tolerance=args.tolerance)
-        if comparison["missing"]:
-            comparison["regressions"] += len(comparison["missing"])
-            comparison["verdict"] = "regression"
-        if args.json:
-            print(json.dumps(comparison, indent=2))
-        else:
-            _print_loadgen_compare(comparison)
-        return EXIT_FAILURE if comparison["regressions"] else EXIT_OK
+        print(json.dumps(comparison, indent=2) if args.json
+              else format_table(compare_table(comparison)))
+        failed = (comparison["counts"]["worse"] or comparison["missing"]
+                  or comparison["slo_failed"])
+        return EXIT_FAILURE if failed else EXIT_OK
 
     if args.mix:
         try:
@@ -869,13 +846,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "numbering; useful in CI)")
     bench.add_argument("--compare", metavar="BASELINE.json", default=None,
                        help="compare a candidate record against this "
-                            "baseline instead of running; exits 1 on "
-                            "regression")
+                            "baseline instead of running; exits 1 on a "
+                            "worse cell")
     bench.add_argument("--tolerance", type=float,
                        default=DEFAULT_TOLERANCE,
-                       help="relative slowdown tolerated before the noise "
-                            "term (default 0.10; CI uses 2.0 to gate only "
-                            ">3x blowups)")
+                       help="share a cell's median time may grow by before "
+                            "it is worse (default 0.10; CI uses 2.0 to gate "
+                            "only >3x blowups)")
     bench.add_argument("--alloc", action="store_true",
                        help="run the suite under tracemalloc so region "
                             "alloc_bytes/alloc_blocks are populated; "
@@ -1125,11 +1102,11 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--compare", metavar="BASELINE.json", default=None,
                          help="compare a candidate record against this "
                               "baseline instead of generating traffic; "
-                              "exits 1 on regression")
+                              "exits 1 on a worse metric, a missing step "
+                              "or a failed candidate SLO")
     loadgen.add_argument("--tolerance", type=float, default=0.25,
-                         help="relative latency/throughput change "
-                              "tolerated before the noise term "
-                              "(default 0.25)")
+                         help="share a step's latency percentile or "
+                              "throughput may worsen by (default 0.25)")
     loadgen.add_argument("--json", action="store_true",
                          help="print the record (or comparison) as JSON")
     loadgen.set_defaults(fn=_cmd_loadgen)

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.benchmark import BenchmarkResult
-    from repro.harness.bench import Comparison
 
 
 @dataclass
@@ -24,6 +23,8 @@ class Table:
 
 
 def _fmt(cell) -> str:
+    if cell is None:
+        return "-"
     if isinstance(cell, float):
         if cell != cell:  # NaN -> not measured / not applicable
             return "-"
@@ -144,30 +145,27 @@ def bench_record_table(record: dict) -> Table:
     return table
 
 
-def bench_compare_table(comparison: "Comparison") -> Table:
-    """The comparator verdict table (``npb bench --compare``)."""
-    table = Table(
-        "Bench comparison: candidate vs baseline",
-        ["cell", "base s", "cand s", "delta %", "allowed %", "verdict"],
-    )
-    for delta in comparison.deltas:
+def compare_table(comparison: dict) -> Table:
+    """The verdict table of :func:`repro.harness.stats.compare`
+    (``npb bench --compare``, ``npb loadgen --compare``)."""
+    table = Table("Candidate vs baseline", ["row", "base", "cand", "change %",
+                                            "spread %", "runs", "verdict"])
+    for row in comparison["rows"]:
         table.add_row(
-            delta.cell_id, delta.base_seconds, delta.cand_seconds,
-            100.0 * (delta.ratio - 1.0), 100.0 * delta.threshold,
-            delta.verdict,
-        )
-    if comparison.missing:
-        table.notes.append(
-            "cells only in baseline (not compared): "
-            + ", ".join(comparison.missing))
-    if comparison.added:
-        table.notes.append(
-            "cells only in candidate (no baseline yet): "
-            + ", ".join(comparison.added))
+            row["id"], row["base"], row["cand"],
+            None if row["change"] is None else 100.0 * row["change"],
+            f"{100 * row['spread_base']:.0f}/{100 * row['spread_cand']:.0f}",
+            "/".join(map(str, row["runs"])), row["verdict"])
+    for key, label in (("missing", "only in baseline (not compared)"),
+                       ("added", "only in candidate (no baseline yet)"),
+                       ("slo_failed", "candidate SLO failed")):
+        if comparison.get(key):
+            table.notes.append(f"{label}: " + ", ".join(comparison[key]))
+    counts = ", ".join(f"{n} {v}" for v, n in comparison["counts"].items())
     table.notes.append(
-        f"{len(comparison.regressions)} regression(s), "
-        f"{len(comparison.improvements)} improvement(s); a slowdown is a "
-        f"regression only beyond max(tolerance, k*MAD/best)")
+        f"{counts}; change is the median's, positive = worse; worse beyond "
+        f"{100 * comparison['bound']:.0f}%, unresolved when a spread "
+        f"exceeds that")
     return table
 
 

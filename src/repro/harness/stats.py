@@ -1,4 +1,5 @@
-"""Timing statistics: the one repeat-and-summarise loop of the repository.
+"""Timing statistics: the one repeat-and-summarise loop and the one
+comparison rule of the repository.
 
 The NPB tradition (and the source paper's methodology) reports the *best*
 of k repeats: the minimum is the run least perturbed by the OS, and on an
@@ -13,25 +14,23 @@ measured ``npb table``s, take whole-benchmark times from
 ``NPBenchmark.run()``; every smaller callable (Table 1 operations, Table 7
 factorizations, the JGF kernels) goes through :func:`time_callable`, the
 only ``perf_counter`` pair of the harness.
+
+``npb bench --compare`` and ``npb loadgen --compare`` judge every row
+through :func:`compare` by :func:`verdict`, the median/interquartile-spread
+rule of ``benchmarks/e2e/compare.py`` (a test holds the two copies equal).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
-def median(values: Sequence[float]) -> float:
-    """Median of a non-empty sequence (no numpy needed on this path)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        raise ValueError("median of an empty sequence")
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+#: Median of a non-empty sequence (empty: ``StatisticsError``, a
+#: ``ValueError``).
+median = statistics.median
 
 
 def mad(values: Sequence[float], center: float | None = None) -> float:
@@ -63,29 +62,82 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
-def noise_band(
-    base: float, noise: float, tolerance: float, k: float, abs_slack: float
-) -> float:
-    """Relative change of ``base`` tolerated before a verdict.
+def spread(values: Sequence[float]) -> float:
+    """Interquartile distance over the median; 0.0 below two samples."""
+    values = list(values)
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return (q3 - q1) / statistics.median(values)
 
-    ``max(tolerance, k * noise / base, abs_slack / base)``: the static
-    tolerance, widened by the measured run-to-run noise (a MAD, in the
-    unit of ``base``), widened again for a ``base`` so small that one
-    scheduler quantum dwarfs it.  Both comparators (``npb bench`` and
-    ``npb loadgen --compare``) judge by it, so a measurement that
-    scatters gates itself more loosely instead of flapping.
+
+def verdict(
+    a: Sequence[float], b: Sequence[float], better: str, bound: float
+) -> tuple[str, float]:
+    """(verdict, change) of samples ``b`` against ``a``; ``better`` is
+    ``"lower"`` or ``"higher"``.
+
+    ``change`` is B's median against A's as a share of A's, positive when
+    B is worse.  ``worse``: change > ``bound``; ``better``: B gains more
+    than either set's spread, or that spread exceeds ``bound`` and every
+    run of B beats every run of A; ``unresolved``: that spread without
+    the domination, an empty set, or A's median 0 (where the copy in
+    ``benchmarks/e2e/compare.py`` divides by zero); else ``unchanged``.
     """
-    base = max(float(base), 1e-12)
-    return max(tolerance, k * noise / base, abs_slack / base)
+    if not a or not b or median(a) == 0:
+        return "unresolved", float("nan")
+    sign = 1.0 if better == "lower" else -1.0
+    change = sign * (median(b) - median(a)) / median(a)
+    noise = max(spread(a), spread(b))
+    if noise > bound:
+        beats = all(sign * (y - x) < 0 for x in a for y in b)
+        return ("better" if beats else "unresolved"), change
+    if change > bound:
+        return "worse", change
+    if change < 0 and -change > noise:
+        return "better", change
+    return "unchanged", change
 
 
-def band_verdict(ratio: float, band: float, higher_is_better: bool = False) -> str:
-    """regression | improved | ok: candidate/base ``ratio`` vs its noise band."""
-    if higher_is_better:
-        worse, better = ratio < 1.0 / (1.0 + band), ratio > 1.0 + band
-    else:
-        worse, better = ratio > 1.0 + band, ratio < 1.0 - band
-    return "regression" if worse else "improved" if better else "ok"
+VERDICTS = ("worse", "better", "unchanged", "unresolved")
+
+
+def compare(
+    base: Mapping[str, Sequence[float]],
+    cand: Mapping[str, Sequence[float]],
+    better: str | Callable[[str], str],
+    bound: float,
+) -> dict:
+    """One :func:`verdict` row per key the two sample maps share.
+
+    ``better`` is a direction for every row, or a function of the key.
+    Keys only in ``base`` are listed as ``missing``, keys only in
+    ``cand`` as ``added``; ``counts`` tallies the rows by verdict.
+    """
+    rows = []
+    for key in (k for k in base if k in cand):
+        a, b = list(base[key]), list(cand[key])
+        direction = better(key) if callable(better) else better
+        outcome, change = verdict(a, b, direction, bound)
+        rows.append(
+            {
+                "id": key,
+                "base": median(a) if a else None,
+                "cand": median(b) if b else None,
+                "spread_base": spread(a),
+                "spread_cand": spread(b),
+                "runs": [len(a), len(b)],
+                "change": None if change != change else change,
+                "verdict": outcome,
+            }
+        )
+    return {
+        "bound": bound,
+        "rows": rows,
+        "missing": [k for k in base if k not in cand],
+        "added": [k for k in cand if k not in base],
+        "counts": {v: sum(row["verdict"] == v for row in rows) for v in VERDICTS},
+    }
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ state across them:
 :mod:`~repro.service.loadgen`
     closed-loop traffic harness (``npb loadgen``) appending
     schema-versioned ``LOADGEN_<seq>.json`` records with an SLO verdict
-    and a noise-aware baseline comparator.
+    and a median/spread baseline comparator.
 :mod:`~repro.service.chaos`
     deterministic fault injection (``npb chaos``): seeded
     :class:`ChaosPlan` s compiled into per-seam fault schedules, a

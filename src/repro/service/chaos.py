@@ -796,7 +796,15 @@ def run_chaos(
 ) -> dict:
     """One seeded chaos run against a spawned fleet (torn down however
     it ends); returns the record, whose ``"invariant"`` is the verdict.
-    ``spawn`` holds :func:`spawn_shard`'s options, ``say`` gets progress."""
+    ``spawn`` holds :func:`spawn_shard`'s options, ``say`` gets progress.
+    A count below 1 is a ``ValueError`` naming its option, before any spawn."""
+    for option, count in (
+        ("--shards", shards),
+        ("--requests", requests),
+        ("--concurrency", concurrency),
+    ):
+        if count < 1:
+            raise ValueError(f"{option} must be >= 1, got {count}")
     children: list = []
     urls: dict[str, str] = {}
     coordinator = None

@@ -20,9 +20,8 @@ Every run appends a schema-versioned ``LOADGEN_<seq>.json`` record next
 to the ``BENCH_<seq>.json`` trajectory: per-step p50/p95/p99 latency,
 throughput, cache-hit ratio, 429 rate, per-spec and per-shard
 breakdowns, and an SLO verdict.  ``npb loadgen --compare`` gates a
-candidate record against a baseline with the same noise-aware verdict
-philosophy as the bench comparator, reusing
-:mod:`repro.harness.stats` for the robust statistics.
+candidate record against a baseline by the same rule as the bench
+comparator, :func:`repro.harness.stats.verdict`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.harness import records
-from repro.harness.stats import band_verdict, mad, median, noise_band, percentile
+from repro.harness.stats import compare, mad, median, percentile
 from repro.service.client import ServiceClient, ServiceUnavailable
 
 #: Version of the LOADGEN_*.json record layout.
@@ -57,16 +56,9 @@ RECORD_PREFIX = "LOADGEN"
 #: comparator matches steps by ``(mode, level)``; schema v2 has the key).
 MODE = "closed"
 
-#: Relative change tolerated before the noise term kicks in.  Service
-#: latency is far noisier than best-of-k kernel timing (queueing, GC,
-#: socket accept jitter), so the band starts wider than the bench one.
+#: The comparator's ``bound``: wider than the bench one, because service
+#: latency is far noisier (queueing, GC, socket accept jitter).
 DEFAULT_TOLERANCE = 0.25
-
-#: ``k`` in the ``k * MAD / p50`` noise band of the comparator.
-DEFAULT_MAD_MULTIPLIER = 3.0
-
-#: Absolute seconds of latency change always tolerated.
-DEFAULT_ABS_SLACK = 0.010
 
 
 # ===================================================================== #
@@ -700,101 +692,38 @@ def _migrate_record(record: dict, version: int) -> dict:
 
 
 # ===================================================================== #
-# comparator (the noise-aware SLO gate)
+# comparator (the SLO gate)
 # ===================================================================== #
 
 
 def compare_records(
-    baseline: dict,
-    candidate: dict,
-    tolerance: float = DEFAULT_TOLERANCE,
-    mad_multiplier: float = DEFAULT_MAD_MULTIPLIER,
-    abs_slack: float = DEFAULT_ABS_SLACK,
+    baseline: dict, candidate: dict, tolerance: float = DEFAULT_TOLERANCE
 ) -> dict:
-    """Match curve steps by (mode, level) and verdict each metric.
+    """Judge each shared step's p50/p95/p99 and throughput by
+    :func:`stats.compare`, one-sample lists because a record is one run;
+    ``slo_failed`` lists the shared steps whose candidate SLO failed."""
 
-    Latency percentiles regress upward, throughput regresses downward;
-    both share one noise-aware threshold per step.  The overall verdict
-    also fails when the candidate's own SLO failed -- a faster run that
-    drops requests is not an improvement.
-    """
-    base_steps = {
-        (step["mode"], step["level"]): step for step in baseline["curve"]
-    }
-    cand_steps = {
-        (step["mode"], step["level"]): step for step in candidate["curve"]
-    }
-    steps = []
-    regressions = 0
-    for key, base in base_steps.items():
-        cand = cand_steps.get(key)
-        if cand is None:
-            continue
-        base_latency = base.get("latency_seconds") or {}
-        cand_latency = cand.get("latency_seconds") or {}
-        # the latency MAD of whichever record scatters more is the noise
-        noise = max(
-            float(base_latency.get("mad", 0.0)), float(cand_latency.get("mad", 0.0))
-        )
-        threshold = noise_band(
-            base_latency.get("p50", 0.0), noise, tolerance, mad_multiplier, abs_slack
-        )
-        metrics = []
-        for name in ("p50", "p95", "p99"):
-            base_value = base_latency.get(name)
-            cand_value = cand_latency.get(name)
-            if base_value is None or cand_value is None:
-                continue
-            ratio = cand_value / max(base_value, 1e-9)
-            metrics.append(
-                {
-                    "metric": f"latency_{name}",
-                    "base": base_value,
-                    "candidate": cand_value,
-                    "ratio": ratio,
-                    "verdict": band_verdict(ratio, threshold),
-                }
-            )
-        base_rps = float(base["throughput_rps"])
-        cand_rps = float(cand["throughput_rps"])
-        ratio = cand_rps / max(base_rps, 1e-9)
-        metrics.append(
-            {
-                "metric": "throughput_rps",
-                "base": base_rps,
-                "candidate": cand_rps,
-                "ratio": ratio,
-                "verdict": band_verdict(ratio, threshold, higher_is_better=True),
-            }
-        )
-        step_regressions = sum(
-            1 for metric in metrics if metric["verdict"] == "regression"
-        )
-        if not cand["slo"]["pass"]:
-            step_regressions += 1
-        regressions += step_regressions
-        steps.append(
-            {
-                "mode": key[0],
-                "level": key[1],
-                "threshold": threshold,
-                "slo_pass": cand["slo"]["pass"],
-                "metrics": metrics,
-                "regressions": step_regressions,
-            }
-        )
-    return {
-        "steps": steps,
-        "missing": sorted(
-            f"{mode}@{level:g}"
-            for mode, level in base_steps
-            if (mode, level) not in cand_steps
-        ),
-        "added": sorted(
-            f"{mode}@{level:g}"
-            for mode, level in cand_steps
-            if (mode, level) not in base_steps
-        ),
-        "regressions": regressions,
-        "verdict": "regression" if regressions else "pass",
-    }
+    def steps(record: dict) -> dict:
+        return {f"{s['mode']}@{s['level']:g}": s for s in record["curve"]}
+
+    def samples(steps: dict) -> dict:
+        out = {}
+        for label, step in steps.items():
+            latency = step.get("latency_seconds") or {}
+            for name in ("p50", "p95", "p99"):
+                value = latency.get(name)
+                out[f"{label} latency_{name}"] = [] if value is None else [value]
+            out[f"{label} throughput_rps"] = [float(step["throughput_rps"])]
+        return out
+
+    base, cand = steps(baseline), steps(candidate)
+    comparison = compare(
+        samples(base),
+        samples(cand),
+        lambda key: "higher" if key.endswith("throughput_rps") else "lower",
+        tolerance,
+    )
+    comparison["slo_failed"] = [
+        k for k in cand if k in base and not cand[k]["slo"]["pass"]
+    ]
+    return comparison

@@ -785,3 +785,27 @@ class TestChaosRecords:
         assert record["ledger"][2]["error"] == "RuntimeError: boom"
         assert record["invariant"]["counts"]["lost"] == 1
         json.dumps(record)
+
+
+class TestChaosCounts:
+    """``npb chaos`` refuses a count below 1 with exit 2, naming the
+    option, before it spawns a single shard."""
+
+    @pytest.mark.parametrize(
+        "flag, option",
+        [("--shards", "--shards"), ("-n", "--requests"), ("-C", "--concurrency")],
+    )
+    def test_count_below_one_is_a_usage_error(
+        self, flag, option, monkeypatch, tmp_path, capsys
+    ):
+        from repro.harness.cli import main
+        from repro.service import chaos
+
+        def spawn_shard(*args, **kwargs):
+            raise AssertionError("spawn_shard called")
+
+        monkeypatch.setattr(chaos, "spawn_shard", spawn_shard)
+        code = main(["chaos", flag, "0", "--dir", str(tmp_path)])
+        assert code == 2
+        assert f"{option} must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -1,5 +1,5 @@
 """Loadgen harness tests: mixes, samplers, percentile accounting, SLO
-verdicts, record round-trips, the noise-aware comparator, and a small
+verdicts, record round-trips, the comparator, and a small
 end-to-end run against an in-process service."""
 
 from __future__ import annotations
@@ -374,53 +374,75 @@ def _curve_record(steps):
             "curve": steps}
 
 
+def _verdicts(comparison):
+    return {row["id"]: row["verdict"] for row in comparison["rows"]}
+
+
 class TestCompare:
     def test_identical_records_pass(self):
         base = _curve_record([_step(level=1), _step(level=4)])
-        comparison = compare_records(base, _curve_record(
-            [_step(level=1), _step(level=4)]))
-        assert comparison["verdict"] == "pass"
-        assert comparison["regressions"] == 0
-        assert len(comparison["steps"]) == 2
+        comparison = compare_records(
+            base, _curve_record([_step(level=1), _step(level=4)])
+        )
+        assert comparison["counts"]["worse"] == 0
+        assert not comparison["slo_failed"]
+        assert len(comparison["rows"]) == 8  # p50/p95/p99/throughput x 2
 
     def test_latency_blowup_is_a_regression(self):
         base = _curve_record([_step()])
         cand = _curve_record([_step(p50=0.3, p95=0.45, p99=0.54)])
-        comparison = compare_records(base, cand)
-        assert comparison["verdict"] == "regression"
-        verdicts = {m["metric"]: m["verdict"]
-                    for m in comparison["steps"][0]["metrics"]}
-        assert verdicts["latency_p50"] == "regression"
-        assert verdicts["latency_p95"] == "regression"
+        verdicts = _verdicts(compare_records(base, cand))
+        assert verdicts["closed@2 latency_p50"] == "worse"
+        assert verdicts["closed@2 latency_p95"] == "worse"
 
     def test_throughput_drop_is_a_regression(self):
         base = _curve_record([_step()])
         cand = _curve_record([_step(rps=5.0)])
-        comparison = compare_records(base, cand)
-        verdicts = {m["metric"]: m["verdict"]
-                    for m in comparison["steps"][0]["metrics"]}
-        assert verdicts["throughput_rps"] == "regression"
+        verdicts = _verdicts(compare_records(base, cand))
+        assert verdicts["closed@2 throughput_rps"] == "worse"
 
-    def test_noise_widens_the_band(self):
-        # 40% slower, but the baseline's own MAD says that's noise
-        base = _curve_record([_step(mad=0.02)])  # 3*0.02/0.1 = 60% band
-        cand = _curve_record([_step(p50=0.14, p95=0.21, p99=0.25)])
-        comparison = compare_records(base, cand)
-        assert comparison["verdict"] == "pass"
-        assert comparison["steps"][0]["threshold"] >= 0.6
+    def test_one_run_per_record_judges_by_the_bound_alone(self):
+        # 20% slower p50 stays inside the 25% bound; one sample per side
+        # has no spread, so any gain at all reads better.
+        base = _curve_record([_step()])
+        cand = _curve_record([_step(p50=0.12, rps=21.0)])
+        verdicts = _verdicts(compare_records(base, cand))
+        assert verdicts["closed@2 latency_p50"] == "unchanged"
+        assert verdicts["closed@2 throughput_rps"] == "better"
 
     def test_candidate_slo_failure_counts_as_regression(self):
         base = _curve_record([_step()])
         cand = _curve_record([_step(slo_pass=False)])
         comparison = compare_records(base, cand)
-        assert comparison["verdict"] == "regression"
+        assert comparison["slo_failed"] == ["closed@2"]
 
     def test_missing_and_added_steps_are_reported(self):
         base = _curve_record([_step(level=1), _step(level=4)])
         cand = _curve_record([_step(level=1), _step(level=8)])
         comparison = compare_records(base, cand)
-        assert comparison["missing"] == ["closed@4"]
-        assert comparison["added"] == ["closed@8"]
+        metrics = ["latency_p50", "latency_p95", "latency_p99", "throughput_rps"]
+        assert comparison["missing"] == [f"closed@4 {m}" for m in metrics]
+        assert comparison["added"] == [f"closed@8 {m}" for m in metrics]
+
+    def test_cli_exits_1_on_a_worse_metric_missing_step_or_failed_slo(
+        self, tmp_path, capsys
+    ):
+        from repro.harness.cli import main
+
+        def code(cand_steps):
+            base = tmp_path / "base.json"
+            cand = tmp_path / "cand.json"
+            base.write_text(json.dumps(_curve_record([_step(level=1), _step()])))
+            cand.write_text(json.dumps(_curve_record(cand_steps)))
+            return main(["loadgen", "--compare", str(base), str(cand)])
+
+        assert code([_step(level=1), _step()]) == 0
+        assert code([_step(level=1), _step(p95=0.3)]) == 1
+        assert code([_step(level=1)]) == 1
+        assert code([_step(level=1), _step(slo_pass=False)]) == 1
+        out = capsys.readouterr().out
+        assert "only in baseline (not compared): closed@2 latency_p50" in out
+        assert "candidate SLO failed: closed@2" in out
 
 
 class TestEndToEnd:
